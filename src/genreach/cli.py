@@ -69,7 +69,21 @@ def _read_text(path: Path) -> tuple[str, str]:
         data = path.read_bytes()
     except OSError as exc:
         raise GameParseError(f"cannot read {path}: {exc.strerror}") from None
-    return data.decode("utf-8"), _digest(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GameParseError(
+            f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        ) from None
+    return text, _digest(data)
+
+
+def _exit_code(exc: GenReachError) -> int:
+    if isinstance(exc, GameParseError):
+        return EXIT_PARSE
+    if isinstance(exc, BudgetExceededError):
+        return EXIT_BUDGET
+    return EXIT_INVALID
 
 
 def _report(args, payload: dict, digest: str | None, seconds: float) -> dict:
@@ -190,11 +204,20 @@ def _solve_batch(args, directory: Path) -> int:
         raise GameParseError("--dot cannot render a directory")
     reports = []
     summaries = []
+    code = EXIT_OK
     for path in sorted(p for p in directory.iterdir() if p.is_file()):
-        text, digest = _read_text(path)
-        started = time.perf_counter()
-        game = parse_game(text)
-        result = _solve_game(game, args.method, args.cap, args.budget)
+        try:
+            text, digest = _read_text(path)
+            started = time.perf_counter()
+            game = parse_game(text)
+            result = _solve_game(game, args.method, args.cap, args.budget)
+        except GenReachError as exc:
+            # One bad file is reported in place; the rest are still solved.
+            file_code = _exit_code(exc)
+            code = max(code, file_code)
+            reports.append({"file": path.name, "error": str(exc), "exit_code": file_code})
+            summaries.append(f"{path.name}: error: {exc}")
+            continue
         seconds = time.perf_counter() - started
         payload = {"file": path.name, **_solve_payload(game, result, args.emit_strategies)}
         reports.append(_report(args, payload, digest, seconds))
@@ -209,7 +232,7 @@ def _solve_batch(args, directory: Path) -> int:
         print(summary, file=sys.stderr)
     else:
         print(summary)
-    return EXIT_OK
+    return code
 
 
 def cmd_qbf(args) -> int:
@@ -437,15 +460,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.command_echo = list(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
-    except GameParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except GenReachError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

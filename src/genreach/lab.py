@@ -9,7 +9,6 @@ the full color mask or repeats a configuration first.
 from __future__ import annotations
 
 import os
-import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -216,8 +215,9 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
 
     Plays are explored on (vertex, visited mask) pairs to a horizon of
     n*k steps, which suffices: a winning Eve never needs more than n
-    steps per color set.  Memoized; intended for small instances, with a
-    node budget as the stop guard.
+    steps per color set.  Memoized, depth-first on an explicit stack, so
+    the full horizon needs no recursion; intended for small instances,
+    with a node budget as the stop guard.
     """
     if game.init is None:
         raise InitRequiredError("the minimax oracle needs a game with init")
@@ -231,40 +231,50 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
         raise BudgetExceededError(
             f"minimax horizon {horizon} is beyond desk scale"
         )
+    succ = arena.succ
     memo: dict[tuple[int, int, int], bool] = {}
     nodes = 0
+    # Frames of the explicit depth-first stack: [vertex, mask, steps, next
+    # successor index].  Steps fall by one per level, so no key can be on
+    # the stack twice and each memo key is counted once.
+    stack: list[list[int]] = []
 
-    def win(v: int, mask: int, steps: int) -> bool:
+    def enter(v: int, mask: int, steps: int) -> bool | None:
+        """The position's value if known at once, else None after pushing
+        its frame."""
         nonlocal nodes
         if mask == full:
             return True
         if steps == 0:
             return False
-        key = (v, mask, steps)
-        cached = memo.get(key)
+        cached = memo.get((v, mask, steps))
         if cached is not None:
             return cached
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"minimax oracle exceeded {budget} nodes")
-        if arena.is_eve(v):
-            result = any(
-                win(w, mask | mask_of[w], steps - 1) for w in arena.succ[v]
-            )
-        else:
-            result = all(
-                win(w, mask | mask_of[w], steps - 1) for w in arena.succ[v]
-            )
-        memo[key] = result
-        return result
+        stack.append([v, mask, steps, 0])
+        return None
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * horizon + 1000))
-    try:
-        eve_wins = win(game.init, mask_of[game.init], horizon)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return Owner.EVE if eve_wins else Owner.ADAM
+    value = enter(game.init, mask_of[game.init], horizon)
+    while stack:
+        frame = stack[-1]
+        v, mask, steps, i = frame
+        eve = arena.is_eve(v)
+        if value is None:
+            if i < len(succ[v]):
+                w = succ[v][i]
+                frame[3] = i + 1
+                value = enter(w, mask | mask_of[w], steps - 1)
+                continue
+            value = not eve
+        elif value != eve:
+            # Eve needs one winning successor, Adam one losing one.
+            value = None
+            continue
+        memo[(v, mask, steps)] = value
+        stack.pop()
+    return Owner.EVE if value else Owner.ADAM
 
 
 @dataclass(frozen=True)
@@ -272,7 +282,10 @@ class MinMemResult:
     """Outcome of the bounded search.  `strategy` is None when no machine
     within the bound wins; `refuted` counts the leaves of the canonical
     search tree that were eliminated; `expansions` the configuration
-    expansions spent."""
+    expansions actually done, which is also the unit of the budget.  The
+    search resumes its expansion at each decision point instead of
+    restarting it from init, so for the same enumeration this count is
+    lower than a restarting search's."""
 
     player: Owner
     machine_class: str
@@ -345,59 +358,20 @@ def min_memory_search(
 
 def _search_at(game, player, states, machine_class, budget, counter, on_refuted):
     """Exhaust machines with exactly `states` available states; returns a
-    winning FiniteMemoryStrategy or the number of refuted leaves."""
-    arena = game.arena
-    assignment: dict[tuple, int] = {}
-    # Frames: (cell, values, position, maxused before this frame).
-    stack: list[list] = []
-    maxused = 0
-    refuted = 0
+    winning FiniteMemoryStrategy or the number of refuted leaves.
 
-    def values_for(cell) -> list[int]:
-        if cell[0] == "m":
-            return list(range(len(arena.succ[cell[1]])))
-        return list(range(min(maxused + 1, states - 1) + 1))
+    One breadth-first expansion of the candidate against the free opponent
+    from init is kept across all decision points: `order` lists the
+    configurations in discovery order, `index` maps each to its position,
+    and `rows[i]` holds the successor positions of `order[i]`, so the next
+    configuration to expand is `order[len(rows)]`.  Each frame records
+    `len(rows)` and `len(order)` from when its cell was first needed;
+    assigning the cell resumes the expansion there, and moving the frame to
+    its next value first truncates the expansion back to those marks.
+    Every cell read before a frame's cell belongs to a shallower frame, so
+    this enumerates exactly the candidates, in exactly the order, that
+    restarting the expansion from init at every decision point would.
 
-    while True:
-        verdict, payload = _explore(
-            game, player, states, machine_class, assignment, budget, counter
-        )
-        if verdict == _NEED:
-            values = values_for(payload)
-            stack.append([payload, values, 0, maxused])
-            assignment[payload] = values[0]
-            if payload[0] == "u":
-                maxused = max(maxused, values[0])
-            continue
-        if verdict == _OK:
-            return _machine_from(game, player, states, machine_class, assignment)
-        refuted += 1
-        if on_refuted is not None and player is Owner.EVE:
-            on_refuted(
-                _machine_from(game, player, states, machine_class, assignment)
-            )
-        while stack:
-            frame = stack[-1]
-            frame[2] += 1
-            if frame[2] < len(frame[1]):
-                value = frame[1][frame[2]]
-                assignment[frame[0]] = value
-                maxused = frame[3]
-                if frame[0][0] == "u":
-                    maxused = max(maxused, value)
-                break
-            del assignment[frame[0]]
-            maxused = frame[3]
-            stack.pop()
-        else:
-            return refuted
-
-
-def _explore(game, player, states, machine_class, assignment, budget, counter):
-    """Deterministic expansion of the candidate against the free opponent.
-
-    Returns (_NEED, cell) at the first undefined cell, (_FAIL, None) when
-    the candidate provably loses, (_OK, None) when it provably wins.
     Update cells are only consulted below the full mask: once every color
     is seen the machine's further behavior is irrelevant.
     """
@@ -407,82 +381,136 @@ def _explore(game, player, states, machine_class, assignment, budget, counter):
     mask_of = game.objective.mask
     full = game.objective.full_mask
     k = game.k
-    pack_state = states
+    eve = player is Owner.EVE
+    color_obs = machine_class == COLOR_OBS
+    assignment: dict[tuple, int] = {}
 
     v0 = game.init
     if mask_of[v0] == full:
-        return (_OK, None) if player is Owner.EVE else (_FAIL, None)
-    cfg0 = (v0 * pack_state) << k | mask_of[v0]
-    seen = {cfg0}
-    queue = deque([cfg0])
-    edges: dict[int, list[int]] = {}
-    color_obs = machine_class == COLOR_OBS
-    while queue:
-        cfg = queue.popleft()
-        counter[0] += 1
-        if counter[0] > budget:
-            raise BudgetExceededError(
-                f"memory search exceeded its budget of {budget} expansions"
-            )
-        mask = cfg & full if k else 0
-        rest = cfg >> k
-        v, state = divmod(rest, pack_state)
-        if owner[v] is player and len(succ[v]) > 1:
-            cell = ("m", v, state)
-            pick = assignment.get(cell)
-            if pick is None:
-                return _NEED, cell
-            targets = (succ[v][pick],)
-        else:
-            targets = succ[v]
-        row = []
-        for w in targets:
-            mask2 = mask | mask_of[w]
-            if mask2 == full:
-                if player is Owner.ADAM:
-                    return _FAIL, None
-                continue
-            if color_obs and not mask_of[w]:
-                state2 = state
-            else:
-                cell = ("u", state, mask_of[w]) if color_obs else ("u", state, v, w)
-                state2 = assignment.get(cell)
-                if state2 is None:
-                    return _NEED, cell
-            cfg2 = (w * pack_state + state2) << k | mask2
-            row.append(cfg2)
-            if cfg2 not in seen:
-                seen.add(cfg2)
-                queue.append(cfg2)
-        edges[cfg] = row
+        if eve:
+            return _machine_from(game, player, states, machine_class, assignment)
+        return 1
+    cfg0 = (v0 * states) << k | mask_of[v0]
+    order = [cfg0]
+    index = {cfg0: 0}
+    rows: list[list[int]] = []
+    # Frames: [cell, value count, value, maxused before, len(rows), len(order)].
+    stack: list[list] = []
+    maxused = 0
+    refuted = 0
 
-    if player is Owner.ADAM:
-        return _OK, None
-    # Eve: a cycle in the explored graph is a play that never completes.
+    while True:
+        verdict = _OK
+        # Expand until a cell is undefined, the candidate fails, or the
+        # expansion closes.  A row is committed whole or not at all.
+        while len(rows) < len(order):
+            counter[0] += 1
+            if counter[0] > budget:
+                raise BudgetExceededError(
+                    f"memory search exceeded its budget of {budget} expansions"
+                )
+            cfg = order[len(rows)]
+            mask = cfg & full if k else 0
+            v, state = divmod(cfg >> k, states)
+            if owner[v] is player and len(succ[v]) > 1:
+                need = ("m", v, state)
+                pick = assignment.get(need)
+                if pick is None:
+                    verdict = _NEED
+                    break
+                targets = (succ[v][pick],)
+            else:
+                targets = succ[v]
+            row = []
+            for w in targets:
+                mask2 = mask | mask_of[w]
+                if mask2 == full:
+                    if not eve:
+                        verdict = _FAIL
+                        break
+                    continue
+                if color_obs and not mask_of[w]:
+                    state2 = state
+                else:
+                    need = ("u", state, mask_of[w]) if color_obs else ("u", state, v, w)
+                    state2 = assignment.get(need)
+                    if state2 is None:
+                        verdict = _NEED
+                        break
+                row.append((w * states + state2) << k | mask2)
+            else:
+                for cfg2 in row:
+                    if cfg2 not in index:
+                        index[cfg2] = len(order)
+                        order.append(cfg2)
+                rows.append([index[cfg2] for cfg2 in row])
+                continue
+            break
+        if verdict == _OK and eve and _has_cycle(rows):
+            verdict = _FAIL
+
+        if verdict == _NEED:
+            if need[0] == "m":
+                count = len(succ[need[1]])
+            else:
+                count = min(maxused + 1, states - 1) + 1
+            stack.append([need, count, 0, maxused, len(rows), len(order)])
+            assignment[need] = 0
+            continue
+        if verdict == _OK:
+            return _machine_from(game, player, states, machine_class, assignment)
+        refuted += 1
+        if on_refuted is not None and eve:
+            on_refuted(
+                _machine_from(game, player, states, machine_class, assignment)
+            )
+        while stack:
+            frame = stack[-1]
+            cell, count, value, maxused, rows_mark, order_mark = frame
+            value += 1
+            if value < count:
+                frame[2] = value
+                assignment[cell] = value
+                if cell[0] == "u":
+                    maxused = max(maxused, value)
+                del rows[rows_mark:]
+                for cfg in order[order_mark:]:
+                    del index[cfg]
+                del order[order_mark:]
+                break
+            del assignment[cell]
+            stack.pop()
+        else:
+            return refuted
+
+
+def _has_cycle(rows: list[list[int]]) -> bool:
+    """Whether the graph given by successor rows has a cycle; for an Eve
+    candidate such a cycle is a play that never completes the colors."""
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(edges, WHITE)
-    for root in edges:
+    color = [WHITE] * len(rows)
+    for root in range(len(rows)):
         if color[root] != WHITE:
             continue
         work = [(root, 0)]
         color[root] = GRAY
         while work:
-            cfg, i = work.pop()
-            row = edges[cfg]
+            node, i = work.pop()
+            row = rows[node]
             while i < len(row):
                 nxt = row[i]
                 i += 1
                 c = color[nxt]
                 if c == GRAY:
-                    return _FAIL, None
+                    return True
                 if c == WHITE:
-                    work.append((cfg, i))
+                    work.append((node, i))
                     color[nxt] = GRAY
                     work.append((nxt, 0))
                     break
             else:
-                color[cfg] = BLACK
-    return _OK, None
+                color[node] = BLACK
+    return False
 
 
 def _machine_from(game, player, states, machine_class, assignment):

@@ -289,7 +289,7 @@ def test_criterion_07_adam_lower_bounds_in_color_observing_class():
     """Exhaustive color-observing search proves Adam needs 4 states on the
     four-color rail game and 3 on the 3-color picker, and each result
     reports which machine class it searched.  The 4-state search is the
-    slow half of this suite (roughly a minute)."""
+    slowest test of this suite (about 25 s on 2 vCPU)."""
     fig5 = generate(GenParams("fig5"))
     none3 = min_memory_search(fig5, A, 3, machine_class=COLOR_OBS, budget=200_000_000)
     assert none3.strategy is None

@@ -109,6 +109,24 @@ def test_solve_batch_directory(capsys, tmp_path, demo_file, flower_file):
     assert len(err.splitlines()) == 2
 
 
+def test_solve_batch_reports_bad_files_and_carries_on(capsys, tmp_path, demo_file, flower_file):
+    (tmp_path / "bad.game").write_bytes(DEMO_TEXT.encode() + b"\xff")
+    code, out, err = run(capsys, "solve", tmp_path, "--json")
+    assert code == 2
+    reports = json.loads(out)
+    assert [r["file"] for r in reports] == ["bad.game", "demo.game", "flower2.game"]
+    bad = reports[0]
+    assert set(bad) == {"file", "error", "exit_code"}
+    assert bad["exit_code"] == 2 and "not UTF-8" in bad["error"]
+    assert all(r["winner_from_init"] == "eve" for r in reports[1:])
+    assert len(err.splitlines()) == 3
+    # The exit code is the worst one in the batch: demo.game is refused by
+    # the singleton method (3), which outranks the parse error (2).
+    code, out, _ = run(capsys, "solve", tmp_path, "--json", "--method", "singleton")
+    assert code == 3
+    assert [r.get("exit_code") for r in json.loads(out)][:2] == [2, 3]
+
+
 def test_solve_batch_rejects_dot(capsys, tmp_path, demo_file):
     code, _, err = run(capsys, "solve", tmp_path, "--dot")
     assert code == 2
@@ -127,6 +145,14 @@ def test_solve_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "solve", path)
     assert code == 2
     assert "line 3" in err
+
+
+def test_solve_undecodable_file(capsys, tmp_path):
+    path = tmp_path / "latin1.game"
+    path.write_bytes(DEMO_TEXT.encode() + b"\xff")
+    code, _, err = run(capsys, "solve", path)
+    assert code == 2
+    assert "not UTF-8: byte 0xff" in err
 
 
 def test_solve_cap_exceeded(capsys, demo_file):

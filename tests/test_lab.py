@@ -27,7 +27,12 @@ from genreach import (
     verify_strategy,
 )
 from genreach.lab import COLOR_OBS, FULL_CLASS
-from helpers import random_game, random_machine
+from helpers import (
+    machine_tables,
+    random_game,
+    random_machine,
+    reference_min_memory_search,
+)
 
 E, A = Owner.EVE, Owner.ADAM
 
@@ -148,6 +153,20 @@ def test_minimax_horizon_guard():
         minimax_oracle(big)
 
 
+def test_minimax_full_horizon_needs_no_recursion():
+    # A 4999-vertex Eve cycle through color 1, and an unreachable color-2
+    # sink: n * k = 10000, the largest horizon the oracle accepts.
+    from genreach import Arena, Game, Objective
+
+    n = 5000
+    cycle = [(v, (v + 1) % (n - 1)) for v in range(n - 1)]
+    arena = Arena.from_edges(
+        [f"v{v}" for v in range(n)], [E] * n, cycle + [(n - 1, n - 1)]
+    )
+    game = Game(arena, Objective.from_sets(n, [[0], [n - 1]]), init=0)
+    assert minimax_oracle(game) is A
+
+
 def test_min_memory_flower_color_obs(flower2):
     result = min_memory_search(flower2, E, 3, COLOR_OBS)
     assert result.states == 3
@@ -200,6 +219,47 @@ def test_min_memory_on_refuted_hook(flower2):
     assert len(seen) == result.refuted > 0
     for machine in seen:
         assert not verify_strategy(flower2, machine, [flower2.init]).winning
+
+
+@pytest.mark.parametrize(
+    "fixture, player, bound, machine_class",
+    [
+        ("picker3", A, 2, COLOR_OBS),
+        ("picker3", A, 3, COLOR_OBS),
+        ("flower2", E, 2, FULL_CLASS),
+        ("flower2", E, 2, COLOR_OBS),
+        ("fig42", E, 3, COLOR_OBS),
+        ("fig42", E, 3, FULL_CLASS),
+    ],
+)
+def test_min_memory_matches_restarting_reference(
+    request, fixture, player, bound, machine_class
+):
+    # The incremental search must enumerate the same candidates in the
+    # same order as restarting the expansion from init at every decision
+    # point, while expanding no more configurations.
+    game = request.getfixturevalue(fixture)
+    losers, ref_losers = [], []
+    result = min_memory_search(
+        game, player, bound, machine_class, on_refuted=losers.append
+    )
+    ref_machine, ref_states, ref_refuted, ref_expansions = (
+        reference_min_memory_search(
+            game, player, bound, machine_class, on_refuted=ref_losers.append
+        )
+    )
+    assert result.refuted == ref_refuted
+    assert result.states == ref_states
+    assert [machine_tables(game, m) for m in losers] == [
+        machine_tables(game, m) for m in ref_losers
+    ]
+    if ref_machine is None:
+        assert result.strategy is None
+    else:
+        assert machine_tables(game, result.strategy) == machine_tables(
+            game, ref_machine
+        )
+    assert result.expansions <= ref_expansions
 
 
 def test_search_budget_env_override(monkeypatch):

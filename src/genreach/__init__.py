@@ -68,14 +68,9 @@ from .model import (
 )
 from .product import (
     AntichainTable,
-    ProductArena,
-    ProductSolution,
     antichain_table,
-    build_product,
     compress_adam,
-    lift_strategy,
     solve_fpt,
-    solve_product,
     subset_memory,
 )
 from .qbf import QBFFormula, eval_qbf_bruteforce, parse_qdimacs, qbf_to_game

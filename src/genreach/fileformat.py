@@ -12,12 +12,15 @@ Tokens are whitespace separated; `#` starts a comment.  Colors are 1-based.
 The `colors` line must precede vertex declarations; edges may reference
 vertices declared later.  Parsing rejects anything `validate_arena` would
 flag, so a parsed game is ready for any solver.
+
+The integer token and `p cnf` problem-line readers at the bottom are
+shared with the DIMACS parsers of `qbf` and `subclasses`.
 """
 
 from __future__ import annotations
 
 from .errors import GameParseError, InvalidGameError
-from .model import Arena, Game, Objective, Owner, validate_arena
+from .model import Arena, Game, Objective, Owner, mask_colors, validate_arena
 
 FORMAT_NAME = "genreach"
 FORMAT_VERSION = "1"
@@ -151,7 +154,7 @@ def serialize_game(game: Game) -> str:
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"colors {game.k}"]
     for v, name in enumerate(arena.names):
         parts = ["vertex", name, arena.owner[v].value]
-        parts.extend(str(c + 1) for c in _mask_bits(game.colors(v)))
+        parts.extend(str(c) for c in mask_colors(game.colors(v)))
         lines.append(" ".join(parts))
     for u, v in sorted(arena.edges):
         lines.append(f"edge {arena.names[u]} {arena.names[v]}")
@@ -172,9 +175,9 @@ def export_dot(game: Game, result=None) -> str:
     adam_region = getattr(result, "adam_region", frozenset())
     for v, name in enumerate(arena.names):
         label = name
-        bits = _mask_bits(game.colors(v))
-        if bits:
-            label += " [" + ",".join(str(c + 1) for c in bits) + "]"
+        colors = mask_colors(game.colors(v))
+        if colors:
+            label += " [" + ",".join(str(c) for c in colors) + "]"
         attrs = [
             f'label="{_dot_escape(label)}"',
             "shape=circle" if arena.is_eve(v) else "shape=box",
@@ -210,15 +213,20 @@ def _parse_int(token: str, lineno: int) -> int:
         raise GameParseError(f"expected an integer, got '{token}'", lineno) from None
 
 
-def _mask_bits(mask: int) -> list[int]:
-    bits = []
-    i = 0
-    while mask:
-        if mask & 1:
-            bits.append(i)
-        mask >>= 1
-        i += 1
-    return bits
+def _parse_cnf_header(
+    tokens: list[str], lineno: int, seen: bool
+) -> tuple[int, int]:
+    """Variable and clause counts of a DIMACS `p cnf <vars> <clauses>` line;
+    `seen` says whether a problem line came earlier."""
+    if seen:
+        raise GameParseError("duplicate problem line", lineno)
+    if len(tokens) != 4 or tokens[1] != "cnf":
+        raise GameParseError("problem line must be 'p cnf <vars> <clauses>'", lineno)
+    num_vars = _parse_int(tokens[2], lineno)
+    declared = _parse_int(tokens[3], lineno)
+    if num_vars < 0 or declared < 0:
+        raise GameParseError("negative count in problem line", lineno)
+    return num_vars, declared
 
 
 def _dot_escape(text: str) -> str:

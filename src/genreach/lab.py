@@ -20,7 +20,7 @@ from .errors import (
     NoMissingSubsetError,
     StateCountTooLargeError,
 )
-from .model import Game, Owner, Play, trace_play
+from .model import Game, Owner, Play, mask_colors, trace_play
 from .scc import strongly_connected_components
 from .strategies import FiniteMemoryStrategy, MemoryStructure
 
@@ -558,15 +558,11 @@ class FlowerRefutation:
     def to_json(self, game: Game) -> dict:
         names = game.arena.names
         return {
-            "X": _mask_to_colors(self.x),
-            "stopping_sets": [_mask_to_colors(s) for s in self.stopping_sets],
+            "X": mask_colors(self.x),
+            "stopping_sets": [mask_colors(s) for s in self.stopping_sets],
             "moves": [names[v] for v in self.petals],
             "play": [names[v] for v in self.outcome.play.vertices],
         }
-
-
-def _mask_to_colors(mask: int) -> list[int]:
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutation:

@@ -131,6 +131,11 @@ class Objective:
         return (1 << self.k) - 1
 
 
+def mask_colors(mask: int) -> list[int]:
+    """The 1-based colors whose bits are set in `mask`, ascending."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 @dataclass(frozen=True)
 class Game:
     """An arena, a visit-everything objective over it, and an optional start."""

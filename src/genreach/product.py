@@ -1,21 +1,25 @@
-"""Subset memory, the synchronized product, and the bitmask solver.
+"""Subset memory, the level sweep, and the antichain compression.
 
 The solver tracks which color sets a play has visited.  That memory is a
 k-bit mask, the product of arena and memory is an ordinary reachability
 game whose targets are the full-mask configurations, and the attractor of
-those targets decides every vertex at once.  Eve's winning strategy lives
-on the non-full masks (at most 2^k - 1 states); Adam's winning strategy
-compresses further, onto per-vertex antichains of masks (at most
-C(k, floor(k/2)) states).
+those targets decides every vertex at once.  The product is never
+materialized: masks only grow along edges, so it splits into one level
+per mask, and one backward sweep (`_sweep`) solves the levels in
+descending popcount order, each as a plain attractor pass over the base
+arena.  `solve_fpt` sweeps the levels forward discovery reaches;
+`compress_adam` sweeps every mask, the full product.  Eve's winning
+strategy lives on the non-full masks (at most 2^k - 1 states); Adam's
+winning strategy compresses further, onto per-vertex antichains of masks
+(at most C(k, floor(k/2)) states).
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .attractor import _pred_lists
 from .errors import CapExceededError, NotDownwardClosedError
@@ -28,322 +32,80 @@ from .strategies import (
 
 
 def subset_memory(
-    objective: Objective, v0: int | None = None, cap: int = DEFAULT_COLOR_CAP
+    objective: Objective, cap: int = DEFAULT_COLOR_CAP
 ) -> MemoryStructure:
     """Memory whose state is the bitmask of color sets visited so far.
 
     The state after an edge folds in the target vertex's colors.  The
-    initial state is the start vertex's own colors: with `v0` it is that
-    single mask, otherwise it is per-vertex so the same structure serves
-    plays from anywhere.
+    initial state is the start vertex's own colors, per vertex, so the
+    same structure serves plays from anywhere.
     """
     if objective.k > cap:
         raise CapExceededError(
             f"{objective.k} color sets exceed the bitmask cap of {cap}"
         )
     mask = objective.mask
-    initial: int | dict[int, int]
-    if v0 is None:
-        initial = {v: mask[v] for v in range(len(mask))}
-    else:
-        initial = mask[v0]
+    initial = {v: mask[v] for v in range(len(mask))}
     return MemoryStructure(1 << objective.k, initial, lambda s, u, w: s | mask[w])
 
 
-@dataclass(eq=False)
-class ProductArena:
-    """The base arena synchronized with a memory structure.
+def _split_successors(
+    arena: Arena, vm: Sequence[int]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Each successor list split into uncolored and colored targets.
 
-    Configurations (v, m) get dense ids; `codes[i] = v * states + m`.  A
-    full build materializes every pair (ids equal codes); a lazy build
-    keeps only what forward reachability from the start set discovers.
-    Configurations flagged terminal by the builder get no outgoing edges.
+    Edges into uncolored vertices never change the mask, so the sweeps
+    skip mask arithmetic on them.
     """
-
-    base: Arena
-    memory: MemoryStructure
-    codes: "range | list[int]"
-    id_of: dict[int, int]
-    succ: list[list[int]]
-    full: bool
-
-    @property
-    def n_configs(self) -> int:
-        return len(self.codes)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(row) for row in self.succ)
-
-    def vertex_of(self, i: int) -> int:
-        return self.codes[i] // self.memory.states
-
-    def state_of(self, i: int) -> int:
-        return self.codes[i] % self.memory.states
-
-    def config_id(self, v: int, m: int) -> int:
-        """Dense id of (v, m), or -1 if the pair was never materialized."""
-        code = v * self.memory.states + m
-        if self.full:
-            return code
-        return self.id_of.get(code, -1)
-
-    def is_eve(self, i: int) -> bool:
-        return self.base.owner[self.vertex_of(i)] is Owner.EVE
+    plain: list[list[int]] = [[] for _ in range(arena.n)]
+    colored: list[list[int]] = [[] for _ in range(arena.n)]
+    for v in range(arena.n):
+        for w in arena.succ[v]:
+            (colored[v] if vm[w] else plain[v]).append(w)
+    return plain, colored
 
 
-def build_product(
-    arena: Arena,
-    mem: MemoryStructure,
-    start: Iterable[int] | None = None,
-    terminal: Callable[[int, int], bool] | None = None,
-    max_configs: int | None = None,
-) -> ProductArena:
-    """Synchronize `arena` with `mem`.
+def _sweep(
+    game: Game,
+    plain: list[list[int]],
+    colored: list[list[int]],
+    levels: Iterable[tuple[int, Sequence[int]]],
+    live: Mapping[int, bytearray],
+    eve_state: Mapping[int, int],
+) -> tuple[
+    dict[int, bytearray], dict[tuple[int, int], int], dict[tuple[int, int], int], int
+]:
+    """Attractor of the full-mask configurations, one level at a time.
 
-    Without `start`, every (vertex, state) pair is materialized.  With
-    `start` (an iterable of arena vertices), only configurations forward
-    reachable from their initial states are.  `terminal` marks absorbing
-    configurations whose outgoing edges the caller will never examine;
-    they are kept as vertices but not expanded.
+    `levels` holds (mask, vertices) pairs in descending popcount order,
+    so every level a mask-changing edge can land in is final before the
+    level the edge leaves, and `live[mask][v]` flags the level's vertices.
+    Every vertex of a level must carry only colors its mask holds: then
+    an edge into a live vertex never jumps, and the in-level pass needs
+    no mask arithmetic.  The full level is won outright.  Returns
+    `win[mask][v]`, Eve's recorded moves keyed by (vertex,
+    eve_state[mask]), Adam's first escapes keyed by (vertex, mask), and
+    the number of in-level predecessor relaxations.
     """
-    states = mem.states
-    update = mem.update
-    base_succ = arena.succ
-
-    if start is None:
-        total = arena.n * states
-        if max_configs is not None and total > max_configs:
-            raise CapExceededError(
-                f"full product needs {total} configurations, above the"
-                f" limit of {max_configs}"
-            )
-        succ: list[list[int]] = []
-        for v in range(arena.n):
-            targets = base_succ[v]
-            for m in range(states):
-                if terminal is not None and terminal(v, m):
-                    succ.append([])
-                else:
-                    succ.append([w * states + update(m, v, w) for w in targets])
-        return ProductArena(arena, mem, range(total), {}, succ, full=True)
-
-    codes: list[int] = []
-    id_of: dict[int, int] = {}
-    for v in start:
-        code = v * states + mem.initial_state(v)
-        if code not in id_of:
-            id_of[code] = len(codes)
-            codes.append(code)
-    succ = []
-    lookup = id_of.get
-    i = 0
-    while i < len(codes):
-        if max_configs is not None and len(codes) > max_configs:
-            raise CapExceededError(
-                f"product exceeded the limit of {max_configs} configurations"
-            )
-        code = codes[i]
-        v, m = divmod(code, states)
-        if terminal is not None and terminal(v, m):
-            succ.append([])
-            i += 1
-            continue
-        row = []
-        for w in base_succ[v]:
-            c2 = w * states + update(m, v, w)
-            j = lookup(c2)
-            if j is None:
-                j = len(codes)
-                id_of[c2] = j
-                codes.append(c2)
-            row.append(j)
-        succ.append(row)
-        i += 1
-    return ProductArena(arena, mem, codes, id_of, succ, full=False)
-
-
-@dataclass(eq=False)
-class ProductSolution:
-    """Attractor of the target configurations inside a product.
-
-    `rank[i]` is -1 outside the attractor.  `choice[i]` is the chosen
-    successor id: rank-decreasing for Eve configurations inside, an
-    escape staying outside for Adam configurations outside, -1 elsewhere.
-    """
-
-    product: ProductArena
-    rank: list[int]
-    choice: list[int]
-    ops: int
-
-    def winning(self, i: int) -> bool:
-        return self.rank[i] >= 0
-
-
-def solve_product(product: ProductArena, targets: Iterable[int]) -> ProductSolution:
-    succ = product.succ
-    n = len(succ)
-    states = product.memory.states
-    owner_eve = [o is Owner.EVE for o in product.base.owner]
-    eve = [owner_eve[c // states] for c in product.codes]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, row in enumerate(succ):
-        for j in row:
-            pred[j].append(i)
-    rank = [-1] * n
-    counter = [len(row) for row in succ]
-    queue = deque()
-    for t in targets:
-        if rank[t] == -1:
-            rank[t] = 0
-            queue.append(t)
-    ops = 0
-    while queue:
-        j = queue.popleft()
-        r = rank[j] + 1
-        for i in pred[j]:
-            if rank[i] != -1:
-                continue
-            ops += 1
-            if eve[i]:
-                rank[i] = r
-                queue.append(i)
-            else:
-                counter[i] -= 1
-                if counter[i] == 0:
-                    rank[i] = r
-                    queue.append(i)
-
-    choice = [-1] * n
-    for i in range(n):
-        ri = rank[i]
-        if eve[i]:
-            if ri > 0:
-                for j in succ[i]:
-                    rj = rank[j]
-                    if 0 <= rj < ri:
-                        choice[i] = j
-                        break
-        elif ri == -1:
-            for j in succ[i]:
-                if rank[j] == -1:
-                    choice[i] = j
-                    break
-    return ProductSolution(product, rank, choice, ops)
-
-
-def lift_strategy(
-    product: ProductArena, player: Owner, positional: Mapping[int, int]
-) -> FiniteMemoryStrategy:
-    """Turn a positional product strategy (dense id to dense id) into a
-    finite-memory strategy on the base arena over the product's memory."""
-    moves = {
-        (product.vertex_of(i), product.state_of(i)): product.vertex_of(j)
-        for i, j in positional.items()
-    }
-    return FiniteMemoryStrategy(player, product.memory, moves)
-
-
-def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
-    """Decide every vertex by reachability to the full-mask configurations.
-
-    The product is never materialized.  Masks only grow along edges, so
-    its configurations split into one level per mask: forward discovery
-    fills the reachable levels in ascending popcount order, then the
-    backward attractor sweep solves them in descending order, when every
-    level a mask-changing edge can land in is already final and each
-    level reduces to a plain reachability pass over the base arena.
-    Both regions are total because discovery starts from (v, colors(v))
-    for every v.  Eve's strategy replays the moves recorded by the
-    sweep, on a memory holding only the non-full masks that actually
-    occur; Adam's strategy keeps the play outside the attractor, on the
-    raw subset memory.
-    """
-    t0 = time.perf_counter()
     arena = game.arena
     n = arena.n
-    k = game.k
-    if k > cap:
-        raise CapExceededError(f"{k} color sets exceed the bitmask cap of {cap}")
     vm = game.objective.mask
     full = game.objective.full_mask
     succ = arena.succ
-
-    # Edges into uncolored vertices never change the mask; split each
-    # successor list once so the sweeps skip mask arithmetic on them.
-    plain: list[list[int]] = [[] for _ in range(n)]
-    colored: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in succ[v]:
-            (colored[v] if vm[w] else plain[v]).append(w)
-
-    nlevels = 1 << k
-    live: list[bytearray | None] = [None] * nlevels
-    verts: list[list[int] | None] = [None] * nlevels
-    buckets: list[list[int]] = [[] for _ in range(k + 1)]
-    for v in range(n):
-        s = vm[v]
-        row = live[s]
-        if row is None:
-            row = live[s] = bytearray(n)
-            verts[s] = []
-            buckets[s.bit_count()].append(s)
-        row[v] = 1
-        verts[s].append(v)
-
-    # Forward discovery.  A jump lands in a strictly larger mask, so by
-    # the time a bucket runs its levels are fully seeded and a level's
-    # worklist only grows through same-mask edges.  The full level is
-    # absorbing and never expanded.
-    levels: list[tuple[int, list[int]]] = []
-    n_edges = 0
-    for p in range(k + 1):
-        for s in buckets[p]:
-            vs = verts[s]
-            levels.append((s, vs))
-            if s == full:
-                continue
-            lrow = live[s]
-            i = 0
-            while i < len(vs):
-                v = vs[i]
-                i += 1
-                pv = plain[v]
-                cv = colored[v]
-                n_edges += len(pv) + len(cv)
-                for w in pv:
-                    if not lrow[w]:
-                        lrow[w] = 1
-                        vs.append(w)
-                for w in cv:
-                    s2 = s | vm[w]
-                    row = live[s2]
-                    if row is None:
-                        row = live[s2] = bytearray(n)
-                        verts[s2] = []
-                        buckets[s2.bit_count()].append(s2)
-                    if not row[w]:
-                        row[w] = 1
-                        verts[s2].append(w)
-
-    live_masks = sorted(s for s, _ in levels if s != full)
-    idx = {s: i for i, s in enumerate(live_masks)}
-
     pred = _pred_lists(arena)
     eve = [o is Owner.EVE for o in arena.owner]
-    win: list[bytearray | None] = [None] * nlevels
+    win: dict[int, bytearray] = {}
     eve_moves: dict[tuple[int, int], int] = {}
     adam_moves: dict[tuple[int, int], int] = {}
     ops = 0
-    for s, vs in reversed(levels):
+    for s, vs in levels:
         wrow = bytearray(n)
         win[s] = wrow
         if s == full:
             for v in vs:
                 wrow[v] = 1
             continue
-        si = idx[s]
+        si = eve_state[s]
         lrow = live[s]
         rem = [0] * n
         q: list[int] = []
@@ -404,6 +166,84 @@ def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
                         break
                 else:
                     raise AssertionError("losing configuration with no escape")
+    return win, eve_moves, adam_moves, ops
+
+
+def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
+    """Decide every vertex by reachability to the full-mask configurations.
+
+    Forward discovery fills the reachable levels in ascending popcount
+    order, keyed by mask so that only levels it reaches cost memory, then
+    `_sweep` solves them in descending order.  Both regions are total
+    because discovery starts from (v, colors(v)) for every v.  Eve's
+    strategy replays the moves recorded by the sweep, on a memory
+    holding only the non-full masks that actually occur; Adam's strategy
+    keeps the play outside the attractor, on the raw subset memory.
+    """
+    t0 = time.perf_counter()
+    arena = game.arena
+    n = arena.n
+    k = game.k
+    if k > cap:
+        raise CapExceededError(f"{k} color sets exceed the bitmask cap of {cap}")
+    vm = game.objective.mask
+    full = game.objective.full_mask
+    plain, colored = _split_successors(arena, vm)
+
+    live: dict[int, bytearray] = {}
+    verts: dict[int, list[int]] = {}
+    buckets: list[list[int]] = [[] for _ in range(k + 1)]
+    for v in range(n):
+        s = vm[v]
+        row = live.get(s)
+        if row is None:
+            row = live[s] = bytearray(n)
+            verts[s] = []
+            buckets[s.bit_count()].append(s)
+        row[v] = 1
+        verts[s].append(v)
+
+    # Forward discovery.  A jump lands in a strictly larger mask, so by
+    # the time a bucket runs its levels are fully seeded and a level's
+    # worklist only grows through same-mask edges.  The full level is
+    # absorbing and never expanded.
+    levels: list[tuple[int, list[int]]] = []
+    n_edges = 0
+    for p in range(k + 1):
+        for s in buckets[p]:
+            vs = verts[s]
+            levels.append((s, vs))
+            if s == full:
+                continue
+            lrow = live[s]
+            i = 0
+            while i < len(vs):
+                v = vs[i]
+                i += 1
+                pv = plain[v]
+                cv = colored[v]
+                n_edges += len(pv) + len(cv)
+                for w in pv:
+                    if not lrow[w]:
+                        lrow[w] = 1
+                        vs.append(w)
+                for w in cv:
+                    s2 = s | vm[w]
+                    row = live.get(s2)
+                    if row is None:
+                        row = live[s2] = bytearray(n)
+                        verts[s2] = []
+                        buckets[s2.bit_count()].append(s2)
+                    if not row[w]:
+                        row[w] = 1
+                        verts[s2].append(w)
+
+    # Eve's memory holds only the non-full masks that occur.
+    live_masks = sorted(s for s, _ in levels if s != full)
+    idx = {s: i for i, s in enumerate(live_masks)}
+    win, eve_moves, adam_moves, ops = _sweep(
+        game, plain, colored, reversed(levels), live, idx
+    )
 
     eve_region = frozenset(v for v in range(n) if win[vm[v]][v])
     adam_region = frozenset(range(n)) - eve_region
@@ -491,7 +331,6 @@ def antichain_table(
 
 def compress_adam(
     game: Game,
-    solution: ProductSolution | None = None,
     cap: int = DEFAULT_COLOR_CAP,
     max_configs: int = 1 << 22,
 ) -> FiniteMemoryStrategy:
@@ -500,43 +339,48 @@ def compress_adam(
     State i at vertex v stands for the i-th maximal mask of Adam's region
     at v, an overapproximation of the true visited mask that his region
     still contains.  Updates re-maximize after each edge; moves replay
-    the product escape of the represented configuration.  State count is
+    the escape of the represented configuration.  State count is
     max_v p(v), at most C(k, floor(k/2)).
 
-    Needs the full product: Adam's region is downward closed only when
-    every configuration is present.  Computes it when not handed one.
+    Adam's region is downward closed only over the full product, so this
+    runs the level sweep of `solve_fpt` over every mask, and refuses a
+    game whose n * 2^k configurations exceed `max_configs` before
+    allocating any of them.
     """
     arena = game.arena
     n = arena.n
     k = game.k
+    if k > cap:
+        raise CapExceededError(f"{k} color sets exceed the bitmask cap of {cap}")
+    total = n << k
+    if total > max_configs:
+        raise CapExceededError(
+            f"full product needs {total} configurations, above the"
+            f" limit of {max_configs}"
+        )
     mask = game.objective.mask
-    full = game.objective.full_mask
-    if solution is None:
-        mem = subset_memory(game.objective, cap=cap)
-        product = build_product(
-            arena,
-            mem,
-            terminal=lambda v, m: m == full,
-            max_configs=max_configs,
-        )
-        solution = solve_product(
-            product,
-            [i for i in range(product.n_configs) if product.state_of(i) == full],
-        )
-    product = solution.product
-    if not product.full:
-        raise ValueError("antichain compression needs a full product solution")
-    rank = solution.rank
-    states = product.memory.states
+    plain, colored = _split_successors(arena, mask)
+    masks = sorted(range(1 << k), key=int.bit_count, reverse=True)
+    live = {s: bytearray(mask[v] | s == s for v in range(n)) for s in masks}
+    levels = [(s, [v for v in range(n) if live[s][v]]) for s in masks]
+    # Eve's moves go unused here; a range keys them by the raw mask.
+    win, _, escapes, _ = _sweep(game, plain, colored, levels, live, range(1 << k))
+    # A configuration whose mask lacks its vertex's colors is no edge's
+    # target, so it is left out of the sweep; every successor lies in a
+    # swept configuration, and one look at them decides it.
+    for s in masks:
+        for v in range(n):
+            if not live[s][v]:
+                lost = [w for w in arena.succ[v] if not win[s | mask[w]][w]]
+                if arena.owner[v] is Owner.EVE:
+                    win[s][v] = len(lost) < len(arena.succ[v])
+                else:
+                    win[s][v] = not lost
+                    if lost:
+                        escapes[(v, s)] = lost[0]
 
     table = antichain_table(
-        (
-            (product.vertex_of(i), product.state_of(i))
-            for i in range(product.n_configs)
-            if rank[i] == -1
-        ),
-        k,
-        n,
+        ((v, s) for s in masks for v in range(n) if not win[s][v]), k, n
     )
     rows = table.rows
     nstates = max(1, table.p)
@@ -554,13 +398,11 @@ def compress_adam(
                             update[(i, u, w)] = j
                         break
             if arena.owner[u] is Owner.ADAM:
-                escape = solution.choice[product.config_id(u, s)]
-                if escape != -1:
-                    moves[(u, i)] = product.vertex_of(escape)
+                moves[(u, i)] = escapes[(u, s)]
 
     initial: dict[int, int] = {}
     for v in range(n):
-        if rank[v * states + mask[v]] == -1:
+        if not win[mask[v]][v]:
             for j, s2 in enumerate(rows[v]):
                 if mask[v] | s2 == s2:
                     initial[v] = j

@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import CapExceededError, EmptyPrefixError, GameParseError
+from .fileformat import _parse_cnf_header, _parse_int
 from .model import Arena, Game, Objective, Owner
 
 QUANT_EXISTS = "e"
@@ -64,16 +65,9 @@ def parse_qdimacs(text: str) -> QBFFormula:
         if not tokens or tokens[0] == "c":
             continue
         if tokens[0] == "p":
-            if num_vars is not None:
-                raise GameParseError("duplicate problem line", lineno)
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise GameParseError(
-                    "problem line must be 'p cnf <vars> <clauses>'", lineno
-                )
-            num_vars = _int_token(tokens[2], lineno)
-            declared = _int_token(tokens[3], lineno)
-            if num_vars < 0 or declared < 0:
-                raise GameParseError("negative count in problem line", lineno)
+            num_vars, declared = _parse_cnf_header(
+                tokens, lineno, num_vars is not None
+            )
             continue
         if num_vars is None:
             raise GameParseError("directive before problem line", lineno)
@@ -83,7 +77,7 @@ def parse_qdimacs(text: str) -> QBFFormula:
             if tokens[-1] != "0":
                 raise GameParseError("quantifier line must end with 0", lineno)
             for token in tokens[1:-1]:
-                v = _int_token(token, lineno)
+                v = _parse_int(token, lineno)
                 if not 1 <= v <= num_vars:
                     raise GameParseError(
                         f"variable {v} out of range, {num_vars} declared", lineno
@@ -95,7 +89,7 @@ def parse_qdimacs(text: str) -> QBFFormula:
             continue
         in_clauses = True
         for token in tokens:
-            lit = _int_token(token, lineno)
+            lit = _parse_int(token, lineno)
             if lit == 0:
                 if not pending:
                     raise GameParseError("empty clause", lineno)
@@ -125,13 +119,6 @@ def parse_qdimacs(text: str) -> QBFFormula:
         )
         prefix.extend((QUANT_EXISTS, v) for v in free)
     return QBFFormula(num_vars, tuple(prefix), tuple(clauses))
-
-
-def _int_token(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GameParseError(f"expected an integer, got '{token}'", lineno) from None
 
 
 def qbf_to_game(formula: QBFFormula) -> Game:

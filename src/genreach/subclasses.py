@@ -20,6 +20,7 @@ from .errors import (
     NotOnePlayerError,
     NotSingletonError,
 )
+from .fileformat import _parse_cnf_header, _parse_int
 from .model import Arena, Game, Owner, trace_play
 from .scc import strongly_connected_components
 from .strategies import (
@@ -286,21 +287,14 @@ def parse_dimacs_cnf2(text: str) -> TwoSatFormula:
         if tokens[0] == "%":
             break
         if tokens[0] == "p":
-            if num_vars is not None:
-                raise GameParseError("duplicate problem line", lineno)
-            if len(tokens) != 4 or tokens[1] != "cnf":
-                raise GameParseError(
-                    "problem line must be 'p cnf <vars> <clauses>'", lineno
-                )
-            num_vars = _int_token(tokens[2], lineno)
-            declared = _int_token(tokens[3], lineno)
-            if num_vars < 0 or declared < 0:
-                raise GameParseError("negative count in problem line", lineno)
+            num_vars, declared = _parse_cnf_header(
+                tokens, lineno, num_vars is not None
+            )
             continue
         if num_vars is None:
             raise GameParseError("clause before problem line", lineno)
         for token in tokens:
-            lit = _int_token(token, lineno)
+            lit = _parse_int(token, lineno)
             if lit == 0:
                 if not pending:
                     raise GameParseError("empty clause", lineno)
@@ -327,13 +321,6 @@ def parse_dimacs_cnf2(text: str) -> TwoSatFormula:
             f"declared {declared} clauses, found {len(clauses)}", lineno
         )
     return TwoSatFormula(num_vars, tuple(clauses))
-
-
-def _int_token(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GameParseError(f"expected an integer, got '{token}'", lineno) from None
 
 
 def solve_oneplayer_size2(game: Game) -> SolveResult:

@@ -46,6 +46,46 @@ def minimax_region(game: Game) -> frozenset[int]:
     )
 
 
+def explicit_product(game: Game) -> tuple[dict, dict]:
+    """The product solved the long way, as an oracle for the level sweep.
+
+    Every (vertex, mask) configuration is built, the full-mask ones
+    absorbing, and the counter attractor of the full-mask configurations
+    is computed over predecessor lists.  Returns `rank` (-1 outside the
+    attractor) and Adam's first escape from each losing Adam
+    configuration, both keyed by (v, m)."""
+    arena = game.arena
+    vm = game.objective.mask
+    full = game.objective.full_mask
+    configs = [(v, m) for v in range(arena.n) for m in range(full + 1)]
+    succ = {
+        (v, m): [] if m == full else [(w, m | vm[w]) for w in arena.succ[v]]
+        for v, m in configs
+    }
+    pred = {c: [] for c in configs}
+    for c, row in succ.items():
+        for d in row:
+            pred[d].append(c)
+    rank = {(v, m): 0 if m == full else -1 for v, m in configs}
+    counter = {c: len(row) for c, row in succ.items()}
+    queue = deque(c for c in configs if rank[c] == 0)
+    while queue:
+        d = queue.popleft()
+        for c in pred[d]:
+            if rank[c] != -1:
+                continue
+            counter[c] -= 1
+            if arena.owner[c[0]] is Owner.EVE or counter[c] == 0:
+                rank[c] = rank[d] + 1
+                queue.append(c)
+    escape = {
+        (v, m): next(d[0] for d in succ[(v, m)] if rank[d] == -1)
+        for v, m in configs
+        if rank[(v, m)] == -1 and arena.owner[v] is Owner.ADAM
+    }
+    return rank, escape
+
+
 def random_machine(
     game: Game, player: Owner, states: int, rng: random.Random
 ) -> FiniteMemoryStrategy:

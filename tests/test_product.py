@@ -1,35 +1,26 @@
-"""Subset memory, the explicit product, the direct solver and compression."""
+"""Subset memory, the level-sweep solver and the antichain compression."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from genreach import (
+    Arena,
     CapExceededError,
+    Game,
     NotDownwardClosedError,
     Objective,
     Owner,
     antichain_table,
-    build_product,
     compress_adam,
-    lift_strategy,
     solve_fpt,
-    solve_product,
     subset_memory,
     verify_strategy,
 )
-from helpers import minimax_region, random_game
+from helpers import explicit_product, minimax_region, random_game
 
 E, A = Owner.EVE, Owner.ADAM
-
-
-def full_solution(game):
-    """The explicit-product route: materialize, then attract."""
-    mem = subset_memory(game.objective)
-    full = game.objective.full_mask
-    product = build_product(game.arena, mem, terminal=lambda v, m: m == full)
-    targets = [i for i in range(product.n_configs) if product.state_of(i) == full]
-    return product, solve_product(product, targets)
 
 
 def test_subset_memory_folds_colors(demo):
@@ -42,83 +33,10 @@ def test_subset_memory_folds_colors(demo):
     assert mem.step(3, 3, 3) == 3
 
 
-def test_subset_memory_single_start(demo):
-    mem = subset_memory(demo.objective, v0=demo.init)
-    assert mem.initial_state(demo.init) == 0
-    # A flat initial state answers for every vertex.
-    assert mem.initial_state(demo.arena.index_of("d")) == 0
-
-
 def test_subset_memory_cap():
     obj = Objective.from_sets(1, [{0} for _ in range(21)])
     with pytest.raises(CapExceededError, match="21 color sets"):
         subset_memory(obj)
-
-
-def test_build_product_full_ids(demo):
-    mem = subset_memory(demo.objective)
-    product = build_product(demo.arena, mem)
-    assert product.full
-    assert product.n_configs == demo.arena.n * 4
-    i = product.config_id(2, 3)
-    assert product.vertex_of(i) == 2 and product.state_of(i) == 3
-    assert product.is_eve(product.config_id(0, 0))
-    assert not product.is_eve(product.config_id(1, 0))
-    assert product.n_edges == sum(
-        len(demo.arena.succ[v]) for v in range(demo.arena.n)
-    ) * 4
-
-
-def test_build_product_lazy_is_reachable_part(demo):
-    mem = subset_memory(demo.objective)
-    lazy = build_product(demo.arena, mem, start=[demo.init])
-    assert not lazy.full
-    assert lazy.n_configs < demo.arena.n * 4
-    # Every discovered configuration is consistent: the memory already
-    # contains the vertex's own colors.
-    for i in range(lazy.n_configs):
-        v, m = lazy.vertex_of(i), lazy.state_of(i)
-        assert m | demo.colors(v) == m
-
-
-def test_build_product_terminal_cuts_expansion(demo):
-    mem = subset_memory(demo.objective)
-    product = build_product(demo.arena, mem, terminal=lambda v, m: m == 3)
-    assert product.full
-    for i in range(product.n_configs):
-        if product.state_of(i) == 3:
-            assert product.succ[i] == []
-
-
-def test_build_product_config_cap(demo):
-    mem = subset_memory(demo.objective)
-    with pytest.raises(CapExceededError, match="above the limit"):
-        build_product(demo.arena, mem, max_configs=3)
-    with pytest.raises(CapExceededError, match="exceeded the limit"):
-        build_product(demo.arena, mem, start=[demo.init], max_configs=2)
-
-
-def test_solve_product_matches_direct_solver(demo):
-    product, solution = full_solution(demo)
-    direct = solve_fpt(demo)
-    for v in range(demo.arena.n):
-        i = product.config_id(v, demo.colors(v))
-        assert solution.winning(i) == (v in direct.eve_region)
-    assert solution.ops <= product.n_edges
-
-
-def test_lift_strategy_replays_product_choices(demo):
-    product, solution = full_solution(demo)
-    positional = {
-        i: solution.choice[i]
-        for i in range(product.n_configs)
-        if product.is_eve(i) and solution.rank[i] > 0
-    }
-    sigma = lift_strategy(product, E, positional)
-    assert sigma.memory.states == 4
-    direct = solve_fpt(demo)
-    check = verify_strategy(demo, sigma, direct.eve_region)
-    assert check.winning
 
 
 def test_solve_fpt_on_demo(demo):
@@ -176,11 +94,9 @@ def test_solve_fpt_agrees_with_explicit_product():
     for seed in range(60):
         game = random_game(seed, n=6 + seed % 5, k=1 + seed % 3, density=0.3)
         direct = solve_fpt(game)
-        product, solution = full_solution(game)
+        rank, _ = explicit_product(game)
         region = frozenset(
-            v
-            for v in range(game.arena.n)
-            if solution.winning(product.config_id(v, game.colors(v)))
+            v for v in range(game.arena.n) if rank[(v, game.colors(v))] >= 0
         )
         assert direct.eve_region == region, f"seed {seed}"
         if seed % 10 == 0:
@@ -212,14 +128,6 @@ def test_compress_adam_on_small_antichain(fig5):
     assert verify_strategy(fig5, small, region).winning
 
 
-def test_compress_adam_needs_full_product(demo):
-    mem = subset_memory(demo.objective)
-    lazy = build_product(demo.arena, mem, start=[demo.init])
-    solution = solve_product(lazy, [])
-    with pytest.raises(ValueError, match="full product"):
-        compress_adam(demo, solution)
-
-
 def test_compress_adam_config_limit(fig5):
     with pytest.raises(CapExceededError):
         compress_adam(fig5, max_configs=16)
@@ -234,3 +142,41 @@ def test_compress_adam_random_games_stay_within_bound():
         small = compress_adam(game)
         assert small.memory.states <= math.comb(3, 1)
         assert verify_strategy(game, small, result.adam_region).winning
+
+
+def test_compress_adam_matches_explicit_product(fig5):
+    games = [fig5]
+    games += [random_game(seed, n=7, k=3, density=0.35) for seed in range(40)]
+    for game in games:
+        arena = game.arena
+        rank, escape = explicit_product(game)
+        table = antichain_table(
+            (c for c, r in rank.items() if r == -1), game.k, arena.n
+        )
+        small = compress_adam(game)
+        assert small.memory.states == max(1, table.p)
+        expected = {
+            (u, i): escape[(u, s)]
+            for u in range(arena.n)
+            if arena.owner[u] is A
+            for i, s in enumerate(table.rows[u])
+        }
+        assert dict(small.moves) == expected
+
+
+def test_solve_fpt_allocates_only_reached_levels():
+    # 22 colors, of which a carries the first 11 and b the other 11.
+    arena = Arena.from_edges(
+        ["a", "b", "c"], [E, A, A], [(0, 1), (0, 2), (1, 0), (1, 2), (2, 2)]
+    )
+    objective = Objective.from_sets(3, [{0}] * 11 + [{1}] * 11)
+    game = Game(arena, objective)
+    tracemalloc.start()
+    try:
+        result = solve_fpt(game, cap=22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stats["configs"] == 7
+    assert result.eve_region == frozenset({0})
+    assert peak < 1 << 20

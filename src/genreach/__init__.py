@@ -50,7 +50,6 @@ from .lab import (
     flower_adversary,
     min_memory_search,
     minimax_oracle,
-    search_budget,
     simulate,
     verify_strategy,
 )

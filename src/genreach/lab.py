@@ -8,7 +8,6 @@ the full color mask or repeats a configuration first.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -21,25 +20,10 @@ from .errors import (
     StateCountTooLargeError,
 )
 from .model import Game, Owner, Play, mask_colors, trace_play
-from .scc import strongly_connected_components
 from .strategies import FiniteMemoryStrategy, MemoryStructure
 
 FULL_CLASS = "full"
 COLOR_OBS = "color-obs"
-
-_BUDGET_ENV = "GENREACH_BUDGET"
-
-
-def search_budget(default: int) -> int:
-    """Effective operation budget: the GENREACH_BUDGET variable, else the
-    caller's default.  Shared by every bounded search in the package."""
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 class Reason(Enum):
@@ -183,30 +167,24 @@ def verify_strategy(
     graph = [
         [index[w] for w in succ[cfg] if w[2] != full] for cfg in nodes
     ]
-    ncomp, comp = strongly_connected_components(graph)
-    cyclic = [False] * ncomp
-    for i, row in enumerate(graph):
-        for j in row:
-            if comp[j] == comp[i]:
-                cyclic[comp[i]] = True
-    bad = [cfg for cfg in nodes if cyclic[comp[index[cfg]]]]
-    if not bad:
+    entry = _has_cycle(graph)
+    if entry < 0:
         return VerifyResult(True, None, None, states_used)
-    entry = min(bad, key=lambda cfg: len(path_to(cfg)))
-    chain = path_to(entry)
-    # One lap around the cycle: follow same-component successors.
-    lap = []
-    cur = entry
-    while True:
-        cur = next(
-            w
-            for w in succ[cur]
-            if w[2] != full and comp[index[w]] == comp[index[entry]]
-        )
-        lap.append(cur)
-        if cur == entry:
-            break
-    play = trace_play(game, [c[0] for c in chain + lap])
+    # One lap around the cycle: a breadth-first walk from the entry node
+    # back to itself over the same rows, read off backwards.
+    back: dict[int, int] = {}
+    todo = deque([entry])
+    while entry not in back:
+        i = todo.popleft()
+        for j in graph[i]:
+            if j not in back:
+                back[j] = i
+                todo.append(j)
+    lap = [entry]
+    while back[lap[-1]] != entry:
+        lap.append(back[lap[-1]])
+    chain = path_to(nodes[entry]) + [nodes[i] for i in reversed(lap)]
+    play = trace_play(game, [c[0] for c in chain])
     return VerifyResult(False, chain[0][0], play, states_used)
 
 
@@ -217,12 +195,12 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
     n*k steps, which suffices: a winning Eve never needs more than n
     steps per color set.  Memoized, depth-first on an explicit stack, so
     the full horizon needs no recursion; intended for small instances,
-    with a node budget as the stop guard.
+    with a node budget (default 2,000,000) as the stop guard.
     """
     if game.init is None:
         raise InitRequiredError("the minimax oracle needs a game with init")
     if budget is None:
-        budget = search_budget(2_000_000)
+        budget = 2_000_000
     arena = game.arena
     mask_of = game.objective.mask
     full = game.objective.full_mask
@@ -326,6 +304,7 @@ def min_memory_search(
     coarser but much smaller class; results are per class, so NONE under
     COLOR_OBS does not rule out a FULL-class machine.
 
+    `budget` caps the configuration expansions, 20,000,000 by default.
     `on_refuted`, for Eve searches, receives each fully-explored losing
     candidate as a FiniteMemoryStrategy (used to cross-check lower-bound
     arguments against the enumeration).
@@ -337,7 +316,7 @@ def min_memory_search(
     if bound < 1:
         raise ValueError("the state bound must be at least 1")
     if budget is None:
-        budget = search_budget(20_000_000)
+        budget = 20_000_000
     counter = [0]
     refuted = 0
     for states in range(1, bound + 1):
@@ -446,7 +425,7 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
                 rows.append([index[cfg2] for cfg2 in row])
                 continue
             break
-        if verdict == _OK and eve and _has_cycle(rows):
+        if verdict == _OK and eve and _has_cycle(rows) >= 0:
             verdict = _FAIL
 
         if verdict == _NEED:
@@ -484,9 +463,10 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
             return refuted
 
 
-def _has_cycle(rows: list[list[int]]) -> bool:
-    """Whether the graph given by successor rows has a cycle; for an Eve
-    candidate such a cycle is a play that never completes the colors."""
+def _has_cycle(rows: list[list[int]]) -> int:
+    """A node on a cycle of the graph given by successor rows, or -1 if it
+    has none; for an Eve machine such a cycle is a play that never
+    completes the colors."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * len(rows)
     for root in range(len(rows)):
@@ -502,7 +482,7 @@ def _has_cycle(rows: list[list[int]]) -> bool:
                 i += 1
                 c = color[nxt]
                 if c == GRAY:
-                    return True
+                    return nxt
                 if c == WHITE:
                     work.append((node, i))
                     color[nxt] = GRAY
@@ -510,16 +490,20 @@ def _has_cycle(rows: list[list[int]]) -> bool:
                     break
             else:
                 color[node] = BLACK
-    return False
+    return -1
 
 
 def _machine_from(game, player, states, machine_class, assignment):
     arena = game.arena
     mask_of = game.objective.mask
+    # A move cell the search never fixed gets the first successor, the
+    # value its enumeration tries first; callers such as the flower
+    # adversary ask for a move in every state.
     moves = {
-        (cell[1], cell[2]): arena.succ[cell[1]][pick]
-        for cell, pick in assignment.items()
-        if cell[0] == "m"
+        (v, s): arena.succ[v][assignment.get(("m", v, s), 0)]
+        for v in range(arena.n)
+        if arena.owner[v] is player and len(arena.succ[v]) > 1
+        for s in range(states)
     }
     if machine_class == COLOR_OBS:
         table = {

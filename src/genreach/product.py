@@ -17,7 +17,7 @@ winning strategy compresses further, onto per-vertex antichains of masks
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
@@ -179,6 +179,8 @@ def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
     strategy replays the moves recorded by the sweep, on a memory
     holding only the non-full masks that actually occur; Adam's strategy
     keeps the play outside the attractor, on the raw subset memory.
+    Each strategy has initial states only on its own player's region, so
+    it never starts where it holds no winning moves.
     """
     t0 = time.perf_counter()
     arena = game.arena
@@ -238,8 +240,9 @@ def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
                         row[w] = 1
                         verts[s2].append(w)
 
-    # Eve's memory holds only the non-full masks that occur.
-    live_masks = sorted(s for s, _ in levels if s != full)
+    # Eve's memory holds only the non-full masks that occur, or one idle
+    # state when none does.
+    live_masks = sorted(s for s, _ in levels if s != full) or [full]
     idx = {s: i for i, s in enumerate(live_masks)}
     win, eve_moves, adam_moves, ops = _sweep(
         game, plain, colored, reversed(levels), live, idx
@@ -248,19 +251,17 @@ def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
     eve_region = frozenset(v for v in range(n) if win[vm[v]][v])
     adam_region = frozenset(range(n)) - eve_region
 
-    if live_masks:
+    def eve_update(s: int, u: int, w: int, _m=live_masks, _i=idx) -> int:
+        t = _i.get(_m[s] | vm[w])
+        return s if t is None else t
 
-        def eve_update(s: int, u: int, w: int, _m=live_masks, _i=idx) -> int:
-            t = _i.get(_m[s] | vm[w])
-            return s if t is None else t
-
-        eve_mem = MemoryStructure(
-            len(live_masks), {v: idx.get(vm[v], 0) for v in range(n)}, eve_update
-        )
-    else:
-        eve_mem = MemoryStructure(1, {v: 0 for v in range(n)}, lambda s, u, w: s)
-
-    mem = subset_memory(game.objective, cap=cap)
+    eve_mem = MemoryStructure(
+        len(live_masks), {v: idx.get(vm[v], 0) for v in sorted(eve_region)}, eve_update
+    )
+    mem = replace(
+        subset_memory(game.objective, cap=cap),
+        initial={v: vm[v] for v in sorted(adam_region)},
+    )
     eve_strategy = FiniteMemoryStrategy(Owner.EVE, eve_mem, eve_moves)
     adam_strategy = FiniteMemoryStrategy(Owner.ADAM, mem, adam_moves)
     return SolveResult(

@@ -1,4 +1,4 @@
-"""Strongly connected components, shared by strategy checks and 2-SAT."""
+"""Strongly connected components, for the 2-SAT solver."""
 
 from __future__ import annotations
 

@@ -63,22 +63,22 @@ def identity_memory() -> MemoryStructure:
 class FiniteMemoryStrategy:
     """Moves for one player, driven by a finite memory over observed edges.
 
-    With `fallback_lowest` (the default for solver output) a missing move
-    entry resolves to the lowest-index successor; strategies loaded from
-    files keep it off so that gaps surface as errors instead of guesses.
+    `move` plays the held move, else the only successor, and otherwise
+    raises: a strategy answers only where it has a move.  Solver
+    strategies start only on their own player's winning region, where
+    every position a play can reach holds one.
     """
 
     player: Owner
     memory: MemoryStructure
     moves: Mapping[tuple[int, int], int]
-    fallback_lowest: bool = True
 
     def move(self, arena: Arena, v: int, state: int) -> int:
         target = self.moves.get((v, state))
         if target is not None:
             return target
         succ = arena.succ[v]
-        if len(succ) == 1 or self.fallback_lowest:
+        if len(succ) == 1:
             return succ[0]
         raise StrategyPartialError(
             f"no move for vertex {arena.names[v]!r} in memory state {state}"
@@ -91,7 +91,12 @@ def strategy_to_json(
     start: Iterable[int] | None = None,
 ) -> dict:
     """JSON-ready dict with only the (vertex, state) pairs reachable from
-    `start` (default: every vertex the strategy has an initial state for)."""
+    `start` (default: every vertex the strategy has an initial state for).
+
+    Only moves `move` gives are written: a pair of the strategy's player
+    with no move is left out and not expanded, so a file holds no guessed
+    move.  For `solve_fpt` strategies such pairs lie only on walks past
+    the full mask, which no play needs."""
     if start is None:
         if isinstance(strategy.memory.initial, int):
             start = range(arena.n)
@@ -107,7 +112,10 @@ def strategy_to_json(
     while queue:
         v, state = queue.pop()
         if arena.owner[v] is strategy.player:
-            targets = [strategy.move(arena, v, state)]
+            try:
+                targets = [strategy.move(arena, v, state)]
+            except StrategyPartialError:
+                continue
             moves[(v, state)] = targets[0]
         else:
             targets = list(arena.succ[v])
@@ -197,7 +205,7 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
         moves[(v, check_state(entry["state"]))] = w
 
     memory = MemoryStructure.from_table(states, initial, table)
-    return FiniteMemoryStrategy(player, memory, moves, fallback_lowest=False)
+    return FiniteMemoryStrategy(player, memory, moves)
 
 
 def dump_strategy(arena: Arena, strategy: FiniteMemoryStrategy, **kwargs) -> str:

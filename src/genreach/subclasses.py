@@ -172,12 +172,16 @@ def _singleton_adam(
     target's attractor; once the play enters that target the memory
     flips and avoids the second one instead.  If the second target is
     seen first, the play already sits outside the first's attractor and
-    state 0 keeps it there, so no extra state is needed.
+    state 0 keeps it there, so no extra state is needed.  Inside the first
+    attractor state 0 may move anywhere: the play reaches the target or
+    leaves for good.  It takes the first successor there.
     """
     arena = game.arena
     n = arena.n
     vi, vj = targets[i], targets[j]
-    moves: dict[tuple[int, int], int] = {}
+    moves: dict[tuple[int, int], int] = {
+        (u, 0): arena.succ[u][0] for u in range(n) if arena.owner[u] is Owner.ADAM
+    }
     for u, w in avoid_moves(arena, matrix.results[vi]).items():
         moves[(u, 0)] = w
     for u, w in avoid_moves(arena, matrix.results[vj]).items():

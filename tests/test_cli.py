@@ -273,6 +273,21 @@ def test_verify_region_all(capsys, tmp_path, demo_file):
     assert report["states_used"] <= report["states_declared"]
 
 
+def test_verify_solver_strategy_outside_its_region(capsys, tmp_path, demo_file):
+    # Adam's strategy starts only on his region {d}; the init vertex c is
+    # Eve's, so the file gives no initial state there.
+    _, out, _ = run(capsys, "solve", demo_file, "--json", "--emit-strategies")
+    strategy = json.loads(out)["strategies"]["adam"]
+    assert strategy["initial"] == {"per_vertex": {"d": 2}}
+    spath = tmp_path / "adam.json"
+    spath.write_text(json.dumps(strategy))
+    code, _, err = run(capsys, "verify", demo_file, spath, "--region", "init")
+    assert code == 3
+    assert "no initial memory state for start vertex 0" in err
+    code, _, _ = run(capsys, "verify", demo_file, spath)
+    assert code == 0
+
+
 def test_verify_refutes_bad_strategy(capsys, tmp_path, demo_file):
     bad = {
         "player": "eve",

@@ -21,7 +21,6 @@ from genreach import (
     identity_memory,
     min_memory_search,
     minimax_oracle,
-    search_budget,
     simulate,
     solve_fpt,
     verify_strategy,
@@ -37,13 +36,24 @@ from helpers import (
 E, A = Owner.EVE, Owner.ADAM
 
 
-def positional(player, moves=None):
-    return FiniteMemoryStrategy(player, identity_memory(), moves or {})
+def positional(player, game=None, moves=None):
+    """A one-state machine; given a game, it moves to the first successor
+    at each of the player's vertices unless `moves` says otherwise."""
+    table = {}
+    if game is not None:
+        arena = game.arena
+        table = {
+            (v, 0): arena.succ[v][0]
+            for v in range(arena.n)
+            if arena.owner[v] is player
+        }
+    table.update(moves or {})
+    return FiniteMemoryStrategy(player, identity_memory(), table)
 
 
 def test_simulate_eve_collects_all_colors(flower2):
     sigma = canonical_flower_eve(2)
-    tau = positional(A)
+    tau = positional(A, flower2)
     outcome = simulate(flower2, sigma, tau)
     assert outcome.winner is E
     assert outcome.reason is Reason.ALL_COLORS
@@ -55,8 +65,8 @@ def test_simulate_eve_collects_all_colors(flower2):
 def test_simulate_adam_wins_on_repeat(flower2):
     # A memoryless Eve repeats her petal choice forever; the joint
     # configuration loops before the second color shows up.
-    sigma = positional(E)
-    tau = positional(A)
+    sigma = positional(E, flower2)
+    tau = positional(A, flower2)
     outcome = simulate(flower2, sigma, tau)
     assert outcome.winner is A
     assert outcome.reason is Reason.STATE_REPEAT
@@ -77,7 +87,7 @@ def test_simulate_checks_player_order(flower2):
 
 def test_simulate_rejects_non_edge_moves(flower2):
     heart = 0
-    cheat = positional(A, {(heart, 0): heart})  # h has no self-loop
+    cheat = positional(A, moves={(heart, 0): heart})  # h has no self-loop
     with pytest.raises(InvalidGameError, match="not an edge"):
         simulate(flower2, canonical_flower_eve(2), cheat)
 
@@ -100,7 +110,7 @@ def test_verify_accepts_canonical_flower_machine(flower2):
 
 
 def test_verify_refutes_memoryless_flower_eve(flower2):
-    check = verify_strategy(flower2, positional(E), [flower2.init])
+    check = verify_strategy(flower2, positional(E, flower2), [flower2.init])
     assert not check.winning
     assert check.failing_vertex == flower2.init
     # The counterexample is a legal play that closes a loop short of the
@@ -111,11 +121,32 @@ def test_verify_refutes_memoryless_flower_eve(flower2):
 
 
 def test_verify_refutes_false_adam_claim(demo):
-    check = verify_strategy(demo, positional(A), [demo.init])
+    check = verify_strategy(demo, positional(A, demo), [demo.init])
     assert not check.winning
     assert check.failing_vertex == demo.init
     check_play(demo, check.counterexample)
     assert check.counterexample.masks[-1] == 3
+
+
+def test_verify_eve_counterexamples_are_lassos_on_random_machines():
+    # Some of these cycles sit in a component with a shorter inner loop
+    # that misses the cycle's entry; the lap must still close at the entry.
+    refuted = 0
+    for seed in range(1, 80, 2):
+        rng = random.Random(seed)
+        game = random_game(seed, n=4 + seed % 8, k=1 + seed % 3, density=0.35)
+        machine = random_machine(game, E, rng.randrange(1, 4), rng)
+        claimed = sorted(rng.sample(range(game.arena.n), rng.randrange(1, game.arena.n + 1)))
+        check = verify_strategy(game, machine, claimed)
+        if check.winning:
+            continue
+        refuted += 1
+        play = check.counterexample
+        check_play(game, play)
+        assert play.vertices[0] == check.failing_vertex and check.failing_vertex in claimed
+        assert play.masks[-1] != game.objective.full_mask
+        assert play.vertices[-1] in play.vertices[:-1]
+    assert refuted >= 30
 
 
 def test_verify_adam_strategy_on_his_region(fig5):
@@ -262,18 +293,8 @@ def test_min_memory_matches_restarting_reference(
     assert result.expansions <= ref_expansions
 
 
-def test_search_budget_env_override(monkeypatch):
-    monkeypatch.delenv("GENREACH_BUDGET", raising=False)
-    assert search_budget(123) == 123
-    monkeypatch.setenv("GENREACH_BUDGET", "77")
-    assert search_budget(123) == 77
-    monkeypatch.setenv("GENREACH_BUDGET", "lots")
-    with pytest.raises(ValueError, match="GENREACH_BUDGET"):
-        search_budget(123)
-
-
-def test_flower_adversary_beats_memoryless_eve():
-    refutation = flower_adversary(2, positional(E))
+def test_flower_adversary_beats_memoryless_eve(flower2):
+    refutation = flower_adversary(2, positional(E, flower2))
     assert refutation.outcome.winner is A
     assert 0 <= refutation.x < 3
     assert refutation.x not in refutation.stopping_sets
@@ -298,7 +319,7 @@ def test_flower_adversary_refutes_random_machines():
 
 
 def test_flower_refutation_json(flower2):
-    refutation = flower_adversary(2, positional(E))
+    refutation = flower_adversary(2, positional(E, flower2))
     doc = refutation.to_json(flower2)
     assert set(doc) == {"X", "stopping_sets", "moves", "play"}
     assert all(isinstance(name, str) for name in doc["play"])

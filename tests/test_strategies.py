@@ -16,6 +16,7 @@ from genreach import (
     strategy_to_json,
     verify_strategy,
 )
+from helpers import random_game
 
 E, A = Owner.EVE, Owner.ADAM
 
@@ -46,11 +47,7 @@ def test_identity_memory():
 
 def test_move_fallback(demo):
     arena = demo.arena
-    sigma = FiniteMemoryStrategy(E, identity_memory(), {})
-    # c has three successors; the fallback picks the lowest (a, index 1).
-    assert sigma.move(arena, arena.index_of("c"), 0) == arena.index_of("a")
-
-    strict = FiniteMemoryStrategy(E, identity_memory(), {}, fallback_lowest=False)
+    strict = FiniteMemoryStrategy(E, identity_memory(), {})
     with pytest.raises(StrategyPartialError, match="no move for vertex 'c'"):
         strict.move(arena, arena.index_of("c"), 0)
     # Single-successor vertices never need a table entry.
@@ -64,7 +61,6 @@ def test_json_round_trip(demo):
     assert {"vertex", "state", "successor"} <= set(doc["moves"][0])
 
     loaded = strategy_from_json(demo.arena, doc)
-    assert loaded.fallback_lowest is False
     check = verify_strategy(demo, loaded, [demo.init])
     assert check.winning
 
@@ -89,10 +85,40 @@ def test_json_only_keeps_reachable_entries(demo):
     # A two-state memory that never leaves state 0 from c serializes
     # without any state-1 move rows.
     mem = MemoryStructure(2, 0, lambda s, u, v: s)
-    sigma = FiniteMemoryStrategy(E, mem, {(0, 1): 3})
+    sigma = FiniteMemoryStrategy(E, mem, {(0, 0): 1, (0, 1): 3})
     doc = strategy_to_json(demo.arena, sigma, start=[demo.init])
     assert doc["moves"] and all(entry["state"] == 0 for entry in doc["moves"])
     assert doc["update"] == []
+
+
+@pytest.mark.parametrize(
+    "fixture", ["demo", "fig5", "flower2"] + [f"random{seed}" for seed in range(24)]
+)
+def test_solver_strategies_start_on_their_region_and_files_hold_no_guesses(
+    request, fixture
+):
+    if fixture.startswith("random"):
+        seed = int(fixture[len("random"):])
+        game = random_game(seed, n=6 + seed % 7, k=1 + seed % 4, density=0.35)
+    else:
+        game = request.getfixturevalue(fixture)
+    arena = game.arena
+    solved = solve_fpt(game)
+    for strategy, region in (
+        (solved.eve_strategy, solved.eve_region),
+        (solved.adam_strategy, solved.adam_region),
+    ):
+        doc = strategy_to_json(arena, strategy)
+        for row in doc["moves"]:
+            v = arena.index_of(row["vertex"])
+            w = arena.index_of(row["successor"])
+            assert strategy.moves.get((v, row["state"])) == w or arena.succ[v] == (w,)
+        loaded = strategy_from_json(arena, doc)
+        assert verify_strategy(game, loaded, region).winning
+        for v in range(arena.n):
+            if v not in region:
+                with pytest.raises(StrategyPartialError):
+                    strategy.memory.initial_state(v)
 
 
 def test_from_json_rejects_bad_documents(demo):

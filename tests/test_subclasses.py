@@ -110,6 +110,24 @@ def test_solve_singleton_incomparable_targets():
     assert solve_fpt(game).eve_region == frozenset()
 
 
+def test_solve_singleton_adam_strategy_holds_every_move_it_plays():
+    # Plays that start inside the first target's attractor meet Adam in
+    # state 0 there; the strategy must hold a move for him, not leave
+    # the cell empty.
+    checked = 0
+    for seed in range(300):
+        game = random_game(
+            seed, n=5 + seed % 6, k=1 + seed % 3, density=0.35, color_size=(1, 1)
+        )
+        result = solve_singleton(game)
+        if result.stats["total"]:
+            continue
+        checked += 1
+        check = verify_strategy(game, result.adam_strategy, result.adam_region)
+        assert check.winning, seed
+    assert checked >= 8
+
+
 def test_solve_singleton_no_colors():
     game = eve_game(["a"], [("a", "a")], [])
     result = solve_singleton(game)

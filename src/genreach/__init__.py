@@ -8,7 +8,6 @@ from .attractor import (
     attractor,
     avoid_moves,
     solve_opponent_player,
-    solve_reachability,
 )
 from .errors import (
     BadKError,
@@ -57,11 +56,9 @@ from .model import (
     DEFAULT_COLOR_CAP,
     Arena,
     Game,
-    InvalidPlay,
     Objective,
     Owner,
     Play,
-    check_play,
     trace_play,
     validate_arena,
 )

@@ -1,10 +1,10 @@
-"""Attractor computation and the solvers that are pure attractor work.
+"""Eve's attractor and the solver that is pure attractor work.
 
-The attractor of a target set, for a player, is everything from which that
-player can force the token into the set.  It is computed backwards with
-per-vertex successor counters, touching every edge at most once.  Ranks
-record how many steps the forcing needs; they drive positional move
-extraction (step to any successor of strictly smaller rank).
+The attractor of a target set is everything from which Eve can force the
+token into the set.  It is computed backwards with per-vertex successor
+counters, touching every edge at most once.  Ranks record how many steps
+the forcing needs; they drive positional move extraction (step to any
+successor of strictly smaller rank).
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from .strategies import FiniteMemoryStrategy, SolveResult, identity_memory
 
 @dataclass(frozen=True)
 class AttractorResult:
-    """`rank[v]` is None outside the attractor.  `moves` maps each owned
+    """`rank[v]` is None outside the attractor.  `moves` maps each Eve
     vertex of positive rank to its lowest-index rank-decreasing successor.
     `ops` counts predecessor-edge relaxations (at most the edge count)."""
 
-    player: Owner
     attractor: frozenset[int]
     rank: tuple[int | None, ...]
     moves: dict[int, int]
@@ -39,28 +38,27 @@ def _pred_lists(arena: Arena) -> list[list[int]]:
     return pred
 
 
-def attractor(
-    arena: Arena, targets: Iterable[int], player: Owner = Owner.EVE
-) -> AttractorResult:
+def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
     n = arena.n
     rank: list[int | None] = [None] * n
     counter = [len(arena.succ[v]) for v in range(n)]
     pred = _pred_lists(arena)
+    eve = [o is Owner.EVE for o in arena.owner]
     queue = deque()
     for t in sorted(set(targets)):
         rank[t] = 0
         queue.append(t)
     ops = 0
     # FIFO order pops vertices by non-decreasing rank, so the popped
-    # neighbor below is a minimum-rank successor (owned case) or the
-    # maximum-rank one (counter case).
+    # neighbor below is a minimum-rank successor (Eve's case) or the
+    # maximum-rank one (Adam's counter case).
     while queue:
         v = queue.popleft()
         for u in pred[v]:
             if rank[u] is not None:
                 continue
             ops += 1
-            if arena.owner[u] is player:
+            if eve[u]:
                 rank[u] = rank[v] + 1
                 queue.append(u)
             else:
@@ -72,7 +70,7 @@ def attractor(
     moves: dict[int, int] = {}
     for u in range(n):
         ru = rank[u]
-        if arena.owner[u] is not player or ru is None or ru == 0:
+        if not eve[u] or ru is None or ru == 0:
             continue
         for w in arena.succ[u]:
             rw = rank[w]
@@ -80,17 +78,16 @@ def attractor(
                 moves[u] = w
                 break
     inside = frozenset(v for v in range(n) if rank[v] is not None)
-    return AttractorResult(player, inside, tuple(rank), moves, ops)
+    return AttractorResult(inside, tuple(rank), moves, ops)
 
 
 def avoid_moves(arena: Arena, result: AttractorResult) -> dict[int, int]:
-    """For each opponent vertex outside the attractor, the lowest-index
-    successor that is also outside.  The complement is closed for the
-    opponent, so one always exists."""
-    opponent = result.player.opponent()
+    """For each Adam vertex outside Eve's attractor, the lowest-index
+    successor that is also outside.  The complement is closed for Adam,
+    so one always exists."""
     moves: dict[int, int] = {}
     for v in range(arena.n):
-        if arena.owner[v] is not opponent or v in result.attractor:
+        if arena.owner[v] is not Owner.ADAM or v in result.attractor:
             continue
         for w in arena.succ[v]:
             if w not in result.attractor:
@@ -99,33 +96,6 @@ def avoid_moves(arena: Arena, result: AttractorResult) -> dict[int, int]:
         else:
             raise AssertionError("attractor complement must be closed")
     return moves
-
-
-def solve_reachability(arena: Arena, targets: Iterable[int]) -> SolveResult:
-    """Plain reachability: Eve tries to visit `targets` at least once.
-
-    Both players get positional strategies: Eve walks ranks down inside
-    her region, Adam stays outside it forever.
-    """
-    attr = attractor(arena, targets, Owner.EVE)
-    eve_region = attr.attractor
-    adam_region = frozenset(range(arena.n)) - eve_region
-    eve = FiniteMemoryStrategy(
-        Owner.EVE, identity_memory(), {(u, 0): w for u, w in attr.moves.items()}
-    )
-    adam = FiniteMemoryStrategy(
-        Owner.ADAM,
-        identity_memory(),
-        {(u, 0): w for u, w in avoid_moves(arena, attr).items()},
-    )
-    return SolveResult(
-        method="attractor",
-        eve_region=eve_region,
-        adam_region=adam_region,
-        eve_strategy=eve,
-        adam_strategy=adam,
-        stats={"ops": attr.ops, "max_rank": max((r for r in attr.rank if r is not None), default=0)},
-    )
 
 
 def solve_opponent_player(game: Game) -> SolveResult:
@@ -148,7 +118,7 @@ def solve_opponent_player(game: Game) -> SolveResult:
     ops = 0
     sizes = []
     for members in game.objective.color_sets:
-        attr = attractor(arena, members, Owner.EVE)
+        attr = attractor(arena, members)
         region &= attr.attractor
         ops += attr.ops
         sizes.append(len(attr.attractor))

@@ -151,7 +151,7 @@ def _solve_payload(game: Game, result: SolveResult, emit_strategies: bool) -> di
         "eve_region": _names(game, result.eve_region),
         "adam_region": _names(game, result.adam_region),
         "winner_from_init": None if init is None else result.winner(init).value,
-        "stats": _jsonable(result.stats),
+        "stats": result.stats,
     }
     if result.method == "minimax":
         # Regions other than init are not decided by this method.
@@ -165,15 +165,6 @@ def _solve_payload(game: Game, result: SolveResult, emit_strategies: bool) -> di
                 strategies[label] = strategy_to_json(game.arena, strategy)
         payload["strategies"] = strategies
     return payload
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
-    return value
 
 
 def cmd_solve(args) -> int:
@@ -250,7 +241,7 @@ def cmd_qbf(args) -> int:
         result = solve_fpt(game, cap=args.cap)
         game_value = game.init in result.eve_region
         payload["game_value"] = game_value
-        payload["game_stats"] = _jsonable(result.stats)
+        payload["game_stats"] = result.stats
     if args.via in ("brute", "both"):
         brute_value = eval_qbf_bruteforce(formula, cap=args.cap)
         payload["brute_value"] = brute_value

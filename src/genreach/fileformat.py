@@ -35,7 +35,7 @@ def parse_game(text: str) -> Game:
     index: dict[str, int] = {}
     owners: list[Owner] = []
     vertex_colors: list[list[int]] = []
-    vertex_line: dict[str, int] = {}
+    vertex_lines: list[int] = []
     edge_refs: list[tuple[str, str, int]] = []
     init_ref: tuple[str, int] | None = None
 
@@ -87,7 +87,7 @@ def parse_game(text: str) -> Game:
             names.append(name)
             owners.append(_OWNERS[tokens[2]])
             vertex_colors.append(colors)
-            vertex_line[name] = lineno
+            vertex_lines.append(lineno)
         elif keyword == "edge":
             if len(tokens) != 3:
                 raise GameParseError("edge takes exactly two vertex names", lineno)
@@ -121,14 +121,12 @@ def parse_game(text: str) -> Game:
         edges.append(edge)
 
     arena = Arena.from_edges(names, owners, edges)
-    for violation in validate_arena(arena):
-        # Duplicates were caught above; what remains are dead ends.
-        line = None
-        for name, lineno in vertex_line.items():
-            if f"'{name}'" in violation:
-                line = lineno
-                break
-        raise GameParseError(violation, line)
+    violations = validate_arena(arena)
+    if violations:
+        # Duplicates were caught above; what remains are dead ends, listed
+        # in vertex order.
+        v = next(v for v, targets in enumerate(arena.succ) if not targets)
+        raise GameParseError(violations[0], vertex_lines[v])
 
     color_sets: list[set[int]] = [set() for _ in range(k)]
     for v, colors in enumerate(vertex_colors):

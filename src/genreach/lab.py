@@ -19,7 +19,7 @@ from .errors import (
     NoMissingSubsetError,
     StateCountTooLargeError,
 )
-from .model import Game, Owner, Play, mask_colors, trace_play
+from .model import Game, Owner, Play, trace_play
 from .strategies import FiniteMemoryStrategy, MemoryStructure
 
 FULL_CLASS = "full"
@@ -538,15 +538,6 @@ class FlowerRefutation:
     adam: FiniteMemoryStrategy
     petals: tuple[int, ...]
     outcome: SimOutcome
-
-    def to_json(self, game: Game) -> dict:
-        names = game.arena.names
-        return {
-            "X": mask_colors(self.x),
-            "stopping_sets": [mask_colors(s) for s in self.stopping_sets],
-            "moves": [names[v] for v in self.petals],
-            "play": [names[v] for v in self.outcome.play.vertices],
-        }
 
 
 def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutation:

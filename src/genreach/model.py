@@ -180,25 +180,6 @@ def trace_play(game: Game, vertices: Sequence[int]) -> Play:
     return Play(tuple(vertices), tuple(masks))
 
 
-def check_play(game: Game, play: Play) -> None:
-    """Raise if the play is not a legal prefix of the game (test helper)."""
-    arena = game.arena
-    mask = game.colors(play.vertices[0])
-    if play.masks[0] != mask:
-        raise InvalidPlay("initial mask is wrong")
-    for (u, v), prev_mask, cur_mask in zip(
-        zip(play.vertices, play.vertices[1:]), play.masks, play.masks[1:]
-    ):
-        if v not in arena.succ[u]:
-            raise InvalidPlay(f"({arena.names[u]}, {arena.names[v]}) is not an edge")
-        if cur_mask != prev_mask | game.colors(v):
-            raise InvalidPlay("visited mask does not accumulate colors")
-
-
-class InvalidPlay(ValueError):
-    pass
-
-
 def validate_arena(arena: Arena) -> list[str]:
     """Return the list of violations (empty means the arena is well formed).
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .attractor import _pred_lists
@@ -29,6 +28,9 @@ from .strategies import (
     MemoryStructure,
     SolveResult,
 )
+
+# compress_adam refuses games with more configurations than this.
+MAX_CONFIGS = 1 << 22
 
 
 def subset_memory(
@@ -72,9 +74,7 @@ def _sweep(
     levels: Iterable[tuple[int, Sequence[int]]],
     live: Mapping[int, bytearray],
     eve_state: Mapping[int, int],
-) -> tuple[
-    dict[int, bytearray], dict[tuple[int, int], int], dict[tuple[int, int], int], int
-]:
+) -> tuple[dict[int, bytearray], dict[tuple[int, int], int], int]:
     """Attractor of the full-mask configurations, one level at a time.
 
     `levels` holds (mask, vertices) pairs in descending popcount order,
@@ -84,19 +84,16 @@ def _sweep(
     an edge into a live vertex never jumps, and the in-level pass needs
     no mask arithmetic.  The full level is won outright.  Returns
     `win[mask][v]`, Eve's recorded moves keyed by (vertex,
-    eve_state[mask]), Adam's first escapes keyed by (vertex, mask), and
-    the number of in-level predecessor relaxations.
+    eve_state[mask]), and the number of in-level predecessor relaxations.
     """
     arena = game.arena
     n = arena.n
     vm = game.objective.mask
     full = game.objective.full_mask
-    succ = arena.succ
     pred = _pred_lists(arena)
     eve = [o is Owner.EVE for o in arena.owner]
     win: dict[int, bytearray] = {}
     eve_moves: dict[tuple[int, int], int] = {}
-    adam_moves: dict[tuple[int, int], int] = {}
     ops = 0
     for s, vs in levels:
         wrow = bytearray(n)
@@ -157,16 +154,32 @@ def _sweep(
                     if r == 0:
                         wrow[u] = 1
                         q.append(u)
-        # Each losing Adam configuration keeps its first escape.
+    return win, eve_moves, ops
+
+
+def _escapes(
+    arena: Arena,
+    vm: Sequence[int],
+    win: Mapping[int, bytearray],
+    levels: Iterable[tuple[int, Sequence[int]]],
+) -> dict[tuple[int, int], int]:
+    """Adam's first escape from each losing Adam configuration of
+    `levels`, (mask, vertices) pairs: the first successor whose
+    configuration Eve does not win.  Keyed by (vertex, mask)."""
+    succ = arena.succ
+    adam = [o is Owner.ADAM for o in arena.owner]
+    escapes: dict[tuple[int, int], int] = {}
+    for s, vs in levels:
+        wrow = win[s]
         for v in vs:
-            if not eve[v] and not wrow[v]:
+            if adam[v] and not wrow[v]:
                 for w in succ[v]:
                     if not win[s | vm[w]][w]:
-                        adam_moves[(v, s)] = w
+                        escapes[(v, s)] = w
                         break
                 else:
                     raise AssertionError("losing configuration with no escape")
-    return win, eve_moves, adam_moves, ops
+    return escapes
 
 
 def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
@@ -244,9 +257,8 @@ def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
     # state when none does.
     live_masks = sorted(s for s, _ in levels if s != full) or [full]
     idx = {s: i for i, s in enumerate(live_masks)}
-    win, eve_moves, adam_moves, ops = _sweep(
-        game, plain, colored, reversed(levels), live, idx
-    )
+    win, eve_moves, ops = _sweep(game, plain, colored, reversed(levels), live, idx)
+    adam_moves = _escapes(arena, vm, win, reversed(levels))
 
     eve_region = frozenset(v for v in range(n) if win[vm[v]][v])
     adam_region = frozenset(range(n)) - eve_region
@@ -293,10 +305,6 @@ class AntichainTable:
     def p(self) -> int:
         return max((len(row) for row in self.rows), default=0)
 
-    @property
-    def bound(self) -> int:
-        return comb(self.k, self.k // 2)
-
 
 def antichain_table(
     adam_region: Iterable[tuple[int, int]], k: int, n: int
@@ -330,11 +338,7 @@ def antichain_table(
     return AntichainTable(k, tuple(rows))
 
 
-def compress_adam(
-    game: Game,
-    cap: int = DEFAULT_COLOR_CAP,
-    max_configs: int = 1 << 22,
-) -> FiniteMemoryStrategy:
+def compress_adam(game: Game) -> FiniteMemoryStrategy:
     """Adam strategy over antichain indices instead of raw masks.
 
     State i at vertex v stands for the i-th maximal mask of Adam's region
@@ -345,19 +349,21 @@ def compress_adam(
 
     Adam's region is downward closed only over the full product, so this
     runs the level sweep of `solve_fpt` over every mask, and refuses a
-    game whose n * 2^k configurations exceed `max_configs` before
+    game whose n * 2^k configurations exceed `MAX_CONFIGS` before
     allocating any of them.
     """
     arena = game.arena
     n = arena.n
     k = game.k
-    if k > cap:
-        raise CapExceededError(f"{k} color sets exceed the bitmask cap of {cap}")
+    if k > DEFAULT_COLOR_CAP:
+        raise CapExceededError(
+            f"{k} color sets exceed the bitmask cap of {DEFAULT_COLOR_CAP}"
+        )
     total = n << k
-    if total > max_configs:
+    if total > MAX_CONFIGS:
         raise CapExceededError(
             f"full product needs {total} configurations, above the"
-            f" limit of {max_configs}"
+            f" limit of {MAX_CONFIGS}"
         )
     mask = game.objective.mask
     plain, colored = _split_successors(arena, mask)
@@ -365,26 +371,23 @@ def compress_adam(
     live = {s: bytearray(mask[v] | s == s for v in range(n)) for s in masks}
     levels = [(s, [v for v in range(n) if live[s][v]]) for s in masks]
     # Eve's moves go unused here; a range keys them by the raw mask.
-    win, _, escapes, _ = _sweep(game, plain, colored, levels, live, range(1 << k))
+    win, _, _ = _sweep(game, plain, colored, levels, live, range(1 << k))
     # A configuration whose mask lacks its vertex's colors is no edge's
     # target, so it is left out of the sweep; every successor lies in a
     # swept configuration, and one look at them decides it.
     for s in masks:
         for v in range(n):
             if not live[s][v]:
-                lost = [w for w in arena.succ[v] if not win[s | mask[w]][w]]
-                if arena.owner[v] is Owner.EVE:
-                    win[s][v] = len(lost) < len(arena.succ[v])
-                else:
-                    win[s][v] = not lost
-                    if lost:
-                        escapes[(v, s)] = lost[0]
+                won = [win[s | mask[w]][w] for w in arena.succ[v]]
+                win[s][v] = any(won) if arena.owner[v] is Owner.EVE else all(won)
 
     table = antichain_table(
         ((v, s) for s in masks for v in range(n) if not win[s][v]), k, n
     )
     rows = table.rows
     nstates = max(1, table.p)
+    # Adam moves only at the represented masks, so only they need escapes.
+    escapes = _escapes(arena, mask, win, ((s, (u,)) for u in range(n) for s in rows[u]))
 
     update: dict[tuple[int, int, int], int] = {}
     moves: dict[tuple[int, int], int] = {}

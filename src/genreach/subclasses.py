@@ -53,13 +53,6 @@ class ReachMatrix:
         """How many distinguished vertices v can force a visit of."""
         return sum(1 for w in self.vertices if self.leq(v, w))
 
-    def incomparable_pair(self) -> tuple[int, int] | None:
-        for i, v in enumerate(self.vertices):
-            for w in self.vertices[i + 1:]:
-                if not self.comparable(v, w):
-                    return v, w
-        return None
-
     def chain(self, items: Iterable[int], first: int | None = None) -> list[int]:
         """Sort pairwise-comparable vertices so each can reach the next.
 
@@ -75,12 +68,9 @@ class ReachMatrix:
         return order
 
 
-def reach_matrix(arena: Arena, relevant: Iterable[int], v0: int | None = None) -> ReachMatrix:
+def reach_matrix(arena: Arena, relevant: Iterable[int]) -> ReachMatrix:
     """One attractor run per distinguished vertex, O(|relevant|*(n+m))."""
-    vertices = set(relevant)
-    if v0 is not None:
-        vertices.add(v0)
-    ordered = tuple(sorted(vertices))
+    ordered = tuple(sorted(set(relevant)))
     results = {w: attractor(arena, [w]) for w in ordered}
     return ReachMatrix(ordered, results)
 
@@ -210,7 +200,6 @@ class TwoSatFormula:
 
     num_vars: int
     clauses: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.num_vars < 0:
@@ -219,24 +208,6 @@ class TwoSatFormula:
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise ValueError(f"literal {lit} out of range")
-        if self.labels is not None and len(self.labels) != self.num_vars:
-            raise ValueError("one label per variable expected")
-
-    @classmethod
-    def from_clauses(
-        cls,
-        num_vars: int,
-        clauses: Iterable[Sequence[int]],
-        labels: Sequence[str] | None = None,
-    ) -> "TwoSatFormula":
-        pairs = []
-        for clause in clauses:
-            if not 1 <= len(clause) <= 2:
-                raise ValueError(
-                    f"clause {tuple(clause)} must have one or two literals"
-                )
-            pairs.append((clause[0], clause[-1]))
-        return cls(num_vars, tuple(pairs), None if labels is None else tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -372,7 +343,6 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     for i, members in enumerate(objective.color_sets):
         occ.extend((i, v) for v in sorted(members))
     nvars = len(occ)
-    labels = tuple(f"c{i + 1}:{arena.names[v]}" for i, v in occ)
     matrix = reach_matrix(arena, {v for _, v in occ})
 
     static: list[tuple[int, int]] = []
@@ -397,9 +367,7 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
             for p in range(nvars)
             if not matrix.leq(v, occ[p][1])
         ]
-        result = two_sat_solve(
-            TwoSatFormula(nvars, tuple(static + units), labels)
-        )
+        result = two_sat_solve(TwoSatFormula(nvars, tuple(static + units)))
         if result.satisfiable:
             eve_region.add(v)
             if v == game.init:

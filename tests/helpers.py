@@ -10,6 +10,7 @@ from genreach import (
     GenParams,
     MemoryStructure,
     Owner,
+    Play,
     generate,
     minimax_oracle,
 )
@@ -44,6 +45,25 @@ def minimax_region(game: Game) -> frozenset[int]:
         for v in range(game.arena.n)
         if minimax_oracle(dataclasses.replace(game, init=v)) is Owner.EVE
     )
+
+
+def check_play(game: Game, play: Play) -> None:
+    """Raise if the play is not a legal prefix of the game."""
+    arena = game.arena
+    mask = game.colors(play.vertices[0])
+    if play.masks[0] != mask:
+        raise InvalidPlay("initial mask is wrong")
+    for (u, v), prev_mask, cur_mask in zip(
+        zip(play.vertices, play.vertices[1:]), play.masks, play.masks[1:]
+    ):
+        if v not in arena.succ[u]:
+            raise InvalidPlay(f"({arena.names[u]}, {arena.names[v]}) is not an edge")
+        if cur_mask != prev_mask | game.colors(v):
+            raise InvalidPlay("visited mask does not accumulate colors")
+
+
+class InvalidPlay(ValueError):
+    pass
 
 
 def explicit_product(game: Game) -> tuple[dict, dict]:

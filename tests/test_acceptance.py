@@ -364,7 +364,7 @@ def test_criterion_09_two_sat_matches_truth_tables():
                     for _ in range(width)
                 )
             )
-        formula = TwoSatFormula.from_clauses(num_vars, clauses)
+        formula = TwoSatFormula(num_vars, tuple((c[0], c[-1]) for c in clauses))
         result = two_sat_solve(formula)
         assert result.satisfiable == brute_force_sat(num_vars, clauses), seed
         if result.satisfiable:

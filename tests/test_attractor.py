@@ -1,4 +1,4 @@
-"""Attractor computation and the plain-reachability solver built on it."""
+"""Eve's attractor and the opponent-only solver built on it."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,12 +10,11 @@ from genreach import (
     avoid_moves,
     solve_fpt,
     solve_opponent_player,
-    solve_reachability,
     verify_strategy,
 )
 from helpers import random_game
 
-E, A = Owner.EVE, Owner.ADAM
+E = Owner.EVE
 
 
 def test_attractor_ranks_on_demo(demo):
@@ -37,16 +36,6 @@ def test_attractor_empty_targets(demo):
     assert attr.moves == {}
 
 
-def test_attractor_for_adam(demo):
-    arena = demo.arena
-    ix = arena.index_of
-    attr = attractor(arena, [ix("d")], player=A)
-    assert attr.attractor == frozenset(range(4))
-    # Adam reaches d in one step from a; Eve is forced there eventually.
-    assert attr.rank[ix("a")] == 1
-    assert attr.moves[ix("a")] == ix("d")
-
-
 def test_attractor_proper_subset(demo):
     arena = demo.arena
     ix = arena.index_of
@@ -66,23 +55,13 @@ def test_avoid_moves_on_closed_complement(demo):
 def test_avoid_moves_rejects_open_complement(demo):
     arena = demo.arena
     ix = arena.index_of
-    attr = attractor(arena, [ix("d")], player=A)
-    # Adam's attractor here is everything; fake a result that pretends b
-    # stayed outside even though all of b's successors lead in.
-    fake = attr.__class__(A, frozenset({ix("d"), ix("a"), ix("c")}), attr.rank, {}, 0)
+    attr = attractor(arena, [ix("d")])
+    # Eve's attractor here is everything; fake a result that pretends
+    # Adam's a stayed outside even though all of a's successors lead in.
+    assert attr.attractor == frozenset(range(4))
+    fake = attr.__class__(frozenset({ix("d"), ix("b"), ix("c")}), attr.rank, {}, 0)
     with pytest.raises(AssertionError, match="must be closed"):
         avoid_moves(arena, fake)
-
-
-def test_solve_reachability_regions_and_strategies(demo):
-    ix = demo.arena.index_of
-    result = solve_reachability(demo.arena, [ix("a")])
-    assert result.method == "attractor"
-    assert result.eve_region == frozenset({ix("c"), ix("a"), ix("b")})
-    assert result.adam_region == frozenset({ix("d")})
-    assert result.stats["max_rank"] == 1
-    assert result.eve_strategy.moves[(ix("c"), 0)] == ix("a")
-    assert result.adam_strategy.moves[(ix("d"), 0)] == ix("d")
 
 
 def test_solve_opponent_player_rejects_eve_vertices(demo):

@@ -84,6 +84,15 @@ def test_dead_end_blamed_on_its_vertex():
         parse_game(text)
 
 
+def test_dead_end_line_when_one_name_prefixes_another():
+    # x's name, quoted, is not inside the message about x', so the line
+    # must come from x''s own declaration.
+    text = "genreach 1\ncolors 0\nvertex x eve\nvertex x' eve\nedge x x\n"
+    with pytest.raises(GameParseError) as err:
+        parse_game(text)
+    assert str(err.value) == "line 4: dead end at vertex 'x''"
+
+
 def test_missing_pieces():
     with pytest.raises(GameParseError, match="missing 'genreach 1' header"):
         parse_game("")

@@ -15,7 +15,6 @@ from genreach import (
     Reason,
     StateCountTooLargeError,
     canonical_flower_eve,
-    check_play,
     compress_adam,
     flower_adversary,
     identity_memory,
@@ -27,6 +26,7 @@ from genreach import (
 )
 from genreach.lab import COLOR_OBS, FULL_CLASS
 from helpers import (
+    check_play,
     machine_tables,
     random_game,
     random_machine,
@@ -316,11 +316,3 @@ def test_flower_adversary_refutes_random_machines():
         refutation = flower_adversary(3, machine)
         assert refutation.outcome.winner is A
         assert refutation.outcome.play.masks[-1] != 7
-
-
-def test_flower_refutation_json(flower2):
-    refutation = flower_adversary(2, positional(E, flower2))
-    doc = refutation.to_json(flower2)
-    assert set(doc) == {"X", "stopping_sets", "moves", "play"}
-    assert all(isinstance(name, str) for name in doc["play"])
-    assert doc["play"][0] == "h"

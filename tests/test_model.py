@@ -7,14 +7,12 @@ from genreach import (
     Arena,
     DEFAULT_COLOR_CAP,
     Game,
-    InvalidPlay,
     Objective,
     Owner,
-    check_play,
     trace_play,
     validate_arena,
 )
-from helpers import random_game
+from helpers import InvalidPlay, check_play, random_game
 
 E, A = Owner.EVE, Owner.ADAM
 

@@ -111,7 +111,7 @@ def test_antichain_table_maximal_masks():
     table = antichain_table(region, k=2, n=3)
     assert table.rows == ((0b01, 0b10), (0b00,), ())
     assert table.p == 2
-    assert table.bound == 2
+    assert table.p <= math.comb(table.k, table.k // 2)
 
 
 def test_antichain_table_rejects_non_closed_region():
@@ -128,9 +128,16 @@ def test_compress_adam_on_small_antichain(fig5):
     assert verify_strategy(fig5, small, region).winning
 
 
-def test_compress_adam_config_limit(fig5):
-    with pytest.raises(CapExceededError):
-        compress_adam(fig5, max_configs=16)
+def test_compress_adam_config_limit():
+    # 5 * 2^20 configurations exceed the 2^22 limit; the refusal comes
+    # before any of them is allocated.
+    n, k = 5, 20
+    arena = Arena.from_edges(
+        [f"v{i}" for i in range(n)], [A] * n, [(i, (i + 1) % n) for i in range(n)]
+    )
+    game = Game(arena, Objective.from_sets(n, [{c % n} for c in range(k)]))
+    with pytest.raises(CapExceededError, match="above the limit of 4194304"):
+        compress_adam(game)
 
 
 def test_compress_adam_random_games_stay_within_bound():

@@ -23,9 +23,6 @@ class Owner(Enum):
     EVE = "eve"
     ADAM = "adam"
 
-    def opponent(self) -> "Owner":
-        return Owner.ADAM if self is Owner.EVE else Owner.EVE
-
 
 @dataclass(frozen=True)
 class Arena:

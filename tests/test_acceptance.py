@@ -399,6 +399,7 @@ def test_criterion_10_fpt_solver_scales_linearly_in_game_size():
     assert time_base < 10.0
     assert res_base.stats["configs"] <= 2000 * (1 << 10)
     assert res_base.eve_region
+    assert res_base.stats["route"] == "dense"
 
     doubled = random_game(11, n=4000, k=10, density=4 / 4000, color_size=(40, 200))
     time_doubled, res_doubled = timed_solve(doubled)

@@ -17,11 +17,6 @@ from helpers import InvalidPlay, check_play, random_game
 E, A = Owner.EVE, Owner.ADAM
 
 
-def test_owner_opponent():
-    assert E.opponent() is A
-    assert A.opponent() is E
-
-
 def test_arena_from_edges_sorts_successors():
     arena = Arena.from_edges(["a", "b", "c"], [E, A, E], [(0, 2), (0, 1), (1, 1), (2, 0)])
     assert arena.n == 3

@@ -1,4 +1,4 @@
-"""Subset memory, the level-sweep solver and the antichain compression."""
+"""Subset memory, the dense and sweep solvers, and the antichain compression."""
 
 import math
 import tracemalloc
@@ -18,6 +18,7 @@ from genreach import (
     subset_memory,
     verify_strategy,
 )
+from genreach.product import _dense_antichains, _solve_dense, _solve_sweep
 from helpers import explicit_product, minimax_region, random_game
 
 E, A = Owner.EVE, Owner.ADAM
@@ -64,6 +65,7 @@ def test_solve_fpt_frozen_flower_stats(flower2):
         "eve_states": 3,
         "adam_states": 4,
     }
+    assert result.stats["route"] == "dense"
 
 
 def test_solve_fpt_fixture_regions(picker3, fig44, fig5):
@@ -160,6 +162,7 @@ def test_compress_adam_matches_explicit_product(fig5):
         table = antichain_table(
             (c for c, r in rank.items() if r == -1), game.k, arena.n
         )
+        assert _dense_antichains(game)[0] == table
         small = compress_adam(game)
         assert small.memory.states == max(1, table.p)
         expected = {
@@ -185,5 +188,28 @@ def test_solve_fpt_allocates_only_reached_levels():
     finally:
         tracemalloc.stop()
     assert result.stats["configs"] == 7
+    assert result.stats["route"] == "sweep"
     assert result.eve_region == frozenset({0})
     assert peak < 1 << 20
+
+
+def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44, fig5):
+    games = [demo, flower2, flower3, picker3, fig42, fig44, fig5]
+    games += [random_game(seed, n=6 + seed % 5, k=1 + seed % 3, density=0.3) for seed in range(60)]
+    games += [random_game(seed, n=7, k=3, density=0.35) for seed in range(40)]
+    for game in games:
+        dense, sweep = _solve_dense(game), _solve_sweep(game)
+        assert (dense.stats["route"], sweep.stats["route"]) == ("dense", "sweep")
+        assert dense.eve_region == sweep.eve_region
+        rest = [
+            {key: v for key, v in r.stats.items() if key not in ("route", "seconds")}
+            for r in (dense, sweep)
+        ]
+        assert rest[0] == rest[1]
+        assert dict(dense.adam_strategy.moves) == dict(sweep.adam_strategy.moves)
+        # Eve may move elsewhere, but on the same (vertex, state) pairs.
+        assert set(dense.eve_strategy.moves) == set(sweep.eve_strategy.moves)
+        assert len(dense.eve_strategy.moves) == len(sweep.eve_strategy.moves)
+        assert (0, -1) not in dense.eve_strategy.moves and (0, -1) not in dense.adam_strategy.moves
+        for result in (dense, sweep):
+            assert verify_strategy(game, result.eve_strategy, result.eve_region).winning

@@ -10,22 +10,11 @@ from .attractor import (
     solve_opponent_player,
 )
 from .errors import (
-    BadKError,
     BudgetExceededError,
-    CapExceededError,
-    ColorTooLargeError,
-    EmptyPrefixError,
     GameParseError,
     GenReachError,
-    InitRequiredError,
-    InvalidGameError,
-    NoMissingSubsetError,
-    NotDownwardClosedError,
-    NotOnePlayerError,
-    NotOpponentPlayerError,
-    NotSingletonError,
-    StateCountTooLargeError,
     StrategyPartialError,
+    UnsupportedInputError,
 )
 from .fileformat import export_dot, parse_game, serialize_game
 from .generate import (

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotOpponentPlayerError
+from .errors import UnsupportedInputError
 from .model import Arena, Game, Owner
 from .strategies import FiniteMemoryStrategy, SolveResult, identity_memory
 
@@ -111,7 +111,7 @@ def solve_opponent_player(game: Game) -> SolveResult:
     arena = game.arena
     for v in range(arena.n):
         if arena.owner[v] is not Owner.ADAM:
-            raise NotOpponentPlayerError(
+            raise UnsupportedInputError(
                 f"vertex {arena.names[v]!r} belongs to eve"
             )
     region = frozenset(range(arena.n))

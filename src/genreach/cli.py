@@ -24,7 +24,7 @@ from .errors import (
     BudgetExceededError,
     GameParseError,
     GenReachError,
-    InitRequiredError,
+    UnsupportedInputError,
 )
 from .fileformat import export_dot, parse_game, serialize_game
 from .generate import FAMILIES, RANDOM, GenParams, generate
@@ -291,13 +291,11 @@ def cmd_verify(args) -> int:
         data = json.loads(strategy_text)
         strategy = strategy_from_json(game.arena, data)
     except (ValueError, KeyError, TypeError) as exc:
-        if isinstance(exc, GenReachError):
-            raise
         raise GameParseError(f"bad strategy document: {exc}") from None
     started = time.perf_counter()
     if args.region == "init":
         if game.init is None:
-            raise InitRequiredError("--region init needs a game with an init vertex")
+            raise UnsupportedInputError("--region init needs a game with an init vertex")
         claimed = frozenset([game.init])
     else:
         solved = solve_fpt(game, cap=args.cap)
@@ -330,9 +328,13 @@ def cmd_minmem(args) -> int:
     game = parse_game(text)
     player = Owner.EVE if args.player == "eve" else Owner.ADAM
     started = time.perf_counter()
-    result = min_memory_search(
-        game, player, args.bound, machine_class=args.machine_class, budget=args.budget
-    )
+    try:
+        result = min_memory_search(
+            game, player, args.bound, machine_class=args.machine_class, budget=args.budget
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     seconds = time.perf_counter() - started
     payload = {
         "player": args.player,

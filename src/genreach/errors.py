@@ -1,4 +1,8 @@
-"""Exception types shared across the solver suite."""
+"""Exception types shared across the solver suite.
+
+One class per exit code of the command line, plus the base class and the
+one a caller catches by name; broken solver invariants are assertions.
+"""
 
 
 class GenReachError(Exception):
@@ -13,12 +17,9 @@ class GameParseError(GenReachError):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-class InvalidGameError(GenReachError):
-    """A game object violates an invariant a consumer relies on."""
-
-
-class CapExceededError(GenReachError):
-    """Instance is larger than the configured cap for bitmask methods."""
+class UnsupportedInputError(GenReachError):
+    """Well-formed input the chosen routine refuses: a game outside its
+    subclass, a cap exceeded, a missing init vertex, a bad family size."""
 
 
 class BudgetExceededError(GenReachError):
@@ -27,43 +28,3 @@ class BudgetExceededError(GenReachError):
 
 class StrategyPartialError(GenReachError):
     """A strategy has no next-move for a configuration that was reached."""
-
-
-class NotOpponentPlayerError(GenReachError):
-    """Solver requires an arena fully owned by Adam."""
-
-
-class NotSingletonError(GenReachError):
-    """Solver requires every color set to be a single vertex."""
-
-
-class NotOnePlayerError(GenReachError):
-    """Solver requires an arena fully owned by Eve."""
-
-
-class ColorTooLargeError(GenReachError):
-    """Solver requires every color set to have at most two vertices."""
-
-
-class NotDownwardClosedError(GenReachError):
-    """Adam's product region is not downward closed; signals a solver bug."""
-
-
-class NoMissingSubsetError(GenReachError):
-    """No strict color subset is unused by the machine's stopping sets."""
-
-
-class StateCountTooLargeError(GenReachError):
-    """The machine is not below the memory threshold the adversary exploits."""
-
-
-class EmptyPrefixError(GenReachError):
-    """The formula quantifies no variables."""
-
-
-class BadKError(GenReachError):
-    """A generator family does not admit this color count."""
-
-
-class InitRequiredError(GenReachError):
-    """The operation needs a game with an initial vertex."""

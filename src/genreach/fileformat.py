@@ -19,7 +19,7 @@ shared with the DIMACS parsers of `qbf` and `subclasses`.
 
 from __future__ import annotations
 
-from .errors import GameParseError, InvalidGameError
+from .errors import GameParseError, UnsupportedInputError
 from .model import Arena, Game, Objective, Owner, mask_colors, validate_arena
 
 FORMAT_NAME = "genreach"
@@ -148,7 +148,7 @@ def serialize_game(game: Game) -> str:
     arena = game.arena
     for name in arena.names:
         if not name or "#" in name or name.split() != [name]:
-            raise InvalidGameError(f"vertex name {name!r} is not serializable")
+            raise UnsupportedInputError(f"vertex name {name!r} is not serializable")
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"colors {game.k}"]
     for v, name in enumerate(arena.names):
         parts = ["vertex", name, arena.owner[v].value]

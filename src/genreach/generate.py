@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BadKError
+from .errors import UnsupportedInputError
 from .model import Arena, Game, Objective, Owner
 from .strategies import FiniteMemoryStrategy, MemoryStructure
 
@@ -47,7 +47,7 @@ def generate(params: GenParams) -> Game:
         return gen_fig4(params.k)
     if params.family == FIG5:
         if params.k not in (0, 4):
-            raise BadKError("the fixed arena has exactly 4 colors")
+            raise UnsupportedInputError("the fixed arena has exactly 4 colors")
         return gen_fig5()
     if params.family == RANDOM:
         return gen_random(params)
@@ -63,7 +63,7 @@ def gen_flower(k: int) -> Game:
     answered with c{i}.
     """
     if k < 1:
-        raise BadKError("the flower needs at least one petal")
+        raise UnsupportedInputError("the flower needs at least one petal")
     names = ["h"]
     owners = [Owner.ADAM]
     edges = []
@@ -89,7 +89,7 @@ def canonical_flower_eve(k: int) -> FiniteMemoryStrategy:
     second takes b{i} and wins.  2^k - 1 states.
     """
     if k < 1:
-        raise BadKError("the flower needs at least one petal")
+        raise UnsupportedInputError("the flower needs at least one petal")
     states = max(1, (1 << k) - 1)
     full = (1 << k) - 1
     table: dict[tuple[int, int, int], int] = {}
@@ -114,7 +114,7 @@ def gen_picker(k: int) -> Game:
     can only avoid opening a fresh color by remembering Eve's picks.
     """
     if k < 3 or k % 2 == 0:
-        raise BadKError("the picker needs an odd color count of at least 3")
+        raise UnsupportedInputError("the picker needs an odd color count of at least 3")
     p = (k - 1) // 2
     names: list[str] = []
     owners: list[Owner] = []
@@ -152,7 +152,7 @@ def gen_fig4(k: int) -> Game:
     subsets of pairs.  All color sets have size 2.
     """
     if k < 2 or k % 2 == 1:
-        raise BadKError("the two-part arena needs an even color count of at least 2")
+        raise UnsupportedInputError("the two-part arena needs an even color count of at least 2")
     p = k // 2
     names = ["h"] + [f"p{i}" for i in range(1, p + 1)]
     names += [f"a{j}" for j in range(1, k + 1)]

@@ -12,13 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    BudgetExceededError,
-    InitRequiredError,
-    InvalidGameError,
-    NoMissingSubsetError,
-    StateCountTooLargeError,
-)
+from .errors import BudgetExceededError, UnsupportedInputError
 from .model import Game, Owner, Play, trace_play
 from .strategies import FiniteMemoryStrategy, MemoryStructure
 
@@ -48,9 +42,9 @@ def simulate(
     configuration (vertex, both memory states, mask) repeats first.
     """
     if game.init is None:
-        raise InitRequiredError("simulation needs a game with an init vertex")
+        raise UnsupportedInputError("simulation needs a game with an init vertex")
     if sigma.player is not Owner.EVE or tau.player is not Owner.ADAM:
-        raise InvalidGameError("simulate takes an Eve strategy then an Adam one")
+        raise UnsupportedInputError("simulate takes an Eve strategy then an Adam one")
     arena = game.arena
     full = game.objective.full_mask
     v = game.init
@@ -66,7 +60,7 @@ def simulate(
         mover = sigma if arena.is_eve(v) else tau
         w = mover.move(arena, v, ss if mover is sigma else ts)
         if w not in arena.succ[v]:
-            raise InvalidGameError(
+            raise UnsupportedInputError(
                 f"strategy moved along ({arena.names[v]}, {arena.names[w]}),"
                 " which is not an edge"
             )
@@ -198,7 +192,7 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
     with a node budget (default 2,000,000) as the stop guard.
     """
     if game.init is None:
-        raise InitRequiredError("the minimax oracle needs a game with init")
+        raise UnsupportedInputError("the minimax oracle needs a game with init")
     if budget is None:
         budget = 2_000_000
     arena = game.arena
@@ -310,7 +304,7 @@ def min_memory_search(
     arguments against the enumeration).
     """
     if game.init is None:
-        raise InitRequiredError("memory search needs a game with init")
+        raise UnsupportedInputError("memory search needs a game with init")
     if machine_class not in (FULL_CLASS, COLOR_OBS):
         raise ValueError(f"unknown machine class {machine_class!r}")
     if bound < 1:
@@ -557,7 +551,7 @@ def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutat
     arena = game.arena
     threshold = (1 << k) - 1
     if eve_machine.memory.states >= threshold:
-        raise StateCountTooLargeError(
+        raise UnsupportedInputError(
             f"{eve_machine.memory.states} states defeat the purpose: the"
             f" adversary covers machines below {threshold}"
         )
@@ -576,11 +570,10 @@ def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutat
         stopping.append(s)
     stop_set = set(stopping)
     x = next((s for s in range(threshold) if s not in stop_set), None)
-    if x is None:
-        raise NoMissingSubsetError(
-            "every strict subset is a stopping set, impossible below"
-            f" {threshold} states"
-        )
+    assert x is not None, (
+        "every strict subset is a stopping set, impossible below"
+        f" {threshold} states"
+    )
 
     adam_moves = {}
     for m in range(memory.states):

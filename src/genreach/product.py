@@ -25,7 +25,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .attractor import _pred_lists
-from .errors import CapExceededError, NotDownwardClosedError
+from .errors import UnsupportedInputError
 from .model import DEFAULT_COLOR_CAP, Game, Objective, Owner
 from .strategies import (
     FiniteMemoryStrategy,
@@ -48,7 +48,7 @@ def subset_memory(
     same structure serves plays from anywhere.
     """
     if objective.k > cap:
-        raise CapExceededError(
+        raise UnsupportedInputError(
             f"{objective.k} color sets exceed the bitmask cap of {cap}"
         )
     mask = objective.mask
@@ -155,7 +155,7 @@ def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
     initial states only on its own player's region.
     """
     if game.k > cap:
-        raise CapExceededError(f"{game.k} color sets exceed the bitmask cap of {cap}")
+        raise UnsupportedInputError(f"{game.k} color sets exceed the bitmask cap of {cap}")
     dense = game.arena.n << game.k <= MAX_CONFIGS
     return _solve_dense(game) if dense else _solve_sweep(game)
 
@@ -373,8 +373,8 @@ def antichain_table(
 ) -> AntichainTable:
     """Maximal masks per vertex of a (vertex, mask) region.
 
-    The region must be downward closed in the mask coordinate; a solver
-    producing anything else is broken, which NotDownwardClosed signals.
+    The region must be downward closed in the mask coordinate; anything
+    else is refused.
     """
     by_vertex: list[set[int]] = [set() for _ in range(n)]
     for v, s in adam_region:
@@ -385,7 +385,7 @@ def antichain_table(
             while bits:
                 low = bits & -bits
                 if s ^ low not in masks:
-                    raise NotDownwardClosedError(
+                    raise UnsupportedInputError(
                         f"region holds (vertex {v}, mask {s:#b}) but not"
                         f" mask {s ^ low:#b}"
                     )
@@ -414,11 +414,10 @@ def _dense_antichains(game: Game) -> tuple[AntichainTable, list[int]]:
         lost = ones & ~won
         below = [(lost & m) >> (1 << i) for i, m in enumerate(M)]
         for i, down in enumerate(below):
-            if down & ~lost:
-                t = (down & ~lost).bit_length() - 1
-                raise NotDownwardClosedError(
-                    f"region holds (vertex {v}, mask {t | 1 << i:#b}) but not mask {t:#b}"
-                )
+            t = (down & ~lost).bit_length() - 1
+            assert t < 0, (
+                f"region holds (vertex {v}, mask {t | 1 << i:#b}) but not mask {t:#b}"
+            )
         rows.append(tuple(_bits(lost & ~reduce(or_, below, 0))))
     return AntichainTable(game.k, tuple(rows)), L
 
@@ -441,9 +440,9 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     n = arena.n
     k = game.k
     if k > DEFAULT_COLOR_CAP:
-        raise CapExceededError(f"{k} color sets exceed the bitmask cap of {DEFAULT_COLOR_CAP}")
+        raise UnsupportedInputError(f"{k} color sets exceed the bitmask cap of {DEFAULT_COLOR_CAP}")
     if n << k > MAX_CONFIGS:
-        raise CapExceededError(
+        raise UnsupportedInputError(
             f"full product needs {n << k} configurations, above the limit of {MAX_CONFIGS}"
         )
     mask = game.objective.mask

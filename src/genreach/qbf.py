@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import CapExceededError, EmptyPrefixError, GameParseError
+from .errors import GameParseError, UnsupportedInputError
 from .fileformat import _parse_cnf_header, _parse_int
 from .model import Arena, Game, Objective, Owner
 
@@ -131,7 +131,7 @@ def qbf_to_game(formula: QBFFormula) -> Game:
     satisfies every clause.
     """
     if not formula.prefix:
-        raise EmptyPrefixError("formula quantifies no variables")
+        raise UnsupportedInputError("formula quantifies no variables")
     names: list[str] = []
     owners: list[Owner] = []
     edges: list[tuple[int, int]] = []
@@ -162,7 +162,7 @@ def qbf_to_game(formula: QBFFormula) -> Game:
 def eval_qbf_bruteforce(formula: QBFFormula, cap: int = 20) -> bool:
     """Decide a formula by quantifier recursion; exponential, capped."""
     if formula.num_vars > cap:
-        raise CapExceededError(
+        raise UnsupportedInputError(
             f"{formula.num_vars} variables exceed the brute-force cap of {cap}"
         )
     values = [False] * (formula.num_vars + 1)

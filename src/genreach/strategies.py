@@ -175,9 +175,12 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
 
     initial: int | dict[int, int]
     if isinstance(raw_initial, dict):
+        per_vertex = raw_initial["per_vertex"]
+        if not isinstance(per_vertex, dict):
+            raise ValueError("per_vertex must map vertex names to states")
         initial = {
             arena.index_of(name): check_state(s)
-            for name, s in raw_initial["per_vertex"].items()
+            for name, s in per_vertex.items()
         }
     else:
         initial = check_state(raw_initial)

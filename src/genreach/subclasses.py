@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .attractor import AttractorResult, attractor, avoid_moves
-from .errors import (
-    ColorTooLargeError,
-    GameParseError,
-    NotOnePlayerError,
-    NotSingletonError,
-)
+from .errors import GameParseError, UnsupportedInputError
 from .fileformat import _parse_cnf_header, _parse_int
 from .model import Arena, Game, Owner, trace_play
 from .scc import strongly_connected_components
@@ -87,7 +82,7 @@ def solve_singleton(game: Game) -> SolveResult:
     objective = game.objective
     for i, members in enumerate(objective.color_sets):
         if len(members) != 1:
-            raise NotSingletonError(
+            raise UnsupportedInputError(
                 f"color {i + 1} has {len(members)} vertices, expected exactly one"
             )
     n = arena.n
@@ -311,12 +306,12 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     objective = game.objective
     for v in range(arena.n):
         if not arena.is_eve(v):
-            raise NotOnePlayerError(
+            raise UnsupportedInputError(
                 f"vertex '{arena.names[v]}' belongs to the opponent"
             )
     for i, members in enumerate(objective.color_sets):
         if len(members) > 2:
-            raise ColorTooLargeError(
+            raise UnsupportedInputError(
                 f"color {i + 1} has {len(members)} vertices, at most two allowed"
             )
     n = arena.n

@@ -13,13 +13,9 @@ PUBLIC_NAMES = [
     "AntichainTable",
     "Arena",
     "AttractorResult",
-    "BadKError",
     "BudgetExceededError",
     "COLOR_OBS",
-    "CapExceededError",
-    "ColorTooLargeError",
     "DEFAULT_COLOR_CAP",
-    "EmptyPrefixError",
     "FULL_CLASS",
     "FiniteMemoryStrategy",
     "FlowerRefutation",
@@ -27,15 +23,8 @@ PUBLIC_NAMES = [
     "GameParseError",
     "GenParams",
     "GenReachError",
-    "InitRequiredError",
-    "InvalidGameError",
     "MemoryStructure",
     "MinMemResult",
-    "NoMissingSubsetError",
-    "NotDownwardClosedError",
-    "NotOnePlayerError",
-    "NotOpponentPlayerError",
-    "NotSingletonError",
     "Objective",
     "Owner",
     "Play",
@@ -44,10 +33,10 @@ PUBLIC_NAMES = [
     "Reason",
     "SimOutcome",
     "SolveResult",
-    "StateCountTooLargeError",
     "StrategyPartialError",
     "TwoSatFormula",
     "TwoSatResult",
+    "UnsupportedInputError",
     "VerifyResult",
     "antichain_table",
     "attractor",
@@ -110,7 +99,7 @@ def public_names():
 
 def test_public_names():
     assert public_names() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 76
+    assert len(PUBLIC_NAMES) == 65
 
 
 def test_defaulted_parameters_of_public_functions():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from genreach import (
-    NotOpponentPlayerError,
     Owner,
+    UnsupportedInputError,
     attractor,
     avoid_moves,
     solve_fpt,
@@ -65,7 +65,7 @@ def test_avoid_moves_rejects_open_complement(demo):
 
 
 def test_solve_opponent_player_rejects_eve_vertices(demo):
-    with pytest.raises(NotOpponentPlayerError, match="vertex 'c' belongs to eve"):
+    with pytest.raises(UnsupportedInputError, match="vertex 'c' belongs to eve"):
         solve_opponent_player(demo)
 
 

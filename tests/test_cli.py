@@ -169,6 +169,48 @@ def test_solve_wrong_method_for_game(capsys, demo_file):
     assert code == 3
 
 
+ALL_EVE_TRIPLE_TEXT = """\
+genreach 1
+colors 1
+vertex a eve 1
+vertex b eve 1
+vertex c eve 1
+edge a b
+edge b c
+edge c a
+init a
+"""
+EVE_STRATEGY = '{"player": "eve", "states": 1, "initial": 0}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "demo.game", "--method", "oneplayer2"], "vertex 'a' belongs to the opponent"),
+        (["solve", "triple.game", "--method", "oneplayer2"], "color 1 has 3 vertices, at most two allowed"),
+        (["qbf", "empty.qdimacs"], "formula quantifies no variables"),
+        (["minmem", "noinit.game", "--player", "eve", "--bound", "1"], "memory search needs a game with init"),
+        (["solve", "noinit.game", "--method", "minimax"], "the minimax oracle needs a game with init"),
+        (["verify", "noinit.game", "eve.json", "--region", "init"], "--region init needs a game with an init vertex"),
+    ],
+)
+def test_unsupported_input_exits_three(capsys, tmp_path, argv, message):
+    inputs = {
+        "demo.game": DEMO_TEXT,
+        "noinit.game": DEMO_TEXT.replace("init c\n", ""),
+        "triple.game": ALL_EVE_TRIPLE_TEXT,
+        "empty.qdimacs": "p cnf 0 0\n",
+        "eve.json": EVE_STRATEGY,
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    argv = [tmp_path / a if a in inputs else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_solve_minimax_budget(capsys, demo_file):
     code, _, err = run(capsys, "solve", demo_file, "--method", "minimax", "--budget", "1")
     assert code == 6
@@ -309,10 +351,15 @@ def test_verify_refutes_bad_strategy(capsys, tmp_path, demo_file):
 
 def test_verify_rejects_malformed_strategy(capsys, tmp_path, demo_file):
     spath = tmp_path / "junk.json"
-    spath.write_text('{"player": "eve"}')
-    code, _, err = run(capsys, "verify", demo_file, spath)
-    assert code == 2
-    assert "bad strategy document" in err
+    for document in (
+        '{"player": "eve"}',
+        '{"player": "eve", "states": 2, "initial": {"per_vertex": [1, 2]}}',
+        '{"player": "eve", "states": 2, "initial": {"per_vertex": "c"}}',
+    ):
+        spath.write_text(document)
+        code, _, err = run(capsys, "verify", demo_file, spath)
+        assert code == 2, document
+        assert "bad strategy document" in err
 
 
 def test_minmem_found(capsys, flower_file):
@@ -341,6 +388,13 @@ def test_minmem_none_within_bound(capsys, flower_file):
     assert report["found"] is False and report["states"] is None
     assert report["refuted"] == 5220
     assert "NONE within 2 states" in err
+
+
+def test_minmem_bound_below_one_is_a_usage_error(capsys, flower_file):
+    code, out, err = run(capsys, "minmem", flower_file, "--player", "eve", "--bound", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the state bound must be at least 1\n"
 
 
 def test_minmem_budget(capsys, flower_file):

@@ -7,9 +7,9 @@ from genreach import (
     Arena,
     Game,
     GameParseError,
-    InvalidGameError,
     Objective,
     Owner,
+    UnsupportedInputError,
     export_dot,
     parse_game,
     serialize_game,
@@ -110,7 +110,7 @@ def test_zero_colors_is_a_valid_game():
 def test_serialize_rejects_unprintable_names():
     broken = Arena(("a b",), (Owner.EVE,), ((0,),))
     game = Game(broken, Objective.from_sets(1, []))
-    with pytest.raises(InvalidGameError, match="not serializable"):
+    with pytest.raises(UnsupportedInputError, match="not serializable"):
         serialize_game(game)
 
 

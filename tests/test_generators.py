@@ -3,9 +3,9 @@
 import pytest
 
 from genreach import (
-    BadKError,
     GenParams,
     Owner,
+    UnsupportedInputError,
     canonical_flower_eve,
     generate,
     validate_arena,
@@ -43,7 +43,7 @@ def test_flower_structure(flower2):
 
 
 def test_flower_needs_a_petal():
-    with pytest.raises(BadKError, match="at least one petal"):
+    with pytest.raises(UnsupportedInputError, match="at least one petal"):
         generate(GenParams("flower", k=0))
 
 
@@ -68,9 +68,9 @@ def test_picker_structure(picker3):
 
 
 def test_picker_rejects_bad_counts():
-    with pytest.raises(BadKError, match="odd color count"):
+    with pytest.raises(UnsupportedInputError, match="odd color count"):
         generate(GenParams("picker", k=4))
-    with pytest.raises(BadKError, match="odd color count"):
+    with pytest.raises(UnsupportedInputError, match="odd color count"):
         generate(GenParams("picker", k=1))
 
 
@@ -91,7 +91,7 @@ def test_fig4_structure(fig44):
 
 
 def test_fig4_rejects_odd_counts():
-    with pytest.raises(BadKError, match="even color count"):
+    with pytest.raises(UnsupportedInputError, match="even color count"):
         generate(GenParams("fig4", k=3))
 
 
@@ -112,7 +112,7 @@ def test_fig5_structure(fig5):
 
 
 def test_fig5_only_accepts_four_colors():
-    with pytest.raises(BadKError, match="exactly 4 colors"):
+    with pytest.raises(UnsupportedInputError, match="exactly 4 colors"):
         generate(GenParams("fig5", k=3))
     assert generate(GenParams("fig5", k=4)).arena.n == 14
 

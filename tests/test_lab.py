@@ -8,12 +8,10 @@ import pytest
 from genreach import (
     BudgetExceededError,
     FiniteMemoryStrategy,
-    InitRequiredError,
-    InvalidGameError,
     MemoryStructure,
     Owner,
     Reason,
-    StateCountTooLargeError,
+    UnsupportedInputError,
     canonical_flower_eve,
     compress_adam,
     flower_adversary,
@@ -76,19 +74,19 @@ def test_simulate_adam_wins_on_repeat(flower2):
 
 def test_simulate_requires_init(flower2):
     headless = dataclasses.replace(flower2, init=None)
-    with pytest.raises(InitRequiredError):
+    with pytest.raises(UnsupportedInputError, match="simulation needs a game with an init vertex"):
         simulate(headless, positional(E), positional(A))
 
 
 def test_simulate_checks_player_order(flower2):
-    with pytest.raises(InvalidGameError, match="Eve strategy then an Adam"):
+    with pytest.raises(UnsupportedInputError, match="Eve strategy then an Adam"):
         simulate(flower2, positional(A), positional(E))
 
 
 def test_simulate_rejects_non_edge_moves(flower2):
     heart = 0
     cheat = positional(A, moves={(heart, 0): heart})  # h has no self-loop
-    with pytest.raises(InvalidGameError, match="not an edge"):
+    with pytest.raises(UnsupportedInputError, match="not an edge"):
         simulate(flower2, canonical_flower_eve(2), cheat)
 
 
@@ -169,7 +167,7 @@ def test_minimax_on_fixtures(flower2, picker3, fig5):
 
 
 def test_minimax_requires_init(flower2):
-    with pytest.raises(InitRequiredError):
+    with pytest.raises(UnsupportedInputError, match="the minimax oracle needs a game with init"):
         minimax_oracle(dataclasses.replace(flower2, init=None))
 
 
@@ -302,7 +300,7 @@ def test_flower_adversary_beats_memoryless_eve(flower2):
 
 
 def test_flower_adversary_rejects_large_machines():
-    with pytest.raises(StateCountTooLargeError, match="below 3"):
+    with pytest.raises(UnsupportedInputError, match="below 3"):
         flower_adversary(2, canonical_flower_eve(2))
 
 

@@ -7,11 +7,10 @@ import pytest
 
 from genreach import (
     Arena,
-    CapExceededError,
     Game,
-    NotDownwardClosedError,
     Objective,
     Owner,
+    UnsupportedInputError,
     antichain_table,
     compress_adam,
     solve_fpt,
@@ -36,7 +35,7 @@ def test_subset_memory_folds_colors(demo):
 
 def test_subset_memory_cap():
     obj = Objective.from_sets(1, [{0} for _ in range(21)])
-    with pytest.raises(CapExceededError, match="21 color sets"):
+    with pytest.raises(UnsupportedInputError, match="21 color sets"):
         subset_memory(obj)
 
 
@@ -88,7 +87,7 @@ def test_solve_fpt_zero_colors(demo):
 
 
 def test_solve_fpt_cap(demo):
-    with pytest.raises(CapExceededError, match="exceed the bitmask cap"):
+    with pytest.raises(UnsupportedInputError, match="exceed the bitmask cap"):
         solve_fpt(demo, cap=1)
 
 
@@ -117,7 +116,7 @@ def test_antichain_table_maximal_masks():
 
 
 def test_antichain_table_rejects_non_closed_region():
-    with pytest.raises(NotDownwardClosedError, match="mask 0b1"):
+    with pytest.raises(UnsupportedInputError, match="mask 0b1"):
         antichain_table([(0, 0b11), (0, 0b01)], k=2, n=1)
 
 
@@ -138,7 +137,7 @@ def test_compress_adam_config_limit():
         [f"v{i}" for i in range(n)], [A] * n, [(i, (i + 1) % n) for i in range(n)]
     )
     game = Game(arena, Objective.from_sets(n, [{c % n} for c in range(k)]))
-    with pytest.raises(CapExceededError, match="above the limit of 4194304"):
+    with pytest.raises(UnsupportedInputError, match="above the limit of 4194304"):
         compress_adam(game)
 
 

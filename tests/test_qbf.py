@@ -6,11 +6,10 @@ import random
 import pytest
 
 from genreach import (
-    CapExceededError,
-    EmptyPrefixError,
     GameParseError,
     Owner,
     QBFFormula,
+    UnsupportedInputError,
     eval_qbf_bruteforce,
     parse_qdimacs,
     qbf_to_game,
@@ -79,7 +78,7 @@ def test_bruteforce_known_values():
 def test_bruteforce_cap():
     prefix = tuple(("e", v) for v in range(1, 6))
     formula = QBFFormula(5, prefix, ((1,),))
-    with pytest.raises(CapExceededError, match="exceed the brute-force cap"):
+    with pytest.raises(UnsupportedInputError, match="exceed the brute-force cap"):
         eval_qbf_bruteforce(formula, cap=4)
 
 
@@ -105,7 +104,7 @@ def test_game_translation_structure():
 
 
 def test_game_translation_rejects_empty_prefix():
-    with pytest.raises(EmptyPrefixError):
+    with pytest.raises(UnsupportedInputError, match="formula quantifies no variables"):
         qbf_to_game(QBFFormula(0, (), ()))
 
 

@@ -7,14 +7,12 @@ from hypothesis import given, strategies as st
 
 from genreach import (
     Arena,
-    ColorTooLargeError,
     Game,
     GameParseError,
-    NotOnePlayerError,
-    NotSingletonError,
     Objective,
     Owner,
     TwoSatFormula,
+    UnsupportedInputError,
     parse_dimacs_cnf2,
     reach_matrix,
     solve_fpt,
@@ -139,7 +137,7 @@ def test_solve_singleton_no_colors():
 
 
 def test_solve_singleton_rejects_wide_colors(demo):
-    with pytest.raises(NotSingletonError, match="color 1 has 2 vertices"):
+    with pytest.raises(UnsupportedInputError, match="color 1 has 2 vertices"):
         solve_singleton(demo)
 
 
@@ -279,7 +277,7 @@ def test_oneplayer2_unsatisfiable_start():
 
 
 def test_oneplayer2_rejects_opponent_vertices(demo):
-    with pytest.raises(NotOnePlayerError, match="vertex 'a' belongs to the opponent"):
+    with pytest.raises(UnsupportedInputError, match="vertex 'a' belongs to the opponent"):
         solve_oneplayer_size2(demo)
 
 
@@ -289,7 +287,7 @@ def test_oneplayer2_rejects_wide_colors():
         [("x", "y"), ("y", "z"), ("z", "x")],
         [{"x", "y", "z"}],
     )
-    with pytest.raises(ColorTooLargeError, match="color 1 has 3 vertices"):
+    with pytest.raises(UnsupportedInputError, match="color 1 has 3 vertices"):
         solve_oneplayer_size2(game)
 
 

@@ -51,13 +51,7 @@ from .model import (
     trace_play,
     validate_arena,
 )
-from .product import (
-    AntichainTable,
-    antichain_table,
-    compress_adam,
-    solve_fpt,
-    subset_memory,
-)
+from .product import compress_adam, solve_fpt, subset_memory
 from .qbf import QBFFormula, eval_qbf_bruteforce, parse_qdimacs, qbf_to_game
 from .strategies import (
     FiniteMemoryStrategy,
@@ -70,11 +64,9 @@ from .strategies import (
     strategy_to_json,
 )
 from .subclasses import (
-    ReachMatrix,
     TwoSatFormula,
     TwoSatResult,
     parse_dimacs_cnf2,
-    reach_matrix,
     solve_oneplayer_size2,
     solve_singleton,
     two_sat_solve,

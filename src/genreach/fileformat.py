@@ -13,8 +13,9 @@ The `colors` line must precede vertex declarations; edges may reference
 vertices declared later.  Parsing rejects anything `validate_arena` would
 flag, so a parsed game is ready for any solver.
 
-The integer token and `p cnf` problem-line readers at the bottom are
-shared with the DIMACS parsers of `qbf` and `subclasses`.
+`_read_dimacs` at the bottom is the one reader of DIMACS CNF and QDIMACS
+text; `qbf.parse_qdimacs` and `subclasses.parse_dimacs_cnf2` build their
+formulas from what it returns.
 """
 
 from __future__ import annotations
@@ -211,20 +212,90 @@ def _parse_int(token: str, lineno: int) -> int:
         raise GameParseError(f"expected an integer, got '{token}'", lineno) from None
 
 
-def _parse_cnf_header(
-    tokens: list[str], lineno: int, seen: bool
-) -> tuple[int, int]:
-    """Variable and clause counts of a DIMACS `p cnf <vars> <clauses>` line;
-    `seen` says whether a problem line came earlier."""
-    if seen:
-        raise GameParseError("duplicate problem line", lineno)
-    if len(tokens) != 4 or tokens[1] != "cnf":
-        raise GameParseError("problem line must be 'p cnf <vars> <clauses>'", lineno)
-    num_vars = _parse_int(tokens[2], lineno)
-    declared = _parse_int(tokens[3], lineno)
-    if num_vars < 0 or declared < 0:
-        raise GameParseError("negative count in problem line", lineno)
-    return num_vars, declared
+def _read_dimacs(
+    text: str,
+) -> tuple[int, list[tuple[int, str, list[int]]], list[tuple[int, ...]], list[int]]:
+    """Read QDIMACS, of which DIMACS CNF is the case with no quantifier lines.
+
+    Lines starting with `c` are comments and a line starting with `%` ends
+    the input.  One `p cnf <vars> <clauses>` line comes first, then `e`/`a`
+    quantifier lines ended by 0, then clauses ended by 0, which may span
+    lines; the clause count must match the problem line.  Returns the
+    variable count, the quantifier blocks as (line, quantifier, variables),
+    the clauses, and the line each clause ends on.
+    """
+    num_vars: int | None = None
+    declared = 0
+    blocks: list[tuple[int, str, list[int]]] = []
+    quantified: set[int] = set()
+    clauses: list[tuple[int, ...]] = []
+    ends: list[int] = []
+    pending: list[int] = []
+    lineno = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        if tokens[0] == "%":
+            break
+        if tokens[0] == "p":
+            if num_vars is not None:
+                raise GameParseError("duplicate problem line", lineno)
+            if len(tokens) != 4 or tokens[1] != "cnf":
+                raise GameParseError(
+                    "problem line must be 'p cnf <vars> <clauses>'", lineno
+                )
+            num_vars = _parse_int(tokens[2], lineno)
+            declared = _parse_int(tokens[3], lineno)
+            if num_vars < 0 or declared < 0:
+                raise GameParseError("negative count in problem line", lineno)
+            continue
+        quantifier = tokens[0] in ("e", "a")
+        if num_vars is None:
+            what = "directive" if quantifier else "clause"
+            raise GameParseError(f"{what} before problem line", lineno)
+        if quantifier:
+            if clauses or pending:
+                raise GameParseError("quantifier block after clauses", lineno)
+            if tokens[-1] != "0":
+                raise GameParseError("quantifier line must end with 0", lineno)
+            block = []
+            for token in tokens[1:-1]:
+                v = _parse_int(token, lineno)
+                if not 1 <= v <= num_vars:
+                    raise GameParseError(
+                        f"variable {v} out of range, {num_vars} declared", lineno
+                    )
+                if v in quantified:
+                    raise GameParseError(f"variable {v} quantified twice", lineno)
+                quantified.add(v)
+                block.append(v)
+            blocks.append((lineno, tokens[0], block))
+            continue
+        for token in tokens:
+            lit = _parse_int(token, lineno)
+            if lit == 0:
+                if not pending:
+                    raise GameParseError("empty clause", lineno)
+                clauses.append(tuple(pending))
+                ends.append(lineno)
+                pending.clear()
+            elif abs(lit) > num_vars:
+                raise GameParseError(
+                    f"literal {lit} out of range, {num_vars} variables declared",
+                    lineno,
+                )
+            else:
+                pending.append(lit)
+    if num_vars is None:
+        raise GameParseError("missing problem line", max(lineno, 1))
+    if pending:
+        raise GameParseError("unterminated clause at end of input", lineno)
+    if len(clauses) != declared:
+        raise GameParseError(
+            f"declared {declared} clauses, found {len(clauses)}", lineno
+        )
+    return num_vars, blocks, clauses, ends
 
 
 def _dot_escape(text: str) -> str:

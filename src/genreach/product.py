@@ -19,7 +19,7 @@ winning strategy compresses further, onto per-vertex antichains of masks
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_, or_
@@ -356,56 +356,12 @@ def _fpt_result(
     )
 
 
-@dataclass(frozen=True)
-class AntichainTable:
-    """Per-vertex maximal masks of Adam's product region, ascending."""
-
-    k: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def p(self) -> int:
-        return max((len(row) for row in self.rows), default=0)
-
-
-def antichain_table(
-    adam_region: Iterable[tuple[int, int]], k: int, n: int
-) -> AntichainTable:
-    """Maximal masks per vertex of a (vertex, mask) region.
-
-    The region must be downward closed in the mask coordinate; anything
-    else is refused.
-    """
-    by_vertex: list[set[int]] = [set() for _ in range(n)]
-    for v, s in adam_region:
-        by_vertex[v].add(s)
-    for v, masks in enumerate(by_vertex):
-        for s in masks:
-            bits = s
-            while bits:
-                low = bits & -bits
-                if s ^ low not in masks:
-                    raise UnsupportedInputError(
-                        f"region holds (vertex {v}, mask {s:#b}) but not"
-                        f" mask {s ^ low:#b}"
-                    )
-                bits ^= low
-    rows = []
-    for masks in by_vertex:
-        maximal: list[int] = []
-        for s in sorted(masks, key=lambda m: (-m.bit_count(), m)):
-            if not any(s | t == t for t in maximal):
-                maximal.append(s)
-        rows.append(tuple(sorted(maximal)))
-    return AntichainTable(k, tuple(rows))
-
-
-def _dense_antichains(game: Game) -> tuple[AntichainTable, list[int]]:
-    """`antichain_table` of Adam's region over every mask, read off the
-    dense kernel, and the kernel's L for Adam's escapes.  With A the
-    masks Adam wins at v, (A & M[i]) >> 2^i holds the masks one color i
-    below a mask of A: A is downward closed when each lies inside A, and
-    its maximal masks are those in none of them."""
+def _dense_antichains(game: Game) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Per vertex, the maximal masks of Adam's region over every mask,
+    ascending, read off the dense kernel, and the kernel's L for Adam's
+    escapes.  With A the masks Adam wins at v, (A & M[i]) >> 2^i holds
+    the masks one color i below a mask of A: A is downward closed when
+    each lies inside A, and its maximal masks are those in none of them."""
     M, steps = _color_steps(game)
     W, L, _ = _dense_win(game, steps)
     ones = (1 << (1 << game.k)) - 1
@@ -419,7 +375,7 @@ def _dense_antichains(game: Game) -> tuple[AntichainTable, list[int]]:
                 f"region holds (vertex {v}, mask {t | 1 << i:#b}) but not mask {t:#b}"
             )
         rows.append(tuple(_bits(lost & ~reduce(or_, below, 0))))
-    return AntichainTable(game.k, tuple(rows)), L
+    return rows, L
 
 
 def compress_adam(game: Game) -> FiniteMemoryStrategy:
@@ -446,8 +402,7 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
             f"full product needs {n << k} configurations, above the limit of {MAX_CONFIGS}"
         )
     mask = game.objective.mask
-    table, L = _dense_antichains(game)
-    rows = table.rows
+    rows, L = _dense_antichains(game)
 
     update: dict[tuple[int, int, int], int] = {}
     moves: dict[tuple[int, int], int] = {}
@@ -472,5 +427,6 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
             if mask[v] | s2 == s2:
                 initial[v] = j
                 break
-    memory = MemoryStructure.from_table(max(1, table.p), initial, update)
+    states = max(1, max(map(len, rows), default=0))
+    memory = MemoryStructure.from_table(states, initial, update)
     return FiniteMemoryStrategy(Owner.ADAM, memory, moves)

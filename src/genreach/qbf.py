@@ -10,8 +10,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import GameParseError, UnsupportedInputError
-from .fileformat import _parse_cnf_header, _parse_int
+from .errors import UnsupportedInputError
+from .fileformat import _read_dimacs
 from .model import Arena, Game, Objective, Owner
 
 QUANT_EXISTS = "e"
@@ -52,65 +52,9 @@ class QBFFormula:
 
 def parse_qdimacs(text: str) -> QBFFormula:
     """Parse QDIMACS; free variables become innermost existentials."""
-    num_vars: int | None = None
-    declared = 0
-    prefix: list[tuple[str, int]] = []
-    quantified: set[int] = set()
-    clauses: list[tuple[int, ...]] = []
-    pending: list[int] = []
-    in_clauses = False
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        if tokens[0] == "p":
-            num_vars, declared = _parse_cnf_header(
-                tokens, lineno, num_vars is not None
-            )
-            continue
-        if num_vars is None:
-            raise GameParseError("directive before problem line", lineno)
-        if tokens[0] in (QUANT_EXISTS, QUANT_FORALL):
-            if in_clauses:
-                raise GameParseError("quantifier block after clauses", lineno)
-            if tokens[-1] != "0":
-                raise GameParseError("quantifier line must end with 0", lineno)
-            for token in tokens[1:-1]:
-                v = _parse_int(token, lineno)
-                if not 1 <= v <= num_vars:
-                    raise GameParseError(
-                        f"variable {v} out of range, {num_vars} declared", lineno
-                    )
-                if v in quantified:
-                    raise GameParseError(f"variable {v} quantified twice", lineno)
-                quantified.add(v)
-                prefix.append((tokens[0], v))
-            continue
-        in_clauses = True
-        for token in tokens:
-            lit = _parse_int(token, lineno)
-            if lit == 0:
-                if not pending:
-                    raise GameParseError("empty clause", lineno)
-                clauses.append(tuple(pending))
-                pending.clear()
-            elif abs(lit) > num_vars:
-                raise GameParseError(
-                    f"literal {lit} references variable {abs(lit)} "
-                    f"with only {num_vars} declared",
-                    lineno,
-                )
-            else:
-                pending.append(lit)
-    if num_vars is None:
-        raise GameParseError("missing problem line", max(lineno, 1))
-    if pending:
-        raise GameParseError("unterminated clause at end of input", lineno)
-    if len(clauses) != declared:
-        raise GameParseError(
-            f"declared {declared} clauses, found {len(clauses)}", lineno
-        )
+    num_vars, blocks, clauses, _ = _read_dimacs(text)
+    prefix = [(quant, v) for _, quant, block in blocks for v in block]
+    quantified = {v for _, v in prefix}
     free = [v for v in range(1, num_vars + 1) if v not in quantified]
     if free:
         warnings.warn(
@@ -128,10 +72,9 @@ def qbf_to_game(formula: QBFFormula) -> Game:
     of two literal vertices, then on to the next choice; a self-looping
     sink ends the pass.  Each clause is a color spread over its literal
     vertices, so a play fulfills the objective iff the chosen valuation
-    satisfies every clause.
+    satisfies every clause.  The empty formula is the lone sink with
+    no colors, which Eve wins.
     """
-    if not formula.prefix:
-        raise UnsupportedInputError("formula quantifies no variables")
     names: list[str] = []
     owners: list[Owner] = []
     edges: list[tuple[int, int]] = []

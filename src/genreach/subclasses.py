@@ -3,19 +3,19 @@
 Two shapes admit fast algorithms: every color set a single vertex (in
 any arena), and color sets of at most two vertices when Eve owns every
 vertex (via a reduction to 2-SAT).  Both revolve around the question
-"can the owner force a visit of w starting from v", captured once in
-ReachMatrix.
+"can the owner force a visit of w starting from v", answered by one
+attractor per distinguished vertex w.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .attractor import AttractorResult, attractor, avoid_moves
 from .errors import GameParseError, UnsupportedInputError
-from .fileformat import _parse_cnf_header, _parse_int
+from .fileformat import _read_dimacs
 from .model import Arena, Game, Owner, trace_play
 from .scc import strongly_connected_components
 from .strategies import (
@@ -24,50 +24,6 @@ from .strategies import (
     SolveResult,
     identity_memory,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class ReachMatrix:
-    """Attractor membership between a set of distinguished vertices.
-
-    `leq(v, w)` holds when Eve can force a visit of w from v; on a
-    one-player arena this degenerates to plain graph reachability.
-    Queries are valid for any v, but w must be one of `vertices`.
-    """
-
-    vertices: tuple[int, ...]
-    results: Mapping[int, AttractorResult]
-
-    def leq(self, v: int, w: int) -> bool:
-        return v in self.results[w].attractor
-
-    def comparable(self, v: int, w: int) -> bool:
-        return self.leq(v, w) or self.leq(w, v)
-
-    def dominance(self, v: int) -> int:
-        """How many distinguished vertices v can force a visit of."""
-        return sum(1 for w in self.vertices if self.leq(v, w))
-
-    def chain(self, items: Iterable[int], first: int | None = None) -> list[int]:
-        """Sort pairwise-comparable vertices so each can reach the next.
-
-        Descending dominance works because equal counts force mutual
-        reachability; `first` breaks ties in favour of a start vertex.
-        """
-        order = sorted(
-            items,
-            key=lambda v: (-self.dominance(v), 0 if v == first else 1, v),
-        )
-        for a, b in zip(order, order[1:]):
-            assert self.leq(a, b), "dominance sort must refine reachability"
-        return order
-
-
-def reach_matrix(arena: Arena, relevant: Iterable[int]) -> ReachMatrix:
-    """One attractor run per distinguished vertex, O(|relevant|*(n+m))."""
-    ordered = tuple(sorted(set(relevant)))
-    results = {w: attractor(arena, [w]) for w in ordered}
-    return ReachMatrix(ordered, results)
 
 
 def solve_singleton(game: Game) -> SolveResult:
@@ -96,23 +52,28 @@ def solve_singleton(game: Game) -> SolveResult:
         )
 
     targets = [min(members) for members in objective.color_sets]
-    matrix = reach_matrix(arena, targets)
+    attr = {t: attractor(arena, [t]) for t in set(targets)}
     for i in range(k):
         for j in range(i + 1, k):
-            if not matrix.comparable(targets[i], targets[j]):
-                return _singleton_adam(game, matrix, targets, i, j)
+            vi, vj = targets[i], targets[j]
+            if vi not in attr[vj].attractor and vj not in attr[vi].attractor:
+                return _singleton_adam(game, attr, targets, i, j)
 
-    # Visit order: most dominant target first, so each target lies in
-    # the attractor of its successor.
-    order = sorted(range(k), key=lambda i: (-matrix.dominance(targets[i]), i))
+    # Visit order: most dominant target first (Eve can force visits of
+    # the most targets from it), so each target lies in the attractor of
+    # its successor.
+    def dominance(v: int) -> int:
+        return sum(v in r.attractor for r in attr.values())
+
+    order = sorted(range(k), key=lambda i: (-dominance(targets[i]), i))
     chain = [targets[i] for i in order]
     for a, b in zip(chain, chain[1:]):
-        assert matrix.leq(a, b), "dominance sort must refine the attractor order"
+        assert a in attr[b].attractor, "dominance sort must refine the attractor order"
 
     region = everyone
     for t in targets:
-        region &= matrix.results[t].attractor
-    assert region == matrix.results[chain[0]].attractor, (
+        region &= attr[t].attractor
+    assert region == attr[chain[0]].attractor, (
         "the first target's attractor must be the intersection"
     )
 
@@ -130,7 +91,7 @@ def solve_singleton(game: Game) -> SolveResult:
         for u in range(n):
             if nxt != state and w in arena.succ[u]:
                 update[(state, u, w)] = nxt
-        for u, step_to in matrix.results[w].moves.items():
+        for u, step_to in attr[w].moves.items():
             moves[(u, state)] = step_to
     initial = {v: advance(0, v) if v == chain[0] else 0 for v in range(n)}
     eve = FiniteMemoryStrategy(
@@ -138,7 +99,7 @@ def solve_singleton(game: Game) -> SolveResult:
     )
 
     adam_moves = {
-        (u, 0): w for u, w in avoid_moves(arena, matrix.results[chain[0]]).items()
+        (u, 0): w for u, w in avoid_moves(arena, attr[chain[0]]).items()
     }
     adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(), adam_moves)
     return SolveResult(
@@ -149,7 +110,11 @@ def solve_singleton(game: Game) -> SolveResult:
 
 
 def _singleton_adam(
-    game: Game, matrix: ReachMatrix, targets: Sequence[int], i: int, j: int
+    game: Game,
+    attr: Mapping[int, AttractorResult],
+    targets: Sequence[int],
+    i: int,
+    j: int,
 ) -> SolveResult:
     """Adam wins everywhere off an incomparable target pair.
 
@@ -167,9 +132,9 @@ def _singleton_adam(
     moves: dict[tuple[int, int], int] = {
         (u, 0): arena.succ[u][0] for u in range(n) if arena.owner[u] is Owner.ADAM
     }
-    for u, w in avoid_moves(arena, matrix.results[vi]).items():
+    for u, w in avoid_moves(arena, attr[vi]).items():
         moves[(u, 0)] = w
-    for u, w in avoid_moves(arena, matrix.results[vj]).items():
+    for u, w in avoid_moves(arena, attr[vj]).items():
         moves[(u, 1)] = w
     update = {
         (0, u, vi): 1 for u in range(n) if vi in arena.succ[u]
@@ -245,52 +210,15 @@ def two_sat_solve(formula: TwoSatFormula) -> TwoSatResult:
 
 def parse_dimacs_cnf2(text: str) -> TwoSatFormula:
     """Parse DIMACS CNF restricted to clauses of width one or two."""
-    num_vars: int | None = None
-    declared = 0
-    clauses: list[tuple[int, int]] = []
-    pending: list[int] = []
-    lineno = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        if tokens[0] == "%":
-            break
-        if tokens[0] == "p":
-            num_vars, declared = _parse_cnf_header(
-                tokens, lineno, num_vars is not None
+    num_vars, blocks, clauses, ends = _read_dimacs(text)
+    if blocks:
+        raise GameParseError("quantifier line in a CNF file", blocks[0][0])
+    for clause, lineno in zip(clauses, ends):
+        if len(clause) > 2:
+            raise GameParseError(
+                f"clause has {len(clause)} literals, at most two allowed", lineno
             )
-            continue
-        if num_vars is None:
-            raise GameParseError("clause before problem line", lineno)
-        for token in tokens:
-            lit = _parse_int(token, lineno)
-            if lit == 0:
-                if not pending:
-                    raise GameParseError("empty clause", lineno)
-                if len(pending) > 2:
-                    raise GameParseError(
-                        f"clause has {len(pending)} literals, at most two allowed",
-                        lineno,
-                    )
-                clauses.append((pending[0], pending[-1]))
-                pending.clear()
-            elif abs(lit) > num_vars:
-                raise GameParseError(
-                    f"literal {lit} out of range, {num_vars} variables declared",
-                    lineno,
-                )
-            else:
-                pending.append(lit)
-    if num_vars is None:
-        raise GameParseError("missing problem line", max(lineno, 1))
-    if pending:
-        raise GameParseError("unterminated clause at end of input", lineno)
-    if len(clauses) != declared:
-        raise GameParseError(
-            f"declared {declared} clauses, found {len(clauses)}", lineno
-        )
-    return TwoSatFormula(num_vars, tuple(clauses))
+    return TwoSatFormula(num_vars, tuple((c[0], c[-1]) for c in clauses))
 
 
 def solve_oneplayer_size2(game: Game) -> SolveResult:
@@ -338,12 +266,13 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     for i, members in enumerate(objective.color_sets):
         occ.extend((i, v) for v in sorted(members))
     nvars = len(occ)
-    matrix = reach_matrix(arena, {v for _, v in occ})
+    reach = {w: attractor(arena, [w]).attractor for w in {v for _, v in occ}}
 
     static: list[tuple[int, int]] = []
     for p in range(nvars):
         for q in range(p + 1, nvars):
-            if not matrix.comparable(occ[p][1], occ[q][1]):
+            vp, vq = occ[p][1], occ[q][1]
+            if vp not in reach[vq] and vq not in reach[vp]:
                 static.append((-(p + 1), -(q + 1)))
     incomparable = len(static)
     var = 1
@@ -360,7 +289,7 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
         units = [
             (-(p + 1), -(p + 1))
             for p in range(nvars)
-            if not matrix.leq(v, occ[p][1])
+            if v not in reach[occ[p][1]]
         ]
         result = two_sat_solve(TwoSatFormula(nvars, tuple(static + units)))
         if result.satisfiable:
@@ -370,7 +299,7 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
 
     witness = None
     if init_assignment is not None:
-        witness = _size2_witness(game, matrix, occ, init_assignment)
+        witness = _size2_witness(game, reach, occ, init_assignment)
     return SolveResult(
         "oneplayer2", frozenset(eve_region), everyone - eve_region,
         witness=witness,
@@ -384,7 +313,7 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
 
 def _size2_witness(
     game: Game,
-    matrix: ReachMatrix,
+    reach: Mapping[int, frozenset[int]],
     occ: Sequence[tuple[int, int]],
     assignment: Sequence[bool],
 ) -> tuple[int, ...]:
@@ -395,7 +324,18 @@ def _size2_witness(
         if assignment[p] and color not in chosen:
             chosen[color] = v
     stops = dict.fromkeys([game.init, *chosen.values()])
-    order = matrix.chain(stops, first=game.init)
+    # Descending dominance chains the stops, since equal counts force
+    # mutual reachability; ties go to the init vertex.
+    order = sorted(
+        stops,
+        key=lambda v: (
+            -sum(v in r for r in reach.values()),
+            0 if v == game.init else 1,
+            v,
+        ),
+    )
+    for a, b in zip(order, order[1:]):
+        assert a in reach[b], "dominance sort must refine reachability"
     assert order[0] == game.init, "witness chain must start at the init vertex"
     path = [order[0]]
     for a, b in zip(order, order[1:]):

@@ -4,6 +4,8 @@ import dataclasses
 import random
 from collections import deque
 
+from typing import Iterable
+
 from genreach import (
     FiniteMemoryStrategy,
     Game,
@@ -11,6 +13,7 @@ from genreach import (
     MemoryStructure,
     Owner,
     Play,
+    UnsupportedInputError,
     generate,
     minimax_oracle,
 )
@@ -104,6 +107,39 @@ def explicit_product(game: Game) -> tuple[dict, dict]:
         if rank[(v, m)] == -1 and arena.owner[v] is Owner.ADAM
     }
     return rank, escape
+
+
+def antichain_table(
+    adam_region: Iterable[tuple[int, int]], n: int
+) -> list[tuple[int, ...]]:
+    """Maximal masks per vertex of a (vertex, mask) region, ascending; an
+    oracle for the antichains `compress_adam` reads off the dense kernel.
+
+    The region must be downward closed in the mask coordinate; anything
+    else is refused.
+    """
+    by_vertex: list[set[int]] = [set() for _ in range(n)]
+    for v, s in adam_region:
+        by_vertex[v].add(s)
+    for v, masks in enumerate(by_vertex):
+        for s in masks:
+            bits = s
+            while bits:
+                low = bits & -bits
+                if s ^ low not in masks:
+                    raise UnsupportedInputError(
+                        f"region holds (vertex {v}, mask {s:#b}) but not"
+                        f" mask {s ^ low:#b}"
+                    )
+                bits ^= low
+    rows = []
+    for masks in by_vertex:
+        maximal: list[int] = []
+        for s in sorted(masks, key=lambda m: (-m.bit_count(), m)):
+            if not any(s | t == t for t in maximal):
+                maximal.append(s)
+        rows.append(tuple(sorted(maximal)))
+    return rows
 
 
 def random_machine(

@@ -10,7 +10,6 @@ import types
 import genreach
 
 PUBLIC_NAMES = [
-    "AntichainTable",
     "Arena",
     "AttractorResult",
     "BudgetExceededError",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = [
     "Owner",
     "Play",
     "QBFFormula",
-    "ReachMatrix",
     "Reason",
     "SimOutcome",
     "SolveResult",
@@ -38,7 +36,6 @@ PUBLIC_NAMES = [
     "TwoSatResult",
     "UnsupportedInputError",
     "VerifyResult",
-    "antichain_table",
     "attractor",
     "avoid_moves",
     "canonical_flower_eve",
@@ -61,7 +58,6 @@ PUBLIC_NAMES = [
     "parse_game",
     "parse_qdimacs",
     "qbf_to_game",
-    "reach_matrix",
     "serialize_game",
     "simulate",
     "solve_fpt",
@@ -99,7 +95,7 @@ def public_names():
 
 def test_public_names():
     assert public_names() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 61
 
 
 def test_defaulted_parameters_of_public_functions():

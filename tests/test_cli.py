@@ -188,7 +188,7 @@ EVE_STRATEGY = '{"player": "eve", "states": 1, "initial": 0}'
     [
         (["solve", "demo.game", "--method", "oneplayer2"], "vertex 'a' belongs to the opponent"),
         (["solve", "triple.game", "--method", "oneplayer2"], "color 1 has 3 vertices, at most two allowed"),
-        (["qbf", "empty.qdimacs"], "formula quantifies no variables"),
+        (["qbf", "two.qdimacs", "--cap", "1"], "2 color sets exceed the bitmask cap of 1"),
         (["minmem", "noinit.game", "--player", "eve", "--bound", "1"], "memory search needs a game with init"),
         (["solve", "noinit.game", "--method", "minimax"], "the minimax oracle needs a game with init"),
         (["verify", "noinit.game", "eve.json", "--region", "init"], "--region init needs a game with an init vertex"),
@@ -199,7 +199,7 @@ def test_unsupported_input_exits_three(capsys, tmp_path, argv, message):
         "demo.game": DEMO_TEXT,
         "noinit.game": DEMO_TEXT.replace("init c\n", ""),
         "triple.game": ALL_EVE_TRIPLE_TEXT,
-        "empty.qdimacs": "p cnf 0 0\n",
+        "two.qdimacs": QBF1_TEXT,
         "eve.json": EVE_STRATEGY,
     }
     for name, text in inputs.items():
@@ -428,3 +428,12 @@ def test_twosat_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "twosat", path)
     assert code == 2
     assert "at most two allowed" in err
+
+
+def test_twosat_refuses_quantifier_lines(capsys, tmp_path):
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 2 1\ne 1 2 0\n1 2 0\n")
+    code, out, err = run(capsys, "twosat", path)
+    assert code == 2
+    assert out == ""
+    assert "line 2: quantifier line in a CNF file" in err

@@ -11,14 +11,13 @@ from genreach import (
     Objective,
     Owner,
     UnsupportedInputError,
-    antichain_table,
     compress_adam,
     solve_fpt,
     subset_memory,
     verify_strategy,
 )
 from genreach.product import _dense_antichains, _solve_dense, _solve_sweep
-from helpers import explicit_product, minimax_region, random_game
+from helpers import antichain_table, explicit_product, minimax_region, random_game
 
 E, A = Owner.EVE, Owner.ADAM
 
@@ -109,15 +108,14 @@ def test_solve_fpt_agrees_with_explicit_product():
 
 def test_antichain_table_maximal_masks():
     region = [(0, 0b00), (0, 0b01), (0, 0b10), (1, 0b00)]
-    table = antichain_table(region, k=2, n=3)
-    assert table.rows == ((0b01, 0b10), (0b00,), ())
-    assert table.p == 2
-    assert table.p <= math.comb(table.k, table.k // 2)
+    rows = antichain_table(region, n=3)
+    assert rows == [(0b01, 0b10), (0b00,), ()]
+    assert max(map(len, rows)) == 2 <= math.comb(2, 1)
 
 
 def test_antichain_table_rejects_non_closed_region():
     with pytest.raises(UnsupportedInputError, match="mask 0b1"):
-        antichain_table([(0, 0b11), (0, 0b01)], k=2, n=1)
+        antichain_table([(0, 0b11), (0, 0b01)], n=1)
 
 
 def test_compress_adam_on_small_antichain(fig5):
@@ -158,17 +156,15 @@ def test_compress_adam_matches_explicit_product(fig5):
     for game in games:
         arena = game.arena
         rank, escape = explicit_product(game)
-        table = antichain_table(
-            (c for c, r in rank.items() if r == -1), game.k, arena.n
-        )
-        assert _dense_antichains(game)[0] == table
+        rows = antichain_table((c for c, r in rank.items() if r == -1), arena.n)
+        assert _dense_antichains(game)[0] == rows
         small = compress_adam(game)
-        assert small.memory.states == max(1, table.p)
+        assert small.memory.states == max(1, *map(len, rows))
         expected = {
             (u, i): escape[(u, s)]
             for u in range(arena.n)
             if arena.owner[u] is A
-            for i, s in enumerate(table.rows[u])
+            for i, s in enumerate(rows[u])
         }
         assert dict(small.moves) == expected
 

@@ -30,6 +30,11 @@ def test_parse_qdimacs():
     assert formula.clauses == ((1, -2), (-2, 3))
 
 
+def test_parse_qdimacs_percent_ends_input():
+    formula = parse_qdimacs(QBF1_TEXT + "%\n0\nnot a clause\n")
+    assert formula == parse_qdimacs(QBF1_TEXT)
+
+
 def test_parse_qdimacs_free_variables_warn():
     text = "p cnf 2 1\na 1 0\n1 2 0\n"
     with pytest.warns(UserWarning, match="treated as innermost existentials"):
@@ -45,7 +50,7 @@ def test_parse_qdimacs_free_variables_warn():
         ("p cnf 1 1\ne 1\n1 0\n", "quantifier line must end with 0"),
         ("p cnf 2 1\ne 1 1 0\n1 0\n", "variable 1 quantified twice"),
         ("p cnf 2 1\ne 1 9 0\n1 0\n", "variable 9 out of range"),
-        ("p cnf 1 1\ne 1 0\n5 0\n", "literal 5 references variable 5"),
+        ("p cnf 1 1\ne 1 0\n5 0\n", "literal 5 out of range, 1 variables declared"),
         ("p cnf 1 2\ne 1 0\n1 0\n", "declared 2 clauses, found 1"),
         ("p cnf 1 1\ne 1 0\n1\n", "unterminated clause"),
         ("", "missing problem line"),
@@ -103,9 +108,12 @@ def test_game_translation_structure():
     assert arena.succ[ix("x3")] == (sink,)
 
 
-def test_game_translation_rejects_empty_prefix():
-    with pytest.raises(UnsupportedInputError, match="formula quantifies no variables"):
-        qbf_to_game(QBFFormula(0, (), ()))
+def test_empty_formula_is_true_on_both_routes():
+    formula = parse_qdimacs("p cnf 0 0\n")
+    game = qbf_to_game(formula)
+    assert game.arena.names == ("s",) and game.k == 0 and game.init == 0
+    assert game_value(formula) is True
+    assert eval_qbf_bruteforce(formula) is True
 
 
 def test_game_route_decides_demo_formula():

@@ -1,6 +1,7 @@
 """Reachability order, the singleton solver, 2-SAT and the one-player solver."""
 
 import itertools
+import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,8 +14,9 @@ from genreach import (
     Owner,
     TwoSatFormula,
     UnsupportedInputError,
+    attractor,
     parse_dimacs_cnf2,
-    reach_matrix,
+    parse_qdimacs,
     solve_fpt,
     solve_oneplayer_size2,
     solve_singleton,
@@ -40,34 +42,28 @@ def eve_game(names, edges, color_sets, init=0, owners=None):
     return Game(arena, objective, init)
 
 
-def test_reach_matrix_orders_a_path():
+def test_attractors_order_a_path():
+    # On a one-player path the attractor of a vertex is everything
+    # upstream of it, so x lies in z's attractor and not the reverse.
     game = eve_game(
         ["w", "x", "y", "z"],
         [("w", "x"), ("x", "y"), ("y", "z"), ("z", "z")],
         [],
     )
-    matrix = reach_matrix(game.arena, [1, 3])
-    assert matrix.leq(0, 1) and matrix.leq(1, 3)
-    assert not matrix.leq(3, 1)
-    assert matrix.comparable(1, 3)
-    assert matrix.dominance(1) == 2 and matrix.dominance(3) == 1
-    assert all(
-        matrix.comparable(v, w) for v, w in itertools.combinations(matrix.vertices, 2)
-    )
-    assert matrix.chain([3, 1]) == [1, 3]
+    x, z = 1, 3
+    assert attractor(game.arena, [x]).attractor == {0, x}
+    assert attractor(game.arena, [z]).attractor == {0, x, 2, z}
 
 
-def test_reach_matrix_reports_incomparable_pair():
+def test_attractors_leave_sibling_sinks_incomparable():
     game = eve_game(
         ["s", "p", "q"],
         [("s", "p"), ("s", "q"), ("p", "p"), ("q", "q")],
         [],
     )
-    matrix = reach_matrix(game.arena, [1, 2])
-    assert matrix.vertices == (1, 2)
-    assert not matrix.comparable(1, 2)
-    with pytest.raises(AssertionError):
-        matrix.chain([1, 2])
+    p, q = 1, 2
+    assert attractor(game.arena, [p]).attractor == {0, p}
+    assert attractor(game.arena, [q]).attractor == {0, q}
 
 
 def test_solve_singleton_total_chain():
@@ -246,6 +242,34 @@ def test_parse_dimacs_line_numbers():
     with pytest.raises(GameParseError) as err:
         parse_dimacs_cnf2("p cnf 1 1\nc fine\n1 1 1 0\n")
     assert str(err.value).startswith("line 3:")
+
+
+@given(st.data())
+def test_cnf_reads_the_same_as_qdimacs(data):
+    # Any width-2 CNF text is also QDIMACS with every variable free; the
+    # two parsers agree on its clauses, the 2-SAT side doubling units.
+    num_vars = data.draw(st.integers(0, 5))
+    lits = st.integers(1, max(num_vars, 1)).flatmap(lambda v: st.sampled_from((v, -v)))
+    width = st.lists(lits, min_size=1, max_size=2)
+    clauses = data.draw(st.lists(width, max_size=8)) if num_vars else []
+    lines = ["c generated", f"p cnf {num_vars} {len(clauses)}", ""]
+    for token in (t for clause in clauses for t in (*clause, 0)):
+        lines[-1] += f" {token}"
+        if data.draw(st.booleans()):
+            lines += ["c between"] * data.draw(st.integers(0, 1)) + [""]
+    if data.draw(st.booleans()):
+        lines += ["%", "0"]
+    text = "\n".join(lines) + "\n"
+
+    cnf = parse_dimacs_cnf2(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        qbf = parse_qdimacs(text)
+    assert cnf.num_vars == qbf.num_vars == num_vars
+    assert qbf.clauses == tuple(map(tuple, clauses))
+    assert cnf.clauses == tuple(
+        (c[0], c[0]) if len(c) == 1 else tuple(c) for c in clauses
+    )
 
 
 def test_oneplayer2_two_member_color():

@@ -271,7 +271,7 @@ def cmd_gen(args) -> int:
     )
     try:
         game = generate(params)
-    except ValueError as exc:
+    except (ValueError, UnsupportedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = serialize_game(game)

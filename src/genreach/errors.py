@@ -19,7 +19,8 @@ class GameParseError(GenReachError):
 
 class UnsupportedInputError(GenReachError):
     """Well-formed input the chosen routine refuses: a game outside its
-    subclass, a cap exceeded, a missing init vertex, a bad family size."""
+    subclass, a cap exceeded, a missing init vertex, a bad family size,
+    a strategy's move along a non-edge."""
 
 
 class BudgetExceededError(GenReachError):

@@ -53,12 +53,10 @@ def parse_game(text: str) -> Game:
             continue
         keyword = tokens[0]
         if keyword == "colors":
+            # A vertex needs colors first, so this also catches colors
+            # after a vertex.
             if k is not None:
                 raise GameParseError("duplicate colors declaration", lineno)
-            if names:
-                raise GameParseError(
-                    "colors must be declared before any vertex", lineno
-                )
             if len(tokens) != 2:
                 raise GameParseError("colors takes exactly one count", lineno)
             k = _parse_int(tokens[1], lineno)
@@ -206,10 +204,10 @@ def export_dot(game: Game, result=None) -> str:
 
 
 def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GameParseError(f"expected an integer, got '{token}'", lineno) from None
+    # An optional '-' then ASCII digits: int() also takes '+1' and '1_0'.
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise GameParseError(f"expected an integer, got '{token}'", lineno)
+    return int(token)
 
 
 def _read_dimacs(

@@ -46,40 +46,27 @@ def simulate(
     if sigma.player is not Owner.EVE or tau.player is not Owner.ADAM:
         raise UnsupportedInputError("simulate takes an Eve strategy then an Adam one")
     arena = game.arena
-    full = game.objective.full_mask
-    v = game.init
-    ss = sigma.memory.initial_state(v)
-    ts = tau.memory.initial_state(v)
-    mask = game.colors(v)
-    vertices = [v]
-    if mask == full:
-        return SimOutcome(Owner.EVE, trace_play(game, vertices), 0, Reason.ALL_COLORS)
-    seen = {(v, ss, ts, mask)}
-    steps = 0
-    while True:
-        mover = sigma if arena.is_eve(v) else tau
-        w = mover.move(arena, v, ss if mover is sigma else ts)
-        if w not in arena.succ[v]:
-            raise UnsupportedInputError(
-                f"strategy moved along ({arena.names[v]}, {arena.names[w]}),"
-                " which is not an edge"
-            )
-        ss = sigma.memory.step(ss, v, w)
-        ts = tau.memory.step(ts, v, w)
-        mask |= game.colors(w)
-        v = w
-        vertices.append(v)
-        steps += 1
-        if mask == full:
-            return SimOutcome(
-                Owner.EVE, trace_play(game, vertices), steps, Reason.ALL_COLORS
-            )
-        config = (v, ss, ts, mask)
-        if config in seen:
-            return SimOutcome(
-                Owner.ADAM, trace_play(game, vertices), steps, Reason.STATE_REPEAT
-            )
-        seen.add(config)
+    v0 = game.init
+    start = (sigma.memory.initial_state(v0), tau.memory.initial_state(v0))
+
+    def moves(v, pair):
+        if arena.is_eve(v):
+            return (sigma.move(arena, v, pair[0]),)
+        return (tau.move(arena, v, pair[1]),)
+
+    def step(pair, v, w):
+        return sigma.memory.step(pair[0], v, w), tau.memory.step(pair[1], v, w)
+
+    walk = _explore(game, [(v0, start)], moves, step)
+    _, rows, _, full_id = walk
+    if full_id >= 0:
+        winner, reason, end = Owner.EVE, Reason.ALL_COLORS, full_id
+    else:
+        # Both moves are fixed, so the walk is one path whose last row
+        # points back at the configuration that repeats.
+        winner, reason, end = Owner.ADAM, Reason.STATE_REPEAT, rows[-1][0]
+    play = _lasso(game, walk, end)
+    return SimOutcome(winner, play, len(play.vertices) - 1, reason)
 
 
 @dataclass(frozen=True)
@@ -108,78 +95,80 @@ def verify_strategy(
     full-mask configuration is reachable.
     """
     arena = game.arena
-    full = game.objective.full_mask
-    claimed = sorted(set(claimed_region))
+    memory = strategy.memory
+    starts = [(v, memory.initial_state(v)) for v in sorted(set(claimed_region))]
 
-    starts: dict[tuple[int, int, int], int] = {}
-    for v in claimed:
-        cfg = (v, strategy.memory.initial_state(v), game.colors(v))
-        starts.setdefault(cfg, v)
-    succ: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    parent: dict[tuple[int, int, int], tuple[int, int, int] | None] = {
-        cfg: None for cfg in starts
-    }
-    queue = deque(starts)
-    full_hit = None
-    while queue:
-        cfg = queue.popleft()
-        v, state, mask = cfg
-        if mask == full:
-            if full_hit is None:
-                full_hit = cfg
-            continue
+    def moves(v, state):
         if arena.owner[v] is strategy.player:
-            targets = [strategy.move(arena, v, state)]
-        else:
-            targets = arena.succ[v]
-        row = []
-        for w in targets:
-            nxt = (w, strategy.memory.step(state, v, w), mask | game.colors(w))
-            row.append(nxt)
-            if nxt not in parent:
-                parent[nxt] = cfg
-                queue.append(nxt)
-        succ[cfg] = row
-    states_used = frozenset(state for _, state, _ in parent)
+            return (strategy.move(arena, v, state),)
+        return arena.succ[v]
 
-    def path_to(cfg) -> list[tuple[int, int, int]]:
-        chain = [cfg]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])
-        return chain[::-1]
-
-    if strategy.player is Owner.ADAM:
-        if full_hit is None:
-            return VerifyResult(True, None, None, states_used)
-        chain = path_to(full_hit)
-        play = trace_play(game, [c[0] for c in chain])
-        return VerifyResult(False, chain[0][0], play, states_used)
-
-    # Eve: look for a reachable cycle that never completes the colors.
-    nodes = list(succ)
-    index = {cfg: i for i, cfg in enumerate(nodes)}
-    graph = [
-        [index[w] for w in succ[cfg] if w[2] != full] for cfg in nodes
-    ]
-    entry = _has_cycle(graph)
-    if entry < 0:
+    walk = _explore(game, starts, moves, memory.step)
+    configs, rows, _, full_id = walk
+    states_used = frozenset(state for _, state, _ in configs)
+    # Full-mask rows are empty, so a cycle is a play missing a color.
+    bad = full_id if strategy.player is Owner.ADAM else _has_cycle(rows)
+    if bad < 0:
         return VerifyResult(True, None, None, states_used)
-    # One lap around the cycle: a breadth-first walk from the entry node
-    # back to itself over the same rows, read off backwards.
+    play = _lasso(game, walk, bad)
+    return VerifyResult(False, play.vertices[0], play, states_used)
+
+
+def _explore(game, starts, moves, step):
+    """Breadth-first walk over configurations (vertex, memory state,
+    visited mask) from the (vertex, state) pairs `starts`, following the
+    successors `moves(v, state)` with memory `step(state, v, w)`.
+
+    Returns the configurations in discovery order, each one's successor
+    ids (none at the full mask), each one's parent id (-1 at a start) and
+    the first full-mask id (-1 if none).
+    """
+    mask_of = game.objective.mask
+    full = game.objective.full_mask
+    configs = list(dict.fromkeys((v, state, mask_of[v]) for v, state in starts))
+    index = {cfg: i for i, cfg in enumerate(configs)}
+    parent = [-1] * len(configs)
+    rows: list[list[int]] = []
+    # The loop reaches the configurations it appends: they are the queue.
+    for i, (v, state, mask) in enumerate(configs):
+        row = []
+        if mask != full:
+            for w in moves(v, state):
+                cfg = (w, step(state, v, w), mask | mask_of[w])
+                j = index.get(cfg)
+                if j is None:
+                    j = index[cfg] = len(configs)
+                    configs.append(cfg)
+                    parent.append(i)
+                row.append(j)
+        rows.append(row)
+    full_id = next((i for i, cfg in enumerate(configs) if cfg[2] == full), -1)
+    return configs, rows, parent, full_id
+
+
+def _lasso(game, walk, end) -> Play:
+    """The walk's play from a start to configuration `end`, plus one lap
+    back to `end` when it lies on a cycle."""
+    configs, rows, parent, _ = walk
+    chain = [end]
+    while parent[chain[-1]] >= 0:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    # A breadth-first walk from `end` back to itself, read off backwards.
     back: dict[int, int] = {}
-    todo = deque([entry])
-    while entry not in back:
+    todo = deque([end])
+    while todo and end not in back:
         i = todo.popleft()
-        for j in graph[i]:
+        for j in rows[i]:
             if j not in back:
                 back[j] = i
                 todo.append(j)
-    lap = [entry]
-    while back[lap[-1]] != entry:
-        lap.append(back[lap[-1]])
-    chain = path_to(nodes[entry]) + [nodes[i] for i in reversed(lap)]
-    play = trace_play(game, [c[0] for c in chain])
-    return VerifyResult(False, chain[0][0], play, states_used)
+    if end in back:
+        lap = [end]
+        while back[lap[-1]] != end:
+            lap.append(back[lap[-1]])
+        chain.extend(reversed(lap))
+    return trace_play(game, [configs[i][0] for i in chain])
 
 
 def minimax_oracle(game: Game, budget: int | None = None) -> Owner:

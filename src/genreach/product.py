@@ -38,19 +38,13 @@ from .strategies import (
 MAX_CONFIGS = 1 << 22
 
 
-def subset_memory(
-    objective: Objective, cap: int = DEFAULT_COLOR_CAP
-) -> MemoryStructure:
+def subset_memory(objective: Objective) -> MemoryStructure:
     """Memory whose state is the bitmask of color sets visited so far.
 
     The state after an edge folds in the target vertex's colors.  The
     initial state is the start vertex's own colors, per vertex, so the
     same structure serves plays from anywhere.
     """
-    if objective.k > cap:
-        raise UnsupportedInputError(
-            f"{objective.k} color sets exceed the bitmask cap of {cap}"
-        )
     mask = objective.mask
     initial = {v: mask[v] for v in range(len(mask))}
     return MemoryStructure(1 << objective.k, initial, lambda s, u, w: s | mask[w])
@@ -338,7 +332,7 @@ def _fpt_result(
     eve_initial = {v: idx.get(vm[v], 0) for v in sorted(eve_region)}
     eve_mem = MemoryStructure(len(idx), eve_initial, eve_update)
     initial = {v: vm[v] for v in sorted(adam_region)}
-    mem = replace(subset_memory(game.objective, cap=game.k), initial=initial)
+    mem = replace(subset_memory(game.objective), initial=initial)
     return SolveResult(
         method="fpt",
         eve_region=eve_region,

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from .errors import StrategyPartialError
+from .errors import StrategyPartialError, UnsupportedInputError
 from .model import Arena, Owner
 
 
@@ -66,7 +66,8 @@ class FiniteMemoryStrategy:
     `move` plays the held move, else the only successor, and otherwise
     raises: a strategy answers only where it has a move.  Solver
     strategies start only on their own player's winning region, where
-    every position a play can reach holds one.
+    every position a play can reach holds one.  A held move that is not
+    an edge of the arena raises `UnsupportedInputError`.
     """
 
     player: Owner
@@ -76,6 +77,11 @@ class FiniteMemoryStrategy:
     def move(self, arena: Arena, v: int, state: int) -> int:
         target = self.moves.get((v, state))
         if target is not None:
+            if target not in arena.succ[v]:
+                raise UnsupportedInputError(
+                    f"strategy moved along ({arena.names[v]}, {arena.names[target]}),"
+                    " which is not an edge"
+                )
             return target
         succ = arena.succ[v]
         if len(succ) == 1:

@@ -9,14 +9,13 @@ attractor per distinguished vertex w.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .attractor import AttractorResult, attractor, avoid_moves
 from .errors import GameParseError, UnsupportedInputError
 from .fileformat import _read_dimacs
-from .model import Arena, Game, Owner, trace_play
+from .model import Game, Owner, trace_play
 from .scc import strongly_connected_components
 from .strategies import (
     FiniteMemoryStrategy,
@@ -266,7 +265,8 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     for i, members in enumerate(objective.color_sets):
         occ.extend((i, v) for v in sorted(members))
     nvars = len(occ)
-    reach = {w: attractor(arena, [w]).attractor for w in {v for _, v in occ}}
+    attr = {w: attractor(arena, [w]) for w in {v for _, v in occ}}
+    reach = {w: r.attractor for w, r in attr.items()}
 
     static: list[tuple[int, int]] = []
     for p in range(nvars):
@@ -299,7 +299,7 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
 
     witness = None
     if init_assignment is not None:
-        witness = _size2_witness(game, reach, occ, init_assignment)
+        witness = _size2_witness(game, attr, occ, init_assignment)
     return SolveResult(
         "oneplayer2", frozenset(eve_region), everyone - eve_region,
         witness=witness,
@@ -313,11 +313,15 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
 
 def _size2_witness(
     game: Game,
-    reach: Mapping[int, frozenset[int]],
+    attr: Mapping[int, AttractorResult],
     occ: Sequence[tuple[int, int]],
     assignment: Sequence[bool],
 ) -> tuple[int, ...]:
-    """Chain one chosen vertex per color into a play visiting them all."""
+    """Chain one chosen vertex per color into a play visiting them all.
+
+    Each leg follows the next stop's attractor moves; every vertex is
+    Eve's, so ranks are distances and each leg is a shortest path.
+    """
     arena = game.arena
     chosen: dict[int, int] = {}
     for p, (color, v) in enumerate(occ):
@@ -329,17 +333,18 @@ def _size2_witness(
     order = sorted(
         stops,
         key=lambda v: (
-            -sum(v in r for r in reach.values()),
+            -sum(v in r.attractor for r in attr.values()),
             0 if v == game.init else 1,
             v,
         ),
     )
     for a, b in zip(order, order[1:]):
-        assert a in reach[b], "dominance sort must refine reachability"
+        assert a in attr[b].attractor, "dominance sort must refine reachability"
     assert order[0] == game.init, "witness chain must start at the init vertex"
     path = [order[0]]
-    for a, b in zip(order, order[1:]):
-        path.extend(_shortest_path(arena, a, b)[1:])
+    for b in order[1:]:
+        while path[-1] != b:
+            path.append(attr[b].moves[path[-1]])
     play = trace_play(game, path)
     assert play.masks[-1] == game.objective.full_mask, (
         "witness play must collect every color"
@@ -347,22 +352,3 @@ def _size2_witness(
     assert len(path) - 1 <= arena.n * game.objective.k
     return tuple(path)
 
-
-def _shortest_path(arena: Arena, src: int, dst: int) -> list[int]:
-    if src == dst:
-        return [src]
-    parent = {src: -1}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in arena.succ[u]:
-            if w not in parent:
-                parent[w] = u
-                if w == dst:
-                    path = [w]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(w)
-    raise AssertionError(f"no path from {src} to {dst}")

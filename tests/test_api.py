@@ -81,7 +81,6 @@ DEFAULTED_PARAMETERS = {
     "minimax_oracle": ["budget"],
     "solve_fpt": ["cap"],
     "strategy_to_json": ["start"],
-    "subset_memory": ["cap"],
 }
 
 
@@ -111,4 +110,4 @@ def test_defaulted_parameters_of_public_functions():
             if defaulted:
                 found[name] = defaulted
     assert found == DEFAULTED_PARAMETERS
-    assert sum(map(len, found.values())) == 9
+    assert sum(map(len, found.values())) == 8

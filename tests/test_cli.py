@@ -217,17 +217,66 @@ def test_solve_minimax_budget(capsys, demo_file):
     assert "exceeded 1 nodes" in err
 
 
-def test_solve_auto_dispatch(capsys, tmp_path):
-    game = generate(
-        GenParams(
-            "random", n=6, k=2, density=0.4, eve_ratio=0.0, color_size=(2, 2), seed=4
-        )
-    )
-    path = tmp_path / "adamonly.game"
-    path.write_text(serialize_game(game))
+ONEPLAYER2_TEXT = """\
+genreach 1
+colors 2
+vertex s eve
+vertex x eve 1
+vertex y eve 1 2
+vertex z eve 2
+edge s x
+edge s z
+edge x y
+edge y y
+edge z z
+init s
+"""
+ADAM_ONLY = GenParams(
+    "random", n=6, k=2, density=0.4, eve_ratio=0.0, color_size=(2, 2), seed=4
+)
+
+
+@pytest.mark.parametrize(
+    "text, method, witness",
+    [
+        (serialize_game(generate(ADAM_ONLY)), "opponent", None),
+        (DEMO_TEXT.replace("vertex a adam 1", "vertex a adam"), "singleton", None),
+        # z is incomparable with x and y, so color 2 is y's and the
+        # witness walks s, x, y.
+        (ONEPLAYER2_TEXT, "oneplayer2", ["s", "x", "y"]),
+    ],
+    ids=["opponent", "singleton", "oneplayer2"],
+)
+def test_solve_auto_dispatch(capsys, tmp_path, text, method, witness):
+    path = tmp_path / "g.game"
+    path.write_text(text)
     code, out, _ = run(capsys, "solve", path, "--json")
     assert code == 0
-    assert json.loads(out)["method"] == "opponent"
+    report = json.loads(out)
+    assert report["method"] == method
+    assert report.get("witness") == witness
+
+
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        ("solve", DEMO_TEXT.replace("colors 2", "colors \u0661"), "line 2: expected an integer, got '\u0661'"),
+        ("solve", DEMO_TEXT.replace("colors 2", "colors +2"), "line 2: expected an integer, got '+2'"),
+        ("solve", DEMO_TEXT.replace("vertex d adam 2", "vertex d adam 0_2"), "line 6: expected an integer, got '0_2'"),
+        ("twosat", "p cnf 1_0 1\n1 0\n", "line 1: expected an integer, got '1_0'"),
+        ("twosat", "p cnf 1 1\n+1 0\n", "line 2: expected an integer, got '+1'"),
+        ("qbf", "p cnf 1 1\ne \u0661 0\n1 0\n", "line 2: expected an integer, got '\u0661'"),
+    ],
+    ids=["game-arabic-digit", "game-plus", "game-underscore", "cnf-underscore", "cnf-plus", "qdimacs-arabic-digit"],
+)
+def test_integers_are_ascii_digits(capsys, tmp_path, command, text, where):
+    # Python's int() would read each of these tokens as a number.
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert where in err
 
 
 def test_qbf_both_routes(capsys, tmp_path):
@@ -284,10 +333,21 @@ def test_gen_fig5_takes_no_k(capsys):
     capsys.readouterr()
 
 
-def test_gen_bad_family_count(capsys):
-    code, _, err = run(capsys, "gen", "picker", "--k", "4")
-    assert code == 3
-    assert "odd color count" in err
+@pytest.mark.parametrize(
+    "family, k, message",
+    [
+        ("picker", 4, "the picker needs an odd color count of at least 3"),
+        ("flower", 0, "the flower needs at least one petal"),
+        ("fig4", 3, "the two-part arena needs an even color count of at least 2"),
+    ],
+)
+def test_gen_bad_family_count(capsys, family, k, message):
+    # A family size the generator does not build is a bad command-line
+    # value, like `gen random --density 1.5`.
+    code, out, err = run(capsys, "gen", family, "--k", k)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_gen_bad_parameter_value(capsys):

@@ -58,6 +58,13 @@ def test_serialize_round_trip_random(seed):
         (("init c", "init zz"), "unknown vertex name 'zz'"),
         (("init c", "init c\ninit a"), "duplicate init"),
         (("edge d d", "edge d d\nnoise 1 2"), "unknown directive 'noise'"),
+        (("colors 2", "colors 2\ncolors 2"), "line 3: duplicate colors declaration"),
+        (("edge c a", "colors 2\nedge c a"), "line 7: duplicate colors declaration"),
+        (("vertex b eve 1", "vertex b eve 1 1"), "line 5: repeated color 1"),
+        (("colors 2", "colors 2 3"), "line 2: colors takes exactly one count"),
+        (("vertex d adam 2", "vertex d"), "line 6: vertex needs a name and an owner"),
+        (("edge c a", "edge c a b"), "line 7: edge takes exactly two vertex names"),
+        (("init c", "init c a"), "line 15: init takes exactly one vertex name"),
     ],
 )
 def test_parse_errors(mutation, message):

@@ -147,6 +147,39 @@ def test_verify_eve_counterexamples_are_lassos_on_random_machines():
     assert refuted >= 30
 
 
+def test_verify_refuses_eve_moves_along_non_edges():
+    # Eve loses from a (its only edge leads to the colorless loop at c);
+    # the machine's a -> b would take the colored loop, but is no edge.
+    from genreach import Arena, Game, Objective
+
+    arena = Arena.from_edges(["a", "b", "c"], [E, E, E], [(0, 2), (1, 1), (2, 2)])
+    game = Game(arena, Objective.from_sets(3, [[1]]), init=0)
+    cheat = positional(E, moves={(0, 0): 1})
+    message = r"^strategy moved along \(a, b\), which is not an edge$"
+    with pytest.raises(UnsupportedInputError, match=message):
+        verify_strategy(game, cheat, [0])
+
+
+def test_simulate_never_contradicts_verify():
+    # A machine that verifies from init wins every play against any
+    # opponent machine, so simulation must agree with it.
+    checked = {E: 0, A: 0}
+    for seed in range(60):
+        rng = random.Random(seed)
+        game = random_game(seed, n=3 + seed % 6, k=1 + seed % 3, density=0.4)
+        for player in (E, A):
+            machine = random_machine(game, player, rng.randrange(1, 4), rng)
+            if not verify_strategy(game, machine, [game.init]).winning:
+                continue
+            for _ in range(5):
+                rival = A if player is E else E
+                other = random_machine(game, rival, rng.randrange(1, 4), rng)
+                sigma, tau = (machine, other) if player is E else (other, machine)
+                assert simulate(game, sigma, tau).winner is player
+                checked[player] += 1
+    assert min(checked.values()) >= 30
+
+
 def test_verify_adam_strategy_on_his_region(fig5):
     small = compress_adam(fig5)
     check = verify_strategy(fig5, small, range(fig5.arena.n))

@@ -32,12 +32,6 @@ def test_subset_memory_folds_colors(demo):
     assert mem.step(3, 3, 3) == 3
 
 
-def test_subset_memory_cap():
-    obj = Objective.from_sets(1, [{0} for _ in range(21)])
-    with pytest.raises(UnsupportedInputError, match="21 color sets"):
-        subset_memory(obj)
-
-
 def test_solve_fpt_on_demo(demo):
     result = solve_fpt(demo)
     ix = demo.arena.index_of
@@ -136,6 +130,16 @@ def test_compress_adam_config_limit():
     )
     game = Game(arena, Objective.from_sets(n, [{c % n} for c in range(k)]))
     with pytest.raises(UnsupportedInputError, match="above the limit of 4194304"):
+        compress_adam(game)
+
+
+def test_compress_adam_color_cap():
+    # 21 colors on one self-looping vertex: refused on k alone.
+    arena = Arena(("v",), (A,), ((0,),))
+    game = Game(arena, Objective.from_sets(1, [{0}] * 21))
+    with pytest.raises(
+        UnsupportedInputError, match="^21 color sets exceed the bitmask cap of 20$"
+    ):
         compress_adam(game)
 
 

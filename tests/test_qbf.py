@@ -54,6 +54,7 @@ def test_parse_qdimacs_free_variables_warn():
         ("p cnf 1 2\ne 1 0\n1 0\n", "declared 2 clauses, found 1"),
         ("p cnf 1 1\ne 1 0\n1\n", "unterminated clause"),
         ("", "missing problem line"),
+        ("p cnf -1 0\n", "line 1: negative count in problem line"),
     ],
 )
 def test_parse_qdimacs_errors(text, message):

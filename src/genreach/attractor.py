@@ -1,15 +1,15 @@
 """Eve's attractor and the solver that is pure attractor work.
 
 The attractor of a target set is everything from which Eve can force the
-token into the set.  It is computed backwards with per-vertex successor
-counters, touching every edge at most once.  Ranks record how many steps
-the forcing needs; they drive positional move extraction (step to any
-successor of strictly smaller rank).
+token into the set.  `_attract` computes it backwards with per-vertex
+successor counters, touching every edge at most once; the level sweep of
+`product.solve_fpt` runs the same kernel once per mask.  Ranks record how
+many steps the forcing needs; they drive positional move extraction (step
+to any successor of strictly smaller rank).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -38,34 +38,40 @@ def _pred_lists(arena: Arena) -> list[list[int]]:
     return pred
 
 
+def _attract(pred: list[list[int]], need: list[int], won: list[int]) -> tuple[dict[int, int], int]:
+    """Grow `won`, the won vertices in the order won, which is also the
+    FIFO queue.  `need[u]` counts the won successors u still lacks: 1 at
+    an Eve vertex, the successor count at an Adam one, 0 once won or out
+    of play, negative when u can never be won (still relaxed, never won).
+    Returns the successor that completed each vertex won here, and the
+    relaxation count.  FIFO order wins vertices by non-decreasing rank."""
+    via: dict[int, int] = {}
+    ops = 0
+    i = 0
+    while i < len(won):
+        w = won[i]
+        i += 1
+        for u in pred[w]:
+            if need[u]:
+                ops += 1
+                need[u] -= 1
+                if not need[u]:
+                    via[u] = w
+                    won.append(u)
+    return via, ops
+
+
 def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
     n = arena.n
-    rank: list[int | None] = [None] * n
-    counter = [len(arena.succ[v]) for v in range(n)]
-    pred = _pred_lists(arena)
     eve = [o is Owner.EVE for o in arena.owner]
-    queue = deque()
-    for t in sorted(set(targets)):
-        rank[t] = 0
-        queue.append(t)
-    ops = 0
-    # FIFO order pops vertices by non-decreasing rank, so the popped
-    # neighbor below is a minimum-rank successor (Eve's case) or the
-    # maximum-rank one (Adam's counter case).
-    while queue:
-        v = queue.popleft()
-        for u in pred[v]:
-            if rank[u] is not None:
-                continue
-            ops += 1
-            if eve[u]:
-                rank[u] = rank[v] + 1
-                queue.append(u)
-            else:
-                counter[u] -= 1
-                if counter[u] == 0:
-                    rank[u] = rank[v] + 1
-                    queue.append(u)
+    need = [1 if eve[v] else len(arena.succ[v]) for v in range(n)]
+    won = sorted(set(targets))
+    for t in won:
+        need[t] = 0
+    via, ops = _attract(_pred_lists(arena), need, won)
+    rank: list[int | None] = [None] * n
+    for u in won:
+        rank[u] = rank[via[u]] + 1 if u in via else 0
 
     moves: dict[int, int] = {}
     for u in range(n):
@@ -77,8 +83,7 @@ def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
             if rw is not None and rw < ru:
                 moves[u] = w
                 break
-    inside = frozenset(v for v in range(n) if rank[v] is not None)
-    return AttractorResult(inside, tuple(rank), moves, ops)
+    return AttractorResult(frozenset(won), tuple(rank), moves, ops)
 
 
 def avoid_moves(arena: Arena, result: AttractorResult) -> dict[int, int]:

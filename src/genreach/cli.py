@@ -177,6 +177,9 @@ def cmd_solve(args) -> int:
     result = _solve_game(game, args.method, args.cap, args.budget)
     seconds = time.perf_counter() - started
     if args.dot:
+        if result.method == "minimax":  # the oracle decides init alone: fill only init
+            init = {game.init}
+            result = SolveResult("minimax", result.eve_region & init, result.adam_region & init)
         print(export_dot(game, result))
         return EXIT_OK
     payload = _solve_payload(game, result, args.emit_strategies)
@@ -192,7 +195,8 @@ def cmd_solve(args) -> int:
 
 def _solve_batch(args, directory: Path) -> int:
     if args.dot:
-        raise GameParseError("--dot cannot render a directory")
+        print("error: --dot cannot render a directory", file=sys.stderr)
+        return EXIT_USAGE
     reports = []
     summaries = []
     code = EXIT_OK

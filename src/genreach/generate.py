@@ -233,6 +233,8 @@ def gen_random(params: GenParams) -> Game:
         raise ValueError("negative color count")
     if not 0.0 <= params.density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
+    if not 0.0 <= params.eve_ratio <= 1.0:
+        raise ValueError("eve ratio must lie in [0, 1]")
     lo, hi = params.color_size
     if not 1 <= lo <= hi:
         raise ValueError("color size bounds must satisfy 1 <= lo <= hi")

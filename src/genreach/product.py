@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_, or_
 
-from .attractor import _pred_lists
+from .attractor import _attract, _pred_lists
 from .errors import UnsupportedInputError
 from .model import DEFAULT_COLOR_CAP, Game, Objective, Owner
 from .strategies import (
@@ -209,7 +209,8 @@ def _solve_sweep(game: Game) -> SolveResult:
     then a sweep over the levels in descending popcount order.  A jump,
     an edge that adds colors, lands in a larger mask, so it lands in a
     level already solved; a level's vertices carry only colors its mask
-    holds, so each level is a plain attractor pass over the base arena.
+    holds, so each level is one pass of `attractor`'s kernel, `_attract`,
+    over the base arena.
     """
     t0 = time.perf_counter()
     arena = game.arena
@@ -253,56 +254,39 @@ def _solve_sweep(game: Game) -> SolveResult:
     eve_moves: dict[tuple[int, int], int] = {}
     ops = 0
     for s, vs in reversed(levels):
-        wrow = win[s] = bytearray(n)
-        if s == full:
+        won = vs  # the full level is won outright
+        if s != full:
+            si, need, won = idx[s], [0] * n, []
+            # Fold in the jumps, then attract within the level.  An Eve
+            # configuration wins outright on a winning jump; an Adam one
+            # with a losing jump never wins (need -1), and one whose every
+            # successor jumps to a win is won before the kernel starts.
             for v in vs:
-                wrow[v] = 1
-            continue
-        si, lrow, rem, q = idx[s], live[s], [0] * n, []
-        # Fold in the jumps first.  An Eve configuration wins outright on
-        # a winning jump; an Adam one with a losing jump never wins
-        # (sentinel -1), and one whose every successor jumps to a win
-        # loses Adam the level before the in-level pass even starts.
-        for v in vs:
-            if eve[v]:
-                for w in succ[v]:
-                    s2 = s | vm[w]
-                    if s2 != s and win[s2][w]:
-                        wrow[v] = 1
-                        eve_moves[(v, si)] = w
-                        q.append(v)
-                        break
-            else:
-                r = 0
-                for w in succ[v]:
-                    s2 = s | vm[w]
-                    if s2 == s:
-                        r += 1
-                    elif not win[s2][w]:
-                        r = -1
-                        break
-                rem[v] = r
-                if r == 0:
-                    wrow[v] = 1
-                    q.append(v)
-        # In-level attractor; `ops` counts its relaxations.
-        i = 0
-        while i < len(q):
-            w = q[i]
-            i += 1
-            for u in pred[w]:
-                if not lrow[u] or wrow[u]:
-                    continue
-                ops += 1
-                if eve[u]:
-                    wrow[u] = 1
-                    eve_moves[(u, si)] = w
-                    q.append(u)
+                if eve[v]:
+                    for w in succ[v]:
+                        s2 = s | vm[w]
+                        if s2 != s and win[s2][w]:
+                            eve_moves[(v, si)] = w
+                            won.append(v)
+                            break
+                    else:
+                        need[v] = 1
                 else:
-                    rem[u] -= 1
-                    if rem[u] == 0:
-                        wrow[u] = 1
-                        q.append(u)
+                    for w in succ[v]:
+                        s2 = s | vm[w]
+                        if s2 == s:
+                            need[v] += 1
+                        elif not win[s2][w]:
+                            need[v] = -1
+                            break
+                    if not need[v]:
+                        won.append(v)
+            via, level_ops = _attract(pred, need, won)
+            ops += level_ops
+            eve_moves.update(((u, si), w) for u, w in via.items() if eve[u])
+        wrow = win[s] = bytearray(n)
+        for v in won:
+            wrow[v] = 1
     # Adam's first escape from each losing Adam configuration.
     adam_moves = {
         (v, s): next(w for w in succ[v] if not win[s | vm[w]][w])

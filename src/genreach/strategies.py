@@ -164,17 +164,19 @@ def strategy_to_json(
 def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
     try:
         player = Owner(data["player"])
-        states = int(data["states"])
+        states = data["states"]
         raw_initial = data["initial"]
         update_entries = data.get("update", [])
         move_entries = data.get("moves", [])
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from exc
-    if states < 1:
-        raise ValueError("a strategy needs at least one memory state")
+    # Counts and states are JSON integers only; `type` refuses bools too.
+    if type(states) is not int or states < 1:
+        raise ValueError(f"a strategy needs at least one memory state, as a JSON integer, not {states!r}")
 
     def check_state(s) -> int:
-        s = int(s)
+        if type(s) is not int:
+            raise ValueError(f"memory state {s!r} is not a JSON integer")
         if not 0 <= s < states:
             raise ValueError(f"memory state {s} out of range 0..{states - 1}")
         return s

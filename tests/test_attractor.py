@@ -8,6 +8,7 @@ from genreach import (
     UnsupportedInputError,
     attractor,
     avoid_moves,
+    parse_game,
     solve_fpt,
     solve_opponent_player,
     verify_strategy,
@@ -27,6 +28,55 @@ def test_attractor_ranks_on_demo(demo):
     # Rank-decreasing moves pick the lowest-index successor that descends.
     assert attr.moves == {ix("c"): ix("d"), ix("b"): ix("d")}
     assert 0 < attr.ops <= arena.m
+
+
+# Index order e, x, y, a, t1, t2, z, o.  Eve's e has two rank-1
+# successors, x and y; Adam's a needs both of them won; z and o stay out.
+# `{0}` is the owner of e, x, y and o.
+MIXED_TEXT = """\
+genreach 1
+colors 2
+vertex e {0}
+vertex x {0} 2
+vertex y {0}
+vertex a adam
+vertex t1 adam 1
+vertex t2 adam 1
+vertex z adam
+vertex o {0}
+edge e x
+edge e y
+edge x t2
+edge y t1
+edge a x
+edge a y
+edge t1 t1
+edge t2 t2
+edge z z
+edge z e
+edge o z
+edge o o
+init e
+"""
+
+
+def test_attractor_exact_counts():
+    arena = parse_game(MIXED_TEXT.format("eve")).arena
+    attr = attractor(arena, [4, 5])
+    assert attr.attractor == frozenset(range(6))
+    # FIFO: t1 wins y, t2 wins x, y wins e and half of a, x the other
+    # half; z is relaxed once from e and never won.
+    assert attr.rank == (2, 1, 1, 2, 0, 0, None, None)
+    assert attr.ops == 6
+    # y completed e, but the move is the lowest-index descending one, x.
+    assert attr.moves == {0: 1, 1: 5, 2: 4}
+
+    result = solve_opponent_player(parse_game(MIXED_TEXT.format("adam")))
+    # All Adam: color 1 = {t1, t2} attracts all but z and o in 7
+    # relaxations (e and a twice each, z once); color 2 = {x} relaxes e
+    # and a once each.
+    assert result.stats == {"ops": 9, "attractor_sizes": [6, 1]}
+    assert result.eve_region == frozenset({1})
 
 
 def test_attractor_empty_targets(demo):

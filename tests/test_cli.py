@@ -92,6 +92,15 @@ def test_solve_dot_output(capsys, demo_file):
     assert "penwidth=2" in out
 
 
+def test_solve_minimax_dot_fills_init_only(capsys, flower_file):
+    # The oracle decides init alone; b1 and b2, where Adam wins, stay unfilled.
+    code, out, _ = run(capsys, "solve", flower_file, "--method", "minimax", "--dot")
+    assert code == 0
+    filled = [line for line in out.splitlines() if "style=filled" in line]
+    assert len(filled) == 1
+    assert filled[0].startswith('  "h" [')
+
+
 def test_solve_minimax_reports_init_only(capsys, demo_file):
     code, out, _ = run(capsys, "solve", demo_file, "--method", "minimax", "--json")
     report = json.loads(out)
@@ -129,8 +138,8 @@ def test_solve_batch_reports_bad_files_and_carries_on(capsys, tmp_path, demo_fil
 
 def test_solve_batch_rejects_dot(capsys, tmp_path, demo_file):
     code, _, err = run(capsys, "solve", tmp_path, "--dot")
-    assert code == 2
-    assert "cannot render a directory" in err
+    assert code == 1
+    assert err == "error: --dot cannot render a directory\n"
 
 
 def test_solve_missing_file(capsys, tmp_path):
@@ -354,6 +363,8 @@ def test_gen_bad_parameter_value(capsys):
     code, _, err = run(capsys, "gen", "random", "--k", "1", "--n", "5", "--seed", "1", "--density", "1.5")
     assert code == 1
     assert "density" in err
+    code, out, err = run(capsys, "gen", "random", "--k", "1", "--n", "5", "--seed", "1", "--eve-ratio", "7")
+    assert (code, out, err) == (1, "", "error: eve ratio must lie in [0, 1]\n")
 
 
 def test_gen_random_requires_seed(capsys):
@@ -411,15 +422,24 @@ def test_verify_refutes_bad_strategy(capsys, tmp_path, demo_file):
 
 def test_verify_rejects_malformed_strategy(capsys, tmp_path, demo_file):
     spath = tmp_path / "junk.json"
-    for document in (
-        '{"player": "eve"}',
-        '{"player": "eve", "states": 2, "initial": {"per_vertex": [1, 2]}}',
-        '{"player": "eve", "states": 2, "initial": {"per_vertex": "c"}}',
+    for document, reason in (
+        ('{"player": "eve"}', "'states'"),
+        ('{"player": "eve", "states": 2, "initial": {"per_vertex": [1, 2]}}', "per_vertex must map"),
+        ('{"player": "eve", "states": 2, "initial": {"per_vertex": "c"}}', "per_vertex must map"),
+        # Counts and states are JSON integers only: no floats, strings or bools.
+        ('{"player": "eve", "states": 2.9, "initial": 0}', "at least one memory state, as a JSON integer, not 2.9"),
+        ('{"player": "eve", "states": 2, "initial": "1"}', "memory state '1' is not a JSON integer"),
+        ('{"player": "eve", "states": 2, "initial": {"per_vertex": {"c": 1.0}}}', "memory state 1.0 is not a JSON integer"),
+        ('{"player": "eve", "states": 2, "initial": true}', "memory state True is not a JSON integer"),
+        ('{"player": "eve", "states": 2, "initial": 0, "moves": '
+         '[{"vertex": "c", "state": true, "successor": "a"}]}', "memory state True is not a JSON integer"),
+        ('{"player": "eve", "states": 2, "initial": 0, "update": '
+         '[{"state": 0, "from": "c", "to": "a", "next_state": "1"}]}', "memory state '1' is not a JSON integer"),
     ):
         spath.write_text(document)
         code, _, err = run(capsys, "verify", demo_file, spath)
         assert code == 2, document
-        assert "bad strategy document" in err
+        assert err.startswith("error: bad strategy document: ") and reason in err, document
 
 
 def test_minmem_found(capsys, flower_file):

@@ -160,6 +160,10 @@ def test_random_parameter_validation():
         generate(GenParams("random", n=0, density=0.5, seed=1))
     with pytest.raises(ValueError, match="density"):
         generate(GenParams("random", n=5, density=1.5, seed=1))
+    with pytest.raises(ValueError, match=r"eve ratio must lie in \[0, 1\]"):
+        generate(GenParams("random", n=5, density=0.5, eve_ratio=7.0, seed=1))
+    with pytest.raises(ValueError, match="eve ratio"):
+        generate(GenParams("random", n=5, density=0.5, eve_ratio=-0.1, seed=1))
     with pytest.raises(ValueError, match="color size bounds"):
         generate(GenParams("random", n=5, density=0.5, color_size=(0, 2), seed=1))
     with pytest.raises(ValueError, match="negative color count"):

@@ -12,6 +12,7 @@ from genreach import (
     Owner,
     UnsupportedInputError,
     compress_adam,
+    parse_game,
     solve_fpt,
     subset_memory,
     verify_strategy,
@@ -192,8 +193,40 @@ def test_solve_fpt_allocates_only_reached_levels():
     assert peak < 1 << 20
 
 
+# Every vertex of mask 0 meets the sweep's jump fold: (e, 0) wins only by
+# its jump to g, (a, 0) has a losing jump to h, every move of (b, 0) jumps
+# to a win, and (c, 0) wins in-level through b.
+FOLD_TEXT = """\
+genreach 1
+colors 2
+vertex e eve
+vertex a adam
+vertex b adam
+vertex c eve
+vertex g adam 1 2
+vertex h adam 1
+edge e e
+edge e g
+edge a e
+edge a h
+edge b g
+edge c a
+edge c b
+edge g g
+edge h h
+init e
+"""
+
+
 def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44, fig5):
-    games = [demo, flower2, flower3, picker3, fig42, fig44, fig5]
+    fold = parse_game(FOLD_TEXT)
+    sweep = _solve_sweep(fold)
+    assert sweep.eve_region == frozenset({0, 2, 3, 4})
+    assert dict(sweep.eve_strategy.moves) == {(0, 0): 4, (3, 0): 2}
+    assert dict(sweep.adam_strategy.moves) == {(1, 0): 5, (5, 1): 5}
+    # One relaxation each: a from e (never won), c from b.
+    assert sweep.stats["ops"] == 2
+    games = [fold, demo, flower2, flower3, picker3, fig42, fig44, fig5]
     games += [random_game(seed, n=6 + seed % 5, k=1 + seed % 3, density=0.3) for seed in range(60)]
     games += [random_game(seed, n=7, k=3, density=0.35) for seed in range(40)]
     for game in games:

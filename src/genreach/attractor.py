@@ -11,7 +11,7 @@ to any successor of strictly smaller rank).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import UnsupportedInputError
 from .model import Arena, Game, Owner
@@ -30,15 +30,7 @@ class AttractorResult:
     ops: int
 
 
-def _pred_lists(arena: Arena) -> list[list[int]]:
-    pred: list[list[int]] = [[] for _ in range(arena.n)]
-    for u in range(arena.n):
-        for v in arena.succ[u]:
-            pred[v].append(u)
-    return pred
-
-
-def _attract(pred: list[list[int]], need: list[int], won: list[int]) -> tuple[dict[int, int], int]:
+def _attract(pred: Sequence[Sequence[int]], need: list[int], won: list[int]) -> tuple[dict[int, int], int]:
     """Grow `won`, the won vertices in the order won, which is also the
     FIFO queue.  `need[u]` counts the won successors u still lacks: 1 at
     an Eve vertex, the successor count at an Adam one, 0 once won or out
@@ -68,7 +60,7 @@ def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
     won = sorted(set(targets))
     for t in won:
         need[t] = 0
-    via, ops = _attract(_pred_lists(arena), need, won)
+    via, ops = _attract(arena._pred, need, won)
     rank: list[int | None] = [None] * n
     for u in won:
         rank[u] = rank[via[u]] + 1 if u in via else 0

@@ -294,7 +294,7 @@ def cmd_verify(args) -> int:
     try:
         data = json.loads(strategy_text)
         strategy = strategy_from_json(game.arena, data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise GameParseError(f"bad strategy document: {exc}") from None
     started = time.perf_counter()
     if args.region == "init":

@@ -30,7 +30,9 @@ class Arena:
 
     Successor lists are kept sorted; duplicate edges are representable
     (so that validation can report them) but rejected by `validate_arena`,
-    which every solver presumes has passed.
+    which every solver presumes has passed.  `_pred`, the predecessor
+    lists in ascending order, is built once on first use and shared by
+    every attractor and product solve over the arena.
     """
 
     names: tuple[str, ...]
@@ -76,6 +78,14 @@ class Arena:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.names)}
+
+    @cached_property
+    def _pred(self) -> tuple[tuple[int, ...], ...]:
+        pred: list[list[int]] = [[] for _ in range(self.n)]
+        for u, targets in enumerate(self.succ):
+            for v in targets:
+                pred[v].append(u)
+        return tuple(map(tuple, pred))
 
     def index_of(self, name: str) -> int:
         try:

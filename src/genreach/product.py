@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from operator import and_, or_
 
-from .attractor import _attract, _pred_lists
+from .attractor import _attract
 from .errors import UnsupportedInputError
 from .model import DEFAULT_COLOR_CAP, Game, Objective, Owner
 from .strategies import (
@@ -83,7 +83,7 @@ def _dense_win(game: Game, steps: list[list[tuple[int, int]]]) -> tuple[list[int
     arena = game.arena
     n = arena.n
     top = 1 << game.objective.full_mask
-    succ, pred = arena.succ, _pred_lists(arena)
+    succ, pred = arena.succ, arena._pred
     eve = [o is Owner.EVE for o in arena.owner]
     W = [top] * n
     L = [0] * n  # sound: every vertex is queued, so its L gets computed
@@ -248,7 +248,7 @@ def _solve_sweep(game: Game) -> SolveResult:
                     reach(s | vm[w], w)
 
     idx = {s: i for i, s in enumerate(sorted(s for s, _ in levels if s != full) or [full])}
-    pred = _pred_lists(arena)
+    pred = arena._pred
     eve = [o is Owner.EVE for o in arena.owner]
     win: dict[int, bytearray] = {}
     eve_moves: dict[tuple[int, int], int] = {}

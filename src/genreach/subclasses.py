@@ -2,7 +2,8 @@
 
 Two shapes admit fast algorithms: every color set a single vertex (in
 any arena), and color sets of at most two vertices when Eve owns every
-vertex (via a reduction to 2-SAT).  Both revolve around the question
+vertex (via a reduction to 2-SAT, one call per distinct set of colored
+vertices unreachable from a start).  Both revolve around the question
 "can the owner force a visit of w starting from v", answered by one
 attractor per distinguished vertex w.
 """
@@ -227,7 +228,10 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     single path, which a 2-SAT formula over the colored vertices
     expresses: incomparable vertices exclude each other, each color
     demands a member, and unit clauses drop members unreachable from v.
-    A witness play is rebuilt from the satisfying assignment.
+    The formula depends on v only through its cut, the occurrences v
+    cannot reach, so each distinct cut is solved once and
+    `stats["sat_calls"]` counts those calls.  A witness play is rebuilt
+    from the satisfying assignment of init's cut.
     """
     arena = game.arena
     objective = game.objective
@@ -283,15 +287,15 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
             static.append((var, var + 1))
         var += len(members)
 
+    decided: dict[tuple[int, ...], TwoSatResult] = {}
     eve_region = set()
     init_assignment = None
     for v in range(n):
-        units = [
-            (-(p + 1), -(p + 1))
-            for p in range(nvars)
-            if v not in reach[occ[p][1]]
-        ]
-        result = two_sat_solve(TwoSatFormula(nvars, tuple(static + units)))
+        cut = tuple(p + 1 for p in range(nvars) if v not in reach[occ[p][1]])
+        if cut not in decided:
+            units = [(-p, -p) for p in cut]
+            decided[cut] = two_sat_solve(TwoSatFormula(nvars, tuple(static + units)))
+        result = decided[cut]
         if result.satisfiable:
             eve_region.add(v)
             if v == game.init:
@@ -307,6 +311,7 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
             "variables": nvars,
             "clauses": len(static),
             "incomparable_pairs": incomparable,
+            "sat_calls": len(decided),
         },
     )
 

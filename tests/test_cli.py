@@ -435,6 +435,8 @@ def test_verify_rejects_malformed_strategy(capsys, tmp_path, demo_file):
          '[{"vertex": "c", "state": true, "successor": "a"}]}', "memory state True is not a JSON integer"),
         ('{"player": "eve", "states": 2, "initial": 0, "update": '
          '[{"state": 0, "from": "c", "to": "a", "next_state": "1"}]}', "memory state '1' is not a JSON integer"),
+        # Nesting deeper than the JSON decoder's recursion limit.
+        ("[" * 200_000, "maximum recursion depth exceeded"),
     ):
         spath.write_text(document)
         code, _, err = run(capsys, "verify", demo_file, spath)

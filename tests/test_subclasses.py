@@ -281,10 +281,29 @@ def test_oneplayer2_two_member_color():
     result = solve_oneplayer_size2(game)
     assert result.method == "oneplayer2"
     assert result.eve_region == frozenset({0, 1, 2})
-    assert result.stats == {"variables": 2, "clauses": 2, "incomparable_pairs": 1}
+    assert result.stats == {
+        "variables": 2, "clauses": 2, "incomparable_pairs": 1, "sat_calls": 3
+    }
     assert result.witness is not None
     play = trace_play(game, result.witness)
     assert play.masks[-1] == game.objective.full_mask
+
+
+def test_oneplayer2_one_sat_call_per_cut():
+    # x and y share a cycle and so the cut {c}; s, a, b and c each have
+    # their own cut: five 2-SAT calls for six vertices.
+    game = eve_game(
+        ["s", "x", "y", "a", "b", "c"],
+        [("s", "x"), ("x", "y"), ("y", "x"), ("y", "a"), ("a", "b"),
+         ("b", "b"), ("s", "c"), ("c", "c")],
+        [{"a", "c"}, {"b"}, {"x", "y"}],
+    )
+    result = solve_oneplayer_size2(game)
+    assert result.eve_region == frozenset({0, 1, 2})
+    assert result.witness == (0, 1, 2, 3, 4)
+    assert result.stats == {
+        "variables": 5, "clauses": 7, "incomparable_pairs": 4, "sat_calls": 5
+    }
 
 
 def test_oneplayer2_unsatisfiable_start():
@@ -342,3 +361,21 @@ def test_oneplayer2_agrees_with_general_solver():
             play = trace_play(game, special.witness)
             assert play.masks[-1] == game.objective.full_mask
             assert len(special.witness) - 1 <= game.arena.n * game.k
+
+
+def test_oneplayer2_agrees_at_benchmark_sizes():
+    # The shape of the benchmark's oneplayer2 games, where many vertices
+    # share a cut and the per-cut cache does its work.
+    for n in (65, 110, 155, 200):
+        for k in range(1, 7):
+            for seed in range(4):
+                game = random_game(
+                    seed, n=n, k=k, density=3 / n, eve_ratio=1.0, color_size=(2, 2)
+                )
+                special = solve_oneplayer_size2(game)
+                assert special.eve_region == solve_fpt(game).eve_region, (n, k, seed)
+                assert special.stats["sat_calls"] <= n
+                if game.init in special.eve_region:
+                    play = trace_play(game, special.witness)
+                    assert play.vertices[0] == game.init
+                    assert play.masks[-1] == game.objective.full_mask

@@ -3,9 +3,9 @@
 Reports are JSON documents on stdout when --json is set (summaries then
 go to stderr); exit codes are a stable contract:
 
-    0 success         3 invalid game or cap exceeded   6 budget exhausted
-    1 usage           4 decision routes disagree
-    2 parse error     5 strategy refuted
+    0 success              3 invalid game or cap exceeded   6 budget exhausted
+    1 usage, write error   4 decision routes disagree
+    2 parse error          5 strategy refuted
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -169,44 +170,27 @@ def _solve_payload(game: Game, result: SolveResult, emit_strategies: bool) -> di
 
 def cmd_solve(args) -> int:
     path = Path(args.file)
-    if path.is_dir():
-        return _solve_batch(args, path)
-    text, digest = _read_text(path)
-    started = time.perf_counter()
-    game = parse_game(text)
-    result = _solve_game(game, args.method, args.cap, args.budget)
-    seconds = time.perf_counter() - started
-    if args.dot:
-        if result.method == "minimax":  # the oracle decides init alone: fill only init
-            init = {game.init}
-            result = SolveResult("minimax", result.eve_region & init, result.adam_region & init)
-        print(export_dot(game, result))
-        return EXIT_OK
-    payload = _solve_payload(game, result, args.emit_strategies)
-    report = _report(args, payload, digest, seconds)
-    winner = payload["winner_from_init"]
-    summary = (
-        f"{path.name}: method {result.method}, "
-        + (f"winner {winner} from init" if winner else f"eve wins {len(result.eve_region)}/{game.arena.n} vertices")
-    )
-    _emit(args, report, summary)
-    return EXIT_OK
-
-
-def _solve_batch(args, directory: Path) -> int:
-    if args.dot:
+    batch = path.is_dir()
+    if batch and args.dot:
         print("error: --dot cannot render a directory", file=sys.stderr)
         return EXIT_USAGE
+    # A single file is a batch of one that re-raises its error for main.
+    try:
+        paths = sorted(p for p in path.iterdir() if p.is_file()) if batch else [path]
+    except OSError as exc:
+        raise GameParseError(f"cannot read {path}: {exc.strerror}") from None
     reports = []
     summaries = []
     code = EXIT_OK
-    for path in sorted(p for p in directory.iterdir() if p.is_file()):
+    for path in paths:
         try:
             text, digest = _read_text(path)
             started = time.perf_counter()
             game = parse_game(text)
             result = _solve_game(game, args.method, args.cap, args.budget)
         except GenReachError as exc:
+            if not batch:
+                raise
             # One bad file is reported in place; the rest are still solved.
             file_code = _exit_code(exc)
             code = max(code, file_code)
@@ -214,19 +198,22 @@ def _solve_batch(args, directory: Path) -> int:
             summaries.append(f"{path.name}: error: {exc}")
             continue
         seconds = time.perf_counter() - started
-        payload = {"file": path.name, **_solve_payload(game, result, args.emit_strategies)}
+        if args.dot:
+            if result.method == "minimax":  # the oracle decides init alone: fill only init
+                init = {game.init}
+                result = SolveResult("minimax", result.eve_region & init, result.adam_region & init)
+            print(export_dot(game, result))
+            return EXIT_OK
+        payload = _solve_payload(game, result, args.emit_strategies)
+        if batch:
+            payload = {"file": path.name, **payload}
         reports.append(_report(args, payload, digest, seconds))
         winner = payload["winner_from_init"]
         summaries.append(
             f"{path.name}: method {result.method}, "
-            + (f"winner {winner}" if winner else f"eve {len(result.eve_region)}/{game.arena.n}")
+            + (f"winner {winner} from init" if winner else f"eve wins {len(result.eve_region)}/{game.arena.n} vertices")
         )
-    summary = "\n".join(summaries) if summaries else "no files"
-    if args.json:
-        print(json.dumps(reports, indent=2))
-        print(summary, file=sys.stderr)
-    else:
-        print(summary)
+    _emit(args, reports if batch else reports[0], "\n".join(summaries) or "no files")
     return code
 
 
@@ -456,10 +443,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     args.command_echo = list(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except GenReachError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except OSError as exc:
+        # Output that cannot be written: a missing directory, a full disk or
+        # a closed pipe.  Input errors are GameParseErrors by now.
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself failed: keep its buffer from the final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

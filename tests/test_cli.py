@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import genreach
 from genreach import (
     GenParams,
     generate,
@@ -142,10 +147,54 @@ def test_solve_batch_rejects_dot(capsys, tmp_path, demo_file):
     assert err == "error: --dot cannot render a directory\n"
 
 
+@pytest.mark.parametrize("name", ["demo.game", "flower2.game"])
+def test_solve_file_is_a_batch_of_one(capsys, tmp_path, demo_file, flower_file, name):
+    code, out, err = run(capsys, "solve", tmp_path / name, "--json")
+    assert code == 0
+    single = json.loads(out)
+    _, out, batch_err = run(capsys, "solve", tmp_path, "--json")
+    (record,) = [r for r in json.loads(out) if r["file"] == name]
+    for report in (single, record):
+        del report["command"], report["seconds"], report["stats"]["seconds"]
+    assert record.pop("file") == name
+    assert single == record
+    assert err in batch_err.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize(
+    "text, options, exit_code",
+    [
+        ("genreach 1\ncolors 1\nvertex a queen 1\nedge a a\n", [], 2),
+        (DEMO_TEXT, ["--method", "singleton"], 3),
+        (DEMO_TEXT, ["--method", "minimax", "--budget", "1"], 6),
+    ],
+    ids=["parse-error", "refused-method", "minimax-budget"],
+)
+def test_solve_file_fails_as_its_batch_record(capsys, tmp_path, text, options, exit_code):
+    directory = tmp_path / "batch"
+    directory.mkdir()
+    path = directory / "g.game"
+    path.write_text(text)
+    code, out, err = run(capsys, "solve", path, *options)
+    assert (code, out) == (exit_code, "")
+    _, out, _ = run(capsys, "solve", directory, "--json", *options)
+    assert json.loads(out) == [{"file": "g.game", "error": err[len("error: "):-1], "exit_code": code}]
+
+
 def test_solve_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "solve", tmp_path / "nope.game")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_solve_unreadable_directory(capsys, tmp_path, demo_file, monkeypatch):
+    def refuse(self):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "iterdir", refuse)
+    code, out, err = run(capsys, "solve", tmp_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {tmp_path}: Permission denied\n"
 
 
 def test_solve_parse_error(capsys, tmp_path):
@@ -370,6 +419,44 @@ def test_gen_bad_parameter_value(capsys):
 def test_gen_random_requires_seed(capsys):
     assert main(["gen", "random", "--k", "1", "--n", "5"]) == 1
     capsys.readouterr()
+
+
+def test_gen_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.game"
+    code, out, err = run(capsys, "gen", "flower", "--k", "2", "-o", target)
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+def _solve_subprocess(path, stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(genreach.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout stays buffered, as it is by default
+    return subprocess.run(
+        [sys.executable, "-m", "genreach.cli", "solve", str(path), "--json"],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_solve_to_full_device(demo_file):
+    with open("/dev/full", "w") as full:
+        proc = _solve_subprocess(demo_file, full)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("error: [Errno 28] No space left on device\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_solve_to_closed_pipe(demo_file):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _solve_subprocess(demo_file, write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.endswith("error: [Errno 32] Broken pipe\n")
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_region_all(capsys, tmp_path, demo_file):

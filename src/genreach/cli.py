@@ -36,7 +36,7 @@ from .lab import (
     minimax_oracle,
     verify_strategy,
 )
-from .model import DEFAULT_COLOR_CAP, Game, Owner
+from .model import Game, Owner
 from .product import solve_fpt
 from .qbf import eval_qbf_bruteforce, parse_qdimacs, qbf_to_game
 from .strategies import SolveResult, strategy_from_json, strategy_to_json
@@ -109,11 +109,11 @@ def _names(game: Game, vertices) -> list[str]:
     return [game.arena.names[v] for v in sorted(vertices)]
 
 
-def _solve_game(game: Game, method: str, cap: int, budget: int | None) -> SolveResult:
+def _solve_game(game: Game, method: str, budget: int | None) -> SolveResult:
     if method == "auto":
         method = pick_method(game)
     if method == "fpt":
-        return solve_fpt(game, cap=cap)
+        return solve_fpt(game)
     if method == "singleton":
         return solve_singleton(game)
     if method == "oneplayer2":
@@ -187,7 +187,7 @@ def cmd_solve(args) -> int:
             text, digest = _read_text(path)
             started = time.perf_counter()
             game = parse_game(text)
-            result = _solve_game(game, args.method, args.cap, args.budget)
+            result = _solve_game(game, args.method, args.budget)
         except GenReachError as exc:
             if not batch:
                 raise
@@ -229,12 +229,12 @@ def cmd_qbf(args) -> int:
     game_value = brute_value = None
     if args.via in ("game", "both"):
         game = qbf_to_game(formula)
-        result = solve_fpt(game, cap=args.cap)
+        result = solve_fpt(game)
         game_value = game.init in result.eve_region
         payload["game_value"] = game_value
         payload["game_stats"] = result.stats
     if args.via in ("brute", "both"):
-        brute_value = eval_qbf_bruteforce(formula, cap=args.cap)
+        brute_value = eval_qbf_bruteforce(formula)
         payload["brute_value"] = brute_value
     value = game_value if game_value is not None else brute_value
     payload["value"] = value
@@ -289,7 +289,7 @@ def cmd_verify(args) -> int:
             raise UnsupportedInputError("--region init needs a game with an init vertex")
         claimed = frozenset([game.init])
     else:
-        solved = solve_fpt(game, cap=args.cap)
+        solved = solve_fpt(game)
         claimed = solved.eve_region if strategy.player is Owner.EVE else solved.adam_region
     outcome = verify_strategy(game, strategy, claimed)
     seconds = time.perf_counter() - started
@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--dot", action="store_true", help="emit graphviz instead of a report")
     solve.add_argument("--emit-strategies", action="store_true")
-    solve.add_argument("--cap", type=int, default=DEFAULT_COLOR_CAP, help="color-count cap")
     solve.add_argument("--budget", type=int, default=None, help="minimax node budget")
     solve.set_defaults(func=cmd_solve)
 
@@ -386,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     qbf.add_argument("file")
     qbf.add_argument("--via", choices=("game", "brute", "both"), default="game")
     qbf.add_argument("--json", action="store_true")
-    qbf.add_argument("--cap", type=int, default=DEFAULT_COLOR_CAP,
-                     help="cap on colors (game route) and variables (brute force)")
     qbf.set_defaults(func=cmd_qbf)
 
     gen = sub.add_parser("gen", help="generate a game file")
@@ -414,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--region", choices=("all", "init"), default="all",
                         help="claim the player's whole winning region, or just init")
     verify.add_argument("--json", action="store_true")
-    verify.add_argument("--cap", type=int, default=DEFAULT_COLOR_CAP)
     verify.set_defaults(func=cmd_verify)
 
     minmem = sub.add_parser("minmem", help="search for a minimal winning machine")

@@ -127,9 +127,14 @@ def parse_game(text: str) -> Game:
         v = next(v for v, targets in enumerate(arena.succ) if not targets)
         raise GameParseError(violations[0], vertex_lines[v])
 
-    color_sets: list[set[int]] = [set() for _ in range(k)]
+    # Colors no vertex carries share one empty set, so a declared count
+    # costs a list slot per color and no more.
+    uncarried: frozenset[int] = frozenset()
+    color_sets: list[frozenset[int] | set[int]] = [uncarried] * k
     for v, colors in enumerate(vertex_colors):
         for c in colors:
+            if color_sets[c - 1] is uncarried:
+                color_sets[c - 1] = set()
             color_sets[c - 1].add(v)
     objective = Objective.from_sets(len(names), color_sets)
 

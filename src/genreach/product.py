@@ -136,7 +136,7 @@ class _LazyMoves(Mapping):
         return sum(bits.bit_count() for bits in self.held)
 
 
-def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
+def solve_fpt(game: Game) -> SolveResult:
     """Decide every vertex by reachability to the full-mask configurations.
 
     The dense route serves games whose n * 2^k configurations fit in
@@ -146,10 +146,13 @@ def solve_fpt(game: Game, cap: int = DEFAULT_COLOR_CAP) -> SolveResult:
     strategy replays the moves recorded as her configurations were won,
     on a memory of the non-full masks that occur; Adam's keeps the play
     outside the attractor, on the raw subset memory.  Each strategy has
-    initial states only on its own player's region.
+    initial states only on its own player's region.  A game with more
+    than `DEFAULT_COLOR_CAP` color sets is refused.
     """
-    if game.k > cap:
-        raise UnsupportedInputError(f"{game.k} color sets exceed the bitmask cap of {cap}")
+    if game.k > DEFAULT_COLOR_CAP:
+        raise UnsupportedInputError(
+            f"{game.k} color sets exceed the bitmask cap of {DEFAULT_COLOR_CAP}"
+        )
     dense = game.arena.n << game.k <= MAX_CONFIGS
     return _solve_dense(game) if dense else _solve_sweep(game)
 

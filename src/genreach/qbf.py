@@ -102,11 +102,12 @@ def qbf_to_game(formula: QBFFormula) -> Game:
     return Game(arena, objective, init=0)
 
 
-def eval_qbf_bruteforce(formula: QBFFormula, cap: int = 20) -> bool:
-    """Decide a formula by quantifier recursion; exponential, capped."""
-    if formula.num_vars > cap:
+def eval_qbf_bruteforce(formula: QBFFormula) -> bool:
+    """Decide a formula by quantifier recursion; exponential, so a formula
+    with more than 20 variables is refused."""
+    if formula.num_vars > 20:
         raise UnsupportedInputError(
-            f"{formula.num_vars} variables exceed the brute-force cap of {cap}"
+            f"{formula.num_vars} variables exceed the brute-force cap of 20"
         )
     values = [False] * (formula.num_vars + 1)
 

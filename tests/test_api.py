@@ -4,10 +4,12 @@ A name or an option added here should have a caller outside the tests;
 one that only tests use belongs in `helpers.py` instead.
 """
 
+import argparse
 import inspect
 import types
 
 import genreach
+from genreach import cli
 
 PUBLIC_NAMES = [
     "Arena",
@@ -75,12 +77,28 @@ PUBLIC_NAMES = [
 
 # Parameters with a default, per public function that has any.
 DEFAULTED_PARAMETERS = {
-    "eval_qbf_bruteforce": ["cap"],
     "export_dot": ["result"],
     "min_memory_search": ["machine_class", "budget", "on_refuted"],
     "minimax_oracle": ["budget"],
-    "solve_fpt": ["cap"],
     "strategy_to_json": ["start"],
+}
+
+# Options per command of `cli.build_parser()`, without -h/--help.
+CLI_OPTIONS = {
+    "genreach": ["--version"],
+    "genreach solve": ["--method", "--json", "--dot", "--emit-strategies", "--budget"],
+    "genreach qbf": ["--via", "--json"],
+    "genreach gen flower": ["-o", "--output", "--k"],
+    "genreach gen picker": ["-o", "--output", "--k"],
+    "genreach gen fig4": ["-o", "--output", "--k"],
+    "genreach gen fig5": ["-o", "--output"],
+    "genreach gen random": [
+        "-o", "--output", "--k", "--n", "--density", "--eve-ratio",
+        "--color-min", "--color-max", "--seed",
+    ],
+    "genreach verify": ["--region", "--json"],
+    "genreach minmem": ["--player", "--bound", "--class", "--budget", "--json"],
+    "genreach twosat": ["--json"],
 }
 
 
@@ -110,4 +128,19 @@ def test_defaulted_parameters_of_public_functions():
             if defaulted:
                 found[name] = defaulted
     assert found == DEFAULTED_PARAMETERS
-    assert sum(map(len, found.values())) == 8
+    assert sum(map(len, found.values())) == 6
+
+
+def cli_options(parser, command="genreach", found=None):
+    found = {} if found is None else found
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                cli_options(sub, f"{command} {name}", found)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            found.setdefault(command, []).extend(action.option_strings)
+    return found
+
+
+def test_cli_options():
+    assert cli_options(cli.build_parser()) == CLI_OPTIONS

@@ -55,6 +55,10 @@ def test_usage_errors_exit_one(capsys):
     assert main(["solve"]) == 1
     assert main(["solve", "x", "--method", "sorcery"]) == 1
     assert main(["frobnicate"]) == 1
+    # The 20-color limit is fixed: no command takes a cap.
+    assert main(["solve", "x", "--cap", "20000"]) == 1
+    assert main(["qbf", "x", "--cap", "20000"]) == 1
+    assert main(["verify", "x", "y", "--cap", "20000"]) == 1
     capsys.readouterr()
 
 
@@ -213,10 +217,15 @@ def test_solve_undecodable_file(capsys, tmp_path):
     assert "not UTF-8: byte 0xff" in err
 
 
-def test_solve_cap_exceeded(capsys, demo_file):
-    code, _, err = run(capsys, "solve", demo_file, "--cap", "1")
+@pytest.mark.parametrize("k", [21, 20000])
+def test_solve_cap_exceeded(capsys, tmp_path, k):
+    # At k=20000, 2^k has too many digits to print: refused before that.
+    path = tmp_path / "wide.game"
+    path.write_text(f"genreach 1\ncolors {k}\nvertex v adam 1\nedge v v\ninit v\n")
+    code, out, err = run(capsys, "solve", path, "--method", "fpt", "--json")
     assert code == 3
-    assert "bitmask cap" in err
+    assert out == ""
+    assert err == f"error: {k} color sets exceed the bitmask cap of 20\n"
 
 
 def test_solve_wrong_method_for_game(capsys, demo_file):
@@ -239,6 +248,8 @@ edge c a
 init a
 """
 EVE_STRATEGY = '{"player": "eve", "states": 1, "initial": 0}'
+# 21 clauses, so its game has 21 color sets.
+WIDE_QBF_TEXT = "p cnf 1 21\ne 1 0\n" + "1 0\n" * 21
 
 
 @pytest.mark.parametrize(
@@ -246,7 +257,7 @@ EVE_STRATEGY = '{"player": "eve", "states": 1, "initial": 0}'
     [
         (["solve", "demo.game", "--method", "oneplayer2"], "vertex 'a' belongs to the opponent"),
         (["solve", "triple.game", "--method", "oneplayer2"], "color 1 has 3 vertices, at most two allowed"),
-        (["qbf", "two.qdimacs", "--cap", "1"], "2 color sets exceed the bitmask cap of 1"),
+        (["qbf", "wide.qdimacs"], "21 color sets exceed the bitmask cap of 20"),
         (["minmem", "noinit.game", "--player", "eve", "--bound", "1"], "memory search needs a game with init"),
         (["solve", "noinit.game", "--method", "minimax"], "the minimax oracle needs a game with init"),
         (["verify", "noinit.game", "eve.json", "--region", "init"], "--region init needs a game with an init vertex"),
@@ -257,7 +268,7 @@ def test_unsupported_input_exits_three(capsys, tmp_path, argv, message):
         "demo.game": DEMO_TEXT,
         "noinit.game": DEMO_TEXT.replace("init c\n", ""),
         "triple.game": ALL_EVE_TRIPLE_TEXT,
-        "two.qdimacs": QBF1_TEXT,
+        "wide.qdimacs": WIDE_QBF_TEXT,
         "eve.json": EVE_STRATEGY,
     }
     for name, text in inputs.items():
@@ -522,6 +533,8 @@ def test_verify_rejects_malformed_strategy(capsys, tmp_path, demo_file):
          '[{"vertex": "c", "state": true, "successor": "a"}]}', "memory state True is not a JSON integer"),
         ('{"player": "eve", "states": 2, "initial": 0, "update": '
          '[{"state": 0, "from": "c", "to": "a", "next_state": "1"}]}', "memory state '1' is not a JSON integer"),
+        ('{"player": "eve", "states": 2, "initial": 0, "update": '
+         '[{"state": 0, "from": "b", "to": "b", "next_state": 1}]}', "update on (b, b), which is not an edge"),
         # Nesting deeper than the JSON decoder's recursion limit.
         ("[" * 200_000, "maximum recursion depth exceeded"),
     ):

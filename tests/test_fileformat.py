@@ -1,5 +1,7 @@
 """Game text parsing, serialization and Graphviz export."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +114,19 @@ def test_missing_pieces():
 def test_zero_colors_is_a_valid_game():
     game = parse_game("genreach 1\ncolors 0\nvertex a eve\nedge a a\n")
     assert game.k == 0 and game.init is None
+
+
+def test_declared_colors_cost_nothing_until_carried():
+    tracemalloc.start()
+    try:
+        game = parse_game("genreach 1\ncolors 200000\nvertex a eve 7\nedge a a\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert game.k == 200000
+    assert game.objective.color_sets[6] == {0}
+    assert game.objective.mask == (1 << 6,)
+    assert peak < 8 << 20
 
 
 def test_serialize_rejects_unprintable_names():

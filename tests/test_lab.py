@@ -18,6 +18,7 @@ from genreach import (
     identity_memory,
     min_memory_search,
     minimax_oracle,
+    parse_game,
     simulate,
     solve_fpt,
     verify_strategy,
@@ -258,6 +259,19 @@ def test_min_memory_fig4_needs_three_states(fig42):
     assert color_obs.states == 3 and color_obs.refuted == 28
     full = min_memory_search(fig42, E, 2, FULL_CLASS)
     assert full.strategy is None and full.refuted == 595
+
+
+def test_min_memory_init_carries_every_color():
+    game = parse_game(
+        "genreach 1\ncolors 2\nvertex a eve 1 2\nvertex b adam\n"
+        "edge a b\nedge b a\ninit a\n"
+    )
+    # Eve has won before any move; Adam is refuted once per level.
+    eve = min_memory_search(game, E, 3)
+    assert (eve.states, eve.refuted, eve.expansions) == (1, 0, 0)
+    adam = min_memory_search(game, A, 3)
+    assert adam.strategy is None
+    assert (adam.refuted, adam.expansions) == (3, 0)
 
 
 def test_min_memory_rejects_bad_arguments(flower2):

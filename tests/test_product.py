@@ -80,9 +80,14 @@ def test_solve_fpt_zero_colors(demo):
     assert result.stats["adam_states"] == 1
 
 
-def test_solve_fpt_cap(demo):
-    with pytest.raises(UnsupportedInputError, match="exceed the bitmask cap"):
-        solve_fpt(demo, cap=1)
+def test_solve_fpt_cap():
+    # 21 colors on one self-looping vertex: refused on k alone.
+    arena = Arena(("v",), (A,), ((0,),))
+    game = Game(arena, Objective.from_sets(1, [{0}] * 21))
+    with pytest.raises(
+        UnsupportedInputError, match="^21 color sets exceed the bitmask cap of 20$"
+    ):
+        solve_fpt(game)
 
 
 def test_solve_fpt_agrees_with_explicit_product():
@@ -175,19 +180,22 @@ def test_compress_adam_matches_explicit_product(fig5):
 
 
 def test_solve_fpt_allocates_only_reached_levels():
-    # 22 colors, of which a carries the first 11 and b the other 11.
+    # 20 colors, of which a carries the first 10 and b the other 10; the
+    # uncolored self-loops d and e make n * 2^20 exceed MAX_CONFIGS.
     arena = Arena.from_edges(
-        ["a", "b", "c"], [E, A, A], [(0, 1), (0, 2), (1, 0), (1, 2), (2, 2)]
+        ["a", "b", "c", "d", "e"],
+        [E, A, A, A, A],
+        [(0, 1), (0, 2), (1, 0), (1, 2), (2, 2), (3, 3), (4, 4)],
     )
-    objective = Objective.from_sets(3, [{0}] * 11 + [{1}] * 11)
+    objective = Objective.from_sets(5, [{0}] * 10 + [{1}] * 10)
     game = Game(arena, objective)
     tracemalloc.start()
     try:
-        result = solve_fpt(game, cap=22)
+        result = solve_fpt(game)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.stats["configs"] == 7
+    assert result.stats["configs"] == 9
     assert result.stats["route"] == "sweep"
     assert result.eve_region == frozenset({0})
     assert peak < 1 << 20

@@ -82,10 +82,12 @@ def test_bruteforce_known_values():
 
 
 def test_bruteforce_cap():
-    prefix = tuple(("e", v) for v in range(1, 6))
-    formula = QBFFormula(5, prefix, ((1,),))
-    with pytest.raises(UnsupportedInputError, match="exceed the brute-force cap"):
-        eval_qbf_bruteforce(formula, cap=4)
+    prefix = tuple(("e", v) for v in range(1, 22))
+    formula = QBFFormula(21, prefix, ((1,),))
+    with pytest.raises(
+        UnsupportedInputError, match="^21 variables exceed the brute-force cap of 20$"
+    ):
+        eval_qbf_bruteforce(formula)
 
 
 def test_game_translation_structure():

@@ -61,6 +61,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _budget(text: str) -> int:
+    """A --budget value: ASCII digits, so a count of 0 or more."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a count of 0 or more, got {text!r}")
+    return int(text)
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -378,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--json", action="store_true")
     solve.add_argument("--dot", action="store_true", help="emit graphviz instead of a report")
     solve.add_argument("--emit-strategies", action="store_true")
-    solve.add_argument("--budget", type=int, default=None, help="minimax node budget")
+    solve.add_argument("--budget", type=_budget, default=None, help="minimax node budget")
     solve.set_defaults(func=cmd_solve)
 
     qbf = sub.add_parser("qbf", help="decide a QDIMACS formula")
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     minmem.add_argument("--class", choices=(COLOR_OBS, FULL_CLASS), default=COLOR_OBS,
                         dest="machine_class",
                         help="memory updates observe color sets, or full edges")
-    minmem.add_argument("--budget", type=int, default=None)
+    minmem.add_argument("--budget", type=_budget, default=None)
     minmem.add_argument("--json", action="store_true")
     minmem.set_defaults(func=cmd_minmem)
 

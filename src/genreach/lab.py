@@ -107,7 +107,11 @@ def verify_strategy(
     configs, rows, _, full_id = walk
     states_used = frozenset(state for _, state, _ in configs)
     # Full-mask rows are empty, so a cycle is a play missing a color.
-    bad = full_id if strategy.player is Owner.ADAM else _has_cycle(rows)
+    if strategy.player is Owner.ADAM:
+        bad = full_id
+    else:
+        cycle = _find_cycle(rows)
+        bad = cycle[0] if cycle else -1
     if bad < 0:
         return VerifyResult(True, None, None, states_used)
     play = _lasso(game, walk, bad)
@@ -241,12 +245,15 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
 @dataclass(frozen=True)
 class MinMemResult:
     """Outcome of the bounded search.  `strategy` is None when no machine
-    within the bound wins; `refuted` counts the leaves of the canonical
-    search tree that were eliminated; `expansions` the configuration
-    expansions actually done, which is also the unit of the budget.  The
-    search resumes its expansion at each decision point instead of
-    restarting it from init, so for the same enumeration this count is
-    lower than a restarting search's."""
+    within the bound wins.  `refuted` counts the leaves of the canonical
+    search tree eliminated at the state counts that have no winner: every
+    count up to `bound` when `strategy` is None, else the counts below
+    `states`; the losers tried at `states` itself before the winner are
+    not counted.  `expansions` counts the configuration expansions
+    actually done at every state count, which is also the unit of the
+    budget.  The search resumes its expansion at each decision point
+    instead of restarting it from init, so for the same enumeration this
+    count is lower than a restarting search's."""
 
     player: Owner
     machine_class: str
@@ -300,6 +307,13 @@ def min_memory_search(
         raise ValueError("the state bound must be at least 1")
     if budget is None:
         budget = 20_000_000
+    if game.objective.mask[game.init] == game.objective.full_mask:
+        # Eve has won before any move: her empty machine wins with one
+        # state, and Adam's one candidate loses at every state count.
+        if player is Owner.EVE:
+            found = _machine_from(game, player, 1, machine_class, {})
+            return MinMemResult(player, machine_class, bound, found, 1, 0, 0)
+        return MinMemResult(player, machine_class, bound, None, None, bound, 0)
     counter = [0]
     refuted = 0
     for states in range(1, bound + 1):
@@ -334,24 +348,27 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
     this enumerates exactly the candidates, in exactly the order, that
     restarting the expansion from init at every decision point would.
 
+    A closed Eve candidate loses iff its rows hold a cycle.  Truncating to
+    a frame's marks keeps the rows below its row mark and the positions
+    they name, so the cycle that refuted the last closed candidate stands
+    until a truncation reaches its highest position, `cycle_hi`; until
+    then each close fails without another cycle search.
+
     Update cells are only consulted below the full mask: once every color
-    is seen the machine's further behavior is irrelevant.
+    is seen the machine's further behavior is irrelevant.  The caller
+    answers an init that already carries every color.
     """
     arena = game.arena
     succ = arena.succ
-    owner = arena.owner
     mask_of = game.objective.mask
     full = game.objective.full_mask
     k = game.k
     eve = player is Owner.EVE
     color_obs = machine_class == COLOR_OBS
+    choice = [o is player and len(ws) > 1 for o, ws in zip(arena.owner, succ)]
     assignment: dict[tuple, int] = {}
 
     v0 = game.init
-    if mask_of[v0] == full:
-        if eve:
-            return _machine_from(game, player, states, machine_class, assignment)
-        return 1
     cfg0 = (v0 * states) << k | mask_of[v0]
     order = [cfg0]
     index = {cfg0: 0}
@@ -360,6 +377,7 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
     stack: list[list] = []
     maxused = 0
     refuted = 0
+    cycle_hi = -1  # -1 while no refuting cycle stands
 
     while True:
         verdict = _OK
@@ -372,9 +390,9 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
                     f"memory search exceeded its budget of {budget} expansions"
                 )
             cfg = order[len(rows)]
-            mask = cfg & full if k else 0
+            mask = cfg & full
             v, state = divmod(cfg >> k, states)
-            if owner[v] is player and len(succ[v]) > 1:
+            if choice[v]:
                 need = ("m", v, state)
                 pick = assignment.get(need)
                 if pick is None:
@@ -385,31 +403,38 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
                 targets = succ[v]
             row = []
             for w in targets:
-                mask2 = mask | mask_of[w]
+                colors = mask_of[w]
+                mask2 = mask | colors
                 if mask2 == full:
                     if not eve:
                         verdict = _FAIL
                         break
                     continue
-                if color_obs and not mask_of[w]:
+                if color_obs and not colors:
                     state2 = state
                 else:
-                    need = ("u", state, mask_of[w]) if color_obs else ("u", state, v, w)
+                    need = ("u", state, colors) if color_obs else ("u", state, v, w)
                     state2 = assignment.get(need)
                     if state2 is None:
                         verdict = _NEED
                         break
                 row.append((w * states + state2) << k | mask2)
             else:
+                ids = []
                 for cfg2 in row:
-                    if cfg2 not in index:
-                        index[cfg2] = len(order)
+                    j = index.get(cfg2)
+                    if j is None:
+                        j = index[cfg2] = len(order)
                         order.append(cfg2)
-                rows.append([index[cfg2] for cfg2 in row])
+                    ids.append(j)
+                rows.append(ids)
                 continue
             break
-        if verdict == _OK and eve and _has_cycle(rows) >= 0:
-            verdict = _FAIL
+        if verdict == _OK and eve:
+            if cycle_hi < 0:
+                cycle_hi = max(_find_cycle(rows), default=-1)
+            if cycle_hi >= 0:
+                verdict = _FAIL
 
         if verdict == _NEED:
             if need[0] == "m":
@@ -435,6 +460,8 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
                 assignment[cell] = value
                 if cell[0] == "u":
                     maxused = max(maxused, value)
+                if rows_mark <= cycle_hi:
+                    cycle_hi = -1
                 del rows[rows_mark:]
                 for cfg in order[order_mark:]:
                     del index[cfg]
@@ -446,10 +473,10 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
             return refuted
 
 
-def _has_cycle(rows: list[list[int]]) -> int:
-    """A node on a cycle of the graph given by successor rows, or -1 if it
-    has none; for an Eve machine such a cycle is a play that never
-    completes the colors."""
+def _find_cycle(rows: list[list[int]]) -> list[int]:
+    """The nodes of a cycle of the graph given by successor rows, in the
+    order the cycle visits them, or [] if it has none; for an Eve machine
+    such a cycle is a play that never completes the colors."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = [WHITE] * len(rows)
     for root in range(len(rows)):
@@ -465,7 +492,11 @@ def _has_cycle(rows: list[list[int]]) -> int:
                 i += 1
                 c = color[nxt]
                 if c == GRAY:
-                    return nxt
+                    # `work` holds the gray path from the root down to
+                    # `node`'s parent; the cycle is its tail from `nxt`.
+                    path = [u for u, _ in work]
+                    path.append(node)
+                    return path[path.index(nxt):]
                 if c == WHITE:
                     work.append((node, i))
                     color[nxt] = GRAY
@@ -473,7 +504,7 @@ def _has_cycle(rows: list[list[int]]) -> int:
                     break
             else:
                 color[node] = BLACK
-    return -1
+    return []
 
 
 def _machine_from(game, player, states, machine_class, assignment):

@@ -588,6 +588,24 @@ def test_minmem_budget(capsys, flower_file):
     assert "budget of 10 expansions" in err
 
 
+@pytest.mark.parametrize(
+    "command, budget",
+    [
+        (["solve", "{demo}", "--method", "minimax"], "-5"),
+        (["minmem", "{flower}", "--player", "eve", "--bound", "3"], "-1"),
+    ],
+    ids=["solve-minimax", "minmem"],
+)
+def test_negative_budget_is_a_usage_error(capsys, demo_file, flower_file, command, budget):
+    argv = [a.format(demo=demo_file, flower=flower_file) for a in command]
+    code, out, err = run(capsys, *argv, "--budget", budget)
+    assert code == 1
+    assert out == ""
+    assert err.endswith(
+        f"error: argument --budget: expected a count of 0 or more, got '{budget}'\n"
+    )
+
+
 def test_twosat(capsys, tmp_path):
     path = tmp_path / "f.cnf"
     path.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")

@@ -1,9 +1,13 @@
 """Simulation, verification, the minimax oracle and the memory searches."""
 
 import dataclasses
+import graphlib
+import hashlib
 import random
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from genreach import (
     BudgetExceededError,
@@ -23,7 +27,7 @@ from genreach import (
     solve_fpt,
     verify_strategy,
 )
-from genreach.lab import COLOR_OBS, FULL_CLASS
+from genreach.lab import COLOR_OBS, FULL_CLASS, _find_cycle
 from helpers import (
     check_play,
     machine_tables,
@@ -146,6 +150,49 @@ def test_verify_eve_counterexamples_are_lassos_on_random_machines():
         assert play.masks[-1] != game.objective.full_mask
         assert play.vertices[-1] in play.vertices[:-1]
     assert refuted >= 30
+
+
+def test_verify_random_machine_verdicts_are_pinned():
+    # The digest of 400 verdicts with their counterexamples, taken before
+    # verify_strategy and the memory search shared one cycle finder.
+    digest = hashlib.sha256()
+    for seed in range(400):
+        rng = random.Random(seed)
+        game = random_game(seed, n=4 + seed % 8, k=1 + seed % 3, density=0.35)
+        machine = random_machine(game, E, rng.randrange(1, 4), rng)
+        claimed = sorted(rng.sample(range(game.arena.n), rng.randrange(1, game.arena.n + 1)))
+        check = verify_strategy(game, machine, claimed)
+        play = check.counterexample
+        record = (
+            seed, check.winning, check.failing_vertex,
+            None if play is None else play.vertices,
+        )
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == (
+        "b9e036936d542d592b40f917860ee3bdd77352d0caebf260632918432c759fca"
+    )
+
+
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, n - 1), max_size=4), min_size=n, max_size=n
+        )
+    )
+)
+def test_find_cycle_matches_topological_sort(rows):
+    cycle = _find_cycle(rows)
+    try:
+        tuple(graphlib.TopologicalSorter(dict(enumerate(rows))).static_order())
+    except graphlib.CycleError:
+        acyclic = False
+    else:
+        acyclic = True
+    assert (cycle == []) == acyclic
+    if cycle:
+        assert len(set(cycle)) == len(cycle)
+        for node, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            assert nxt in rows[node]
 
 
 def test_verify_refuses_eve_moves_along_non_edges():
@@ -272,6 +319,66 @@ def test_min_memory_init_carries_every_color():
     adam = min_memory_search(game, A, 3)
     assert adam.strategy is None
     assert (adam.refuted, adam.expansions) == (3, 0)
+    # No level expands anything, so no level needs to run.
+    started = time.perf_counter()
+    far = min_memory_search(game, A, 10**9)
+    assert time.perf_counter() - started < 0.5
+    assert far.strategy is None and far.states is None
+    assert (far.refuted, far.expansions) == (10**9, 0)
+
+
+# The updates of a found machine, one row per state, over the arena's edges
+# in sorted order.
+FIG42_B3_FULL = (
+    {(0, 0): 1, (0, 1): 4, (0, 2): 4, (4, 0): 6, (4, 1): 5, (4, 2): 5},
+    [
+        (0, 0, 0, 0, 1, 2, 0, 0, 0, 0),
+        (1, 0, 1, 1, 1, 1, 1, 1, 1, 1),
+        (2, 1, 2, 2, 2, 2, 2, 2, 2, 2),
+    ],
+)
+FLOWER2_B3_FULL = (
+    {(1, 0): 2, (1, 1): 3, (1, 2): 2, (4, 0): 5, (4, 1): 6, (4, 2): 5},
+    [
+        (0, 0, 0, 0, 1, 0, 0, 0, 2, 0),
+        (1, 0, 1, 1, 1, 1, 1, 1, 1, 1),
+        (0, 1, 2, 2, 2, 2, 2, 2, 2, 2),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "fixture, player, bound, machine_class, states, refuted, expansions, tables",
+    [
+        ("flower2", E, 2, FULL_CLASS, None, 5220, 19_729, None),
+        ("fig42", E, 2, FULL_CLASS, None, 595, 2_092, None),
+        ("flower2", E, 3, COLOR_OBS, 3, 58, 2_418, None),
+        ("fig42", E, 3, COLOR_OBS, 3, 28, 949, None),
+        ("picker3", A, 2, COLOR_OBS, None, 208, 1_119, None),
+        ("fig42", E, 3, FULL_CLASS, 3, 595, 28_366, FIG42_B3_FULL),
+        ("flower2", E, 3, FULL_CLASS, 3, 5220, 480_882, FLOWER2_B3_FULL),
+    ],
+)
+def test_min_memory_enumeration_is_pinned(
+    request, fixture, player, bound, machine_class, states, refuted, expansions, tables
+):
+    # A change to the search order shows here as well as in the refuted
+    # counts.
+    game = request.getfixturevalue(fixture)
+    result = min_memory_search(game, player, bound, machine_class)
+    assert (result.states, result.refuted, result.expansions) == (
+        states, refuted, expansions
+    )
+    if tables is not None:
+        moves, update_rows = tables
+        arena = game.arena
+        edges = sorted((u, w) for u in range(arena.n) for w in arena.succ[u])
+        updates = {
+            (s, u, w): nxt
+            for s, row in enumerate(update_rows)
+            for (u, w), nxt in zip(edges, row, strict=True)
+        }
+        assert machine_tables(game, result.strategy) == (moves, updates)
 
 
 def test_min_memory_rejects_bad_arguments(flower2):

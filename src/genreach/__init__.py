@@ -51,7 +51,7 @@ from .model import (
     trace_play,
     validate_arena,
 )
-from .product import compress_adam, solve_fpt, subset_memory
+from .product import compress_adam, solve_fpt
 from .qbf import QBFFormula, eval_qbf_bruteforce, parse_qdimacs, qbf_to_game
 from .strategies import (
     FiniteMemoryStrategy,

@@ -119,7 +119,7 @@ def solve_opponent_player(game: Game) -> SolveResult:
         region &= attr.attractor
         ops += attr.ops
         sizes.append(len(attr.attractor))
-    eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(), {})
+    eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(region), {})
     return SolveResult(
         method="opponent",
         eve_region=region,

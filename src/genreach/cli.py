@@ -11,7 +11,9 @@ go to stderr); exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
+import io
 import json
 import os
 import sys
@@ -344,9 +346,7 @@ def cmd_minmem(args) -> int:
         "expansions": result.expansions,
     }
     if result.strategy is not None:
-        payload["strategy"] = strategy_to_json(
-            game.arena, result.strategy, start=[game.init]
-        )
+        payload["strategy"] = strategy_to_json(game.arena, result.strategy)
     report = _report(args, payload, digest, seconds)
     if result.strategy is None:
         summary = f"NONE within {args.bound} states ({result.refuted} machines refuted)"
@@ -438,6 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ClosedStdout(io.TextIOBase):
+    """For a stdout closed at start-up: a report fails as on a closed pipe."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, "stdout is closed")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -445,6 +452,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args.command_echo = list(sys.argv[1:] if argv is None else argv)
+    if sys.stdout is None:  # fd 1 was closed at start-up
+        sys.stdout = _ClosedStdout()
     try:
         code = args.func(args)
         sys.stdout.flush()  # a buffered write fails here, not at exit

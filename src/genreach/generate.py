@@ -86,12 +86,11 @@ def canonical_flower_eve(k: int) -> FiniteMemoryStrategy:
 
     State S is the set of petals already answered with their color
     vertex; the first visit of petal i takes c{i} and records it, the
-    second takes b{i} and wins.  2^k - 1 states.
+    second takes b{i} and wins.  2^k - 1 states, from the heart.
     """
     if k < 1:
         raise UnsupportedInputError("the flower needs at least one petal")
-    states = max(1, (1 << k) - 1)
-    full = (1 << k) - 1
+    states = full = (1 << k) - 1
     table: dict[tuple[int, int, int], int] = {}
     moves: dict[tuple[int, int], int] = {}
     for state in range(states):
@@ -101,7 +100,7 @@ def canonical_flower_eve(k: int) -> FiniteMemoryStrategy:
             marked = state | 1 << i
             if marked not in (state, full):
                 table[(state, v, c)] = marked
-    memory = MemoryStructure.from_table(states, 0, table)
+    memory = MemoryStructure.from_table(states, {0: 0}, table)
     return FiniteMemoryStrategy(Owner.EVE, memory, moves)
 
 

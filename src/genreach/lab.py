@@ -188,6 +188,8 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
         raise UnsupportedInputError("the minimax oracle needs a game with init")
     if budget is None:
         budget = 2_000_000
+    if budget < 0:
+        raise ValueError(f"the node budget must be 0 or more, not {budget}")
     arena = game.arena
     mask_of = game.objective.mask
     full = game.objective.full_mask
@@ -307,6 +309,8 @@ def min_memory_search(
         raise ValueError("the state bound must be at least 1")
     if budget is None:
         budget = 20_000_000
+    if budget < 0:
+        raise ValueError(f"the expansion budget must be 0 or more, not {budget}")
     if game.objective.mask[game.init] == game.objective.full_mask:
         # Eve has won before any move: her empty machine wins with one
         # state, and Adam's one candidate loses at every state count.
@@ -510,6 +514,7 @@ def _find_cycle(rows: list[list[int]]) -> list[int]:
 def _machine_from(game, player, states, machine_class, assignment):
     arena = game.arena
     mask_of = game.objective.mask
+    initial = {game.init: 0}
     # A move cell the search never fixed gets the first successor, the
     # value its enumeration tries first; callers such as the flower
     # adversary ask for a move in every state.
@@ -529,14 +534,14 @@ def _machine_from(game, player, states, machine_class, assignment):
         def update(s: int, u: int, w: int, _t=table) -> int:
             return _t.get((s, mask_of[w]), s)
 
-        memory = MemoryStructure(states, 0, update)
+        memory = MemoryStructure(states, initial, update)
     else:
         table = {
             (cell[1], cell[2], cell[3]): nxt
             for cell, nxt in assignment.items()
             if cell[0] == "u"
         }
-        memory = MemoryStructure.from_table(states, 0, table)
+        memory = MemoryStructure.from_table(states, initial, table)
     return FiniteMemoryStrategy(player, memory, moves)
 
 

@@ -1,4 +1,4 @@
-"""Subset memory, the two product solvers, and the antichain compression.
+"""The two product solvers and the antichain compression.
 
 The solver tracks which color sets a play has visited.  That memory is a
 k-bit mask, the product of arena and memory is an ordinary reachability
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
 from .attractor import _attract
 from .errors import UnsupportedInputError
-from .model import DEFAULT_COLOR_CAP, Game, Objective, Owner
+from .model import DEFAULT_COLOR_CAP, Game, Owner
 from .strategies import (
     FiniteMemoryStrategy,
     MemoryStructure,
@@ -36,18 +36,6 @@ from .strategies import (
 # The dense kernel's limit on n * 2^k configurations: above it
 # `solve_fpt` takes the sweep, and `compress_adam` refuses the game.
 MAX_CONFIGS = 1 << 22
-
-
-def subset_memory(objective: Objective) -> MemoryStructure:
-    """Memory whose state is the bitmask of color sets visited so far.
-
-    The state after an edge folds in the target vertex's colors.  The
-    initial state is the start vertex's own colors, per vertex, so the
-    same structure serves plays from anywhere.
-    """
-    mask = objective.mask
-    initial = {v: mask[v] for v in range(len(mask))}
-    return MemoryStructure(1 << objective.k, initial, lambda s, u, w: s | mask[w])
 
 
 def _bits(x: int) -> list[int]:
@@ -318,8 +306,8 @@ def _fpt_result(
 
     eve_initial = {v: idx.get(vm[v], 0) for v in sorted(eve_region)}
     eve_mem = MemoryStructure(len(idx), eve_initial, eve_update)
-    initial = {v: vm[v] for v in sorted(adam_region)}
-    mem = replace(subset_memory(game.objective), initial=initial)
+    adam_initial = {v: vm[v] for v in sorted(adam_region)}
+    mem = MemoryStructure(1 << game.k, adam_initial, lambda s, u, w: s | vm[w])
     return SolveResult(
         method="fpt",
         eve_region=eve_region,

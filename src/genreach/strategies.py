@@ -5,10 +5,10 @@ a move table indexed by (vertex, memory state).  Memory updates happen on
 every edge, including the opponent's; moves are only consulted at vertices
 the strategy's player owns.
 
-The initial memory state may depend on the start vertex.  Strategies whose
-memory tracks the colors seen so far need this: the start vertex's own
-colors count as visited, so plays from different vertices begin in
-different states.
+A memory structure maps each start vertex it claims to an initial state.
+Strategies whose memory tracks the colors seen so far need this: the start
+vertex's own colors count as visited, so plays from different vertices
+begin in different states.
 """
 
 from __future__ import annotations
@@ -23,15 +23,15 @@ from .model import Arena, Owner
 
 @dataclass(frozen=True, eq=False)
 class MemoryStructure:
-    """Deterministic automaton whose input alphabet is the arena's edges."""
+    """Deterministic automaton whose input alphabet is the arena's edges.
+
+    `initial` maps each start vertex the machine claims to its state."""
 
     states: int
-    initial: int | Mapping[int, int]
+    initial: Mapping[int, int]
     update: Callable[[int, int, int], int]
 
     def initial_state(self, v: int) -> int:
-        if isinstance(self.initial, int):
-            return self.initial
         try:
             return self.initial[v]
         except KeyError:
@@ -46,7 +46,7 @@ class MemoryStructure:
     def from_table(
         cls,
         states: int,
-        initial: int | Mapping[int, int],
+        initial: Mapping[int, int],
         table: Mapping[tuple[int, int, int], int],
     ) -> "MemoryStructure":
         """Explicit transition table; entries absent from it mean 'stay'."""
@@ -54,9 +54,9 @@ class MemoryStructure:
         return cls(states, initial, lambda s, u, v: frozen.get((s, u, v), s))
 
 
-def identity_memory() -> MemoryStructure:
-    """The one-state memory of a positional strategy."""
-    return MemoryStructure(1, 0, lambda s, u, v: 0)
+def identity_memory(starts: Iterable[int]) -> MemoryStructure:
+    """The one-state memory of a positional strategy, from `starts`."""
+    return MemoryStructure(1, dict.fromkeys(sorted(starts), 0), lambda s, u, v: 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,28 +91,17 @@ class FiniteMemoryStrategy:
         )
 
 
-def strategy_to_json(
-    arena: Arena,
-    strategy: FiniteMemoryStrategy,
-    start: Iterable[int] | None = None,
-) -> dict:
+def strategy_to_json(arena: Arena, strategy: FiniteMemoryStrategy) -> dict:
     """JSON-ready dict with only the (vertex, state) pairs reachable from
-    `start` (default: every vertex the strategy has an initial state for).
+    the strategy's start vertices.
 
     Only moves `move` gives are written: a pair of the strategy's player
     with no move is left out and not expanded, so a file holds no guessed
     move.  For `solve_fpt` strategies such pairs lie only on walks past
     the full mask, which no play needs."""
-    if start is None:
-        if isinstance(strategy.memory.initial, int):
-            start = range(arena.n)
-        else:
-            start = sorted(strategy.memory.initial)
-    start = list(start)
-
-    seen: set[tuple[int, int]] = set()
-    queue = [(v, strategy.memory.initial_state(v)) for v in start]
-    seen.update(queue)
+    initial = sorted(strategy.memory.initial.items())
+    queue = list(initial)
+    seen = set(initial)
     moves: dict[tuple[int, int], int] = {}
     updates: dict[tuple[int, int, int], int] = {}
     while queue:
@@ -133,25 +122,12 @@ def strategy_to_json(
                 seen.add((w, nxt))
                 queue.append((w, nxt))
 
-    if isinstance(strategy.memory.initial, int):
-        initial_json: int | dict = strategy.memory.initial
-    else:
-        initial_json = {
-            "per_vertex": {
-                arena.names[v]: s for v, s in sorted(strategy.memory.initial.items())
-            }
-        }
     return {
         "player": strategy.player.value,
         "states": strategy.memory.states,
-        "initial": initial_json,
+        "initial": {"per_vertex": {arena.names[v]: s for v, s in initial}},
         "update": [
-            {
-                "state": s,
-                "from": arena.names[u],
-                "to": arena.names[w],
-                "next_state": nxt,
-            }
+            {"state": s, "from": arena.names[u], "to": arena.names[w], "next_state": nxt}
             for (s, u, w), nxt in sorted(updates.items())
         ],
         "moves": [
@@ -181,17 +157,13 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
             raise ValueError(f"memory state {s} out of range 0..{states - 1}")
         return s
 
-    initial: int | dict[int, int]
-    if isinstance(raw_initial, dict):
+    try:
         per_vertex = raw_initial["per_vertex"]
-        if not isinstance(per_vertex, dict):
-            raise ValueError("per_vertex must map vertex names to states")
-        initial = {
-            arena.index_of(name): check_state(s)
-            for name, s in per_vertex.items()
-        }
-    else:
-        initial = check_state(raw_initial)
+    except TypeError:  # a bare state, the older form, starts at every vertex
+        per_vertex = dict.fromkeys(arena.names, raw_initial)
+    if not isinstance(per_vertex, dict):
+        raise ValueError("per_vertex must map vertex names to states")
+    initial = {arena.index_of(name): check_state(s) for name, s in per_vertex.items()}
 
     table: dict[tuple[int, int, int], int] = {}
     for entry in update_entries:
@@ -219,8 +191,8 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
     return FiniteMemoryStrategy(player, memory, moves)
 
 
-def dump_strategy(arena: Arena, strategy: FiniteMemoryStrategy, **kwargs) -> str:
-    return json.dumps(strategy_to_json(arena, strategy, **kwargs), indent=2) + "\n"
+def dump_strategy(arena: Arena, strategy: FiniteMemoryStrategy) -> str:
+    return json.dumps(strategy_to_json(arena, strategy), indent=2) + "\n"
 
 
 def load_strategy(arena: Arena, text: str) -> FiniteMemoryStrategy:

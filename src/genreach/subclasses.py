@@ -45,7 +45,7 @@ def solve_singleton(game: Game) -> SolveResult:
     k = objective.k
     everyone = frozenset(range(n))
     if k == 0:
-        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(), {})
+        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(everyone), {})
         return SolveResult(
             "singleton", everyone, frozenset(), eve_strategy=eve,
             stats={"total": True, "visit_order": []},
@@ -88,12 +88,12 @@ def solve_singleton(game: Game) -> SolveResult:
     for state in range(k):
         w = chain[state]
         nxt = advance(state, w)
-        for u in range(n):
-            if nxt != state and w in arena.succ[u]:
+        if nxt != state:
+            for u in arena._pred[w]:
                 update[(state, u, w)] = nxt
         for u, step_to in attr[w].moves.items():
             moves[(u, state)] = step_to
-    initial = {v: advance(0, v) if v == chain[0] else 0 for v in range(n)}
+    initial = {v: advance(0, v) if v == chain[0] else 0 for v in sorted(region)}
     eve = FiniteMemoryStrategy(
         Owner.EVE, MemoryStructure.from_table(k, initial, update), moves
     )
@@ -101,7 +101,7 @@ def solve_singleton(game: Game) -> SolveResult:
     adam_moves = {
         (u, 0): w for u, w in avoid_moves(arena, attr[chain[0]]).items()
     }
-    adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(), adam_moves)
+    adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(everyone - region), adam_moves)
     return SolveResult(
         "singleton", region, everyone - region,
         eve_strategy=eve, adam_strategy=adam,
@@ -136,9 +136,7 @@ def _singleton_adam(
         moves[(u, 0)] = w
     for u, w in avoid_moves(arena, attr[vj]).items():
         moves[(u, 1)] = w
-    update = {
-        (0, u, vi): 1 for u in range(n) if vi in arena.succ[u]
-    }
+    update = {(0, u, vi): 1 for u in arena._pred[vi]}
     initial = {v: 1 if v == vi else 0 for v in range(n)}
     adam = FiniteMemoryStrategy(
         Owner.ADAM, MemoryStructure.from_table(2, initial, update), moves
@@ -250,14 +248,14 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     everyone = frozenset(range(n))
     if k == 0:
         witness = (game.init,) if game.init is not None else None
-        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(), {})
+        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(everyone), {})
         return SolveResult(
             "oneplayer2", everyone, frozenset(), eve_strategy=eve,
             witness=witness, stats={"variables": 0, "clauses": 0},
         )
     for i, members in enumerate(objective.color_sets):
         if not members:
-            adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(), {})
+            adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(everyone), {})
             return SolveResult(
                 "oneplayer2", frozenset(), everyone, adam_strategy=adam,
                 stats={"empty_color": i + 1},

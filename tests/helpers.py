@@ -145,7 +145,8 @@ def antichain_table(
 def random_machine(
     game: Game, player: Owner, states: int, rng: random.Random
 ) -> FiniteMemoryStrategy:
-    """A uniformly random finite-memory strategy for one player."""
+    """A uniformly random finite-memory strategy for one player, from
+    state 0 at every vertex."""
     arena = game.arena
     table = {
         (s, v, w): rng.randrange(states)
@@ -159,8 +160,9 @@ def random_machine(
         if arena.owner[v] is player and len(arena.succ[v]) > 1
         for s in range(states)
     }
+    initial = dict.fromkeys(range(arena.n), 0)
     return FiniteMemoryStrategy(
-        player, MemoryStructure.from_table(states, 0, table), moves
+        player, MemoryStructure.from_table(states, initial, table), moves
     )
 
 

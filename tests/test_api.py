@@ -68,7 +68,6 @@ PUBLIC_NAMES = [
     "solve_singleton",
     "strategy_from_json",
     "strategy_to_json",
-    "subset_memory",
     "trace_play",
     "two_sat_solve",
     "validate_arena",
@@ -80,7 +79,6 @@ DEFAULTED_PARAMETERS = {
     "export_dot": ["result"],
     "min_memory_search": ["machine_class", "budget", "on_refuted"],
     "minimax_oracle": ["budget"],
-    "strategy_to_json": ["start"],
 }
 
 # Options per command of `cli.build_parser()`, without -h/--help.
@@ -112,7 +110,7 @@ def public_names():
 
 def test_public_names():
     assert public_names() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 60
 
 
 def test_defaulted_parameters_of_public_functions():
@@ -128,7 +126,7 @@ def test_defaulted_parameters_of_public_functions():
             if defaulted:
                 found[name] = defaulted
     assert found == DEFAULTED_PARAMETERS
-    assert sum(map(len, found.values())) == 6
+    assert sum(map(len, found.values())) == 5
 
 
 def cli_options(parser, command="genreach", found=None):

@@ -360,6 +360,20 @@ def test_qbf_both_routes(capsys, tmp_path):
     assert "true" in err
 
 
+def test_qbf_route_disagreement_exits_four(capsys, tmp_path, monkeypatch):
+    # Exit code 4 is reached only when the two routes differ: make brute
+    # force answer wrong.
+    monkeypatch.setattr("genreach.cli.eval_qbf_bruteforce", lambda formula: False)
+    path = tmp_path / "f.qdimacs"
+    path.write_text(QBF1_TEXT)
+    code, out, err = run(capsys, "qbf", path, "--via", "both", "--json")
+    assert code == 4
+    report = json.loads(out)
+    assert report["game_value"] is True and report["brute_value"] is False
+    assert report["agreement"] is False
+    assert err == "route disagreement: game route and brute force differ\n"
+
+
 def test_qbf_brute_only(capsys, tmp_path):
     path = tmp_path / "f.qdimacs"
     path.write_text(QBF1_TEXT)
@@ -440,13 +454,17 @@ def test_gen_into_missing_directory(capsys, tmp_path):
     assert not target.parent.exists()
 
 
-def _solve_subprocess(path, stdout):
+def _cli_subprocess(*argv, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(Path(genreach.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)  # stdout stays buffered, as it is by default
     return subprocess.run(
-        [sys.executable, "-m", "genreach.cli", "solve", str(path), "--json"],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        [sys.executable, "-m", "genreach.cli", *map(str, argv)],
+        stderr=subprocess.PIPE, text=True, env=env, timeout=60, **kwargs,
     )
+
+
+def _solve_subprocess(path, stdout):
+    return _cli_subprocess("solve", path, "--json", stdout=stdout)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -468,6 +486,28 @@ def test_solve_to_closed_pipe(demo_file):
     assert proc.returncode == 1
     assert proc.stderr.endswith("error: [Errno 32] Broken pipe\n")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", "{game}", "--json"], 1),
+        (["solve", "{game}"], 1),
+        (["gen", "flower", "--k", "2"], 1),
+        (["gen", "flower", "--k", "2", "-o", "{out}"], 0),
+    ],
+)
+def test_closed_stdout(demo_file, tmp_path, argv, code):
+    # With fd 1 closed at start-up a report has nowhere to go: that is an
+    # error, as a closed pipe is.  A command that writes no report succeeds.
+    out = tmp_path / "f.game"
+    argv = [a.format(game=demo_file, out=out) for a in argv]
+    proc = _cli_subprocess(*argv, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr == "error: [Errno 9] stdout is closed\n"
+    else:
+        assert "Traceback" not in proc.stderr and out.exists()
 
 
 def test_verify_region_all(capsys, tmp_path, demo_file):

@@ -39,19 +39,18 @@ from helpers import (
 E, A = Owner.EVE, Owner.ADAM
 
 
-def positional(player, game=None, moves=None):
-    """A one-state machine; given a game, it moves to the first successor
-    at each of the player's vertices unless `moves` says otherwise."""
-    table = {}
-    if game is not None:
-        arena = game.arena
-        table = {
-            (v, 0): arena.succ[v][0]
-            for v in range(arena.n)
-            if arena.owner[v] is player
-        }
+def positional(player, game, moves=None):
+    """A one-state machine from every vertex; it moves to the first
+    successor at each of the player's vertices unless `moves` says
+    otherwise."""
+    arena = game.arena
+    table = {
+        (v, 0): arena.succ[v][0]
+        for v in range(arena.n)
+        if arena.owner[v] is player
+    }
     table.update(moves or {})
-    return FiniteMemoryStrategy(player, identity_memory(), table)
+    return FiniteMemoryStrategy(player, identity_memory(range(arena.n)), table)
 
 
 def test_simulate_eve_collects_all_colors(flower2):
@@ -80,17 +79,17 @@ def test_simulate_adam_wins_on_repeat(flower2):
 def test_simulate_requires_init(flower2):
     headless = dataclasses.replace(flower2, init=None)
     with pytest.raises(UnsupportedInputError, match="simulation needs a game with an init vertex"):
-        simulate(headless, positional(E), positional(A))
+        simulate(headless, positional(E, headless), positional(A, headless))
 
 
 def test_simulate_checks_player_order(flower2):
     with pytest.raises(UnsupportedInputError, match="Eve strategy then an Adam"):
-        simulate(flower2, positional(A), positional(E))
+        simulate(flower2, positional(A, flower2), positional(E, flower2))
 
 
 def test_simulate_rejects_non_edge_moves(flower2):
     heart = 0
-    cheat = positional(A, moves={(heart, 0): heart})  # h has no self-loop
+    cheat = positional(A, flower2, moves={(heart, 0): heart})  # h has no self-loop
     with pytest.raises(UnsupportedInputError, match="not an edge"):
         simulate(flower2, canonical_flower_eve(2), cheat)
 
@@ -101,7 +100,7 @@ def test_simulate_immediate_win_with_no_colors(demo):
     empty = dataclasses.replace(
         demo, objective=Objective.from_sets(demo.arena.n, [])
     )
-    outcome = simulate(empty, positional(E), positional(A))
+    outcome = simulate(empty, positional(E, empty), positional(A, empty))
     assert outcome.winner is E and outcome.steps == 0
 
 
@@ -202,7 +201,7 @@ def test_verify_refuses_eve_moves_along_non_edges():
 
     arena = Arena.from_edges(["a", "b", "c"], [E, E, E], [(0, 2), (1, 1), (2, 2)])
     game = Game(arena, Objective.from_sets(3, [[1]]), init=0)
-    cheat = positional(E, moves={(0, 0): 1})
+    cheat = positional(E, game, moves={(0, 0): 1})
     message = r"^strategy moved along \(a, b\), which is not an edge$"
     with pytest.raises(UnsupportedInputError, match=message):
         verify_strategy(game, cheat, [0])
@@ -255,6 +254,10 @@ def test_minimax_requires_init(flower2):
 def test_minimax_node_budget(flower3):
     with pytest.raises(BudgetExceededError, match="exceeded 10 nodes"):
         minimax_oracle(flower3, budget=10)
+    with pytest.raises(ValueError, match="budget must be 0 or more, not -5"):
+        minimax_oracle(flower3, budget=-5)
+    with pytest.raises(BudgetExceededError, match="exceeded 0 nodes"):
+        minimax_oracle(flower3, budget=0)
 
 
 def test_minimax_horizon_guard():
@@ -391,6 +394,11 @@ def test_min_memory_rejects_bad_arguments(flower2):
 def test_min_memory_budget(flower2):
     with pytest.raises(BudgetExceededError, match="budget of 40 expansions"):
         min_memory_search(flower2, E, 2, FULL_CLASS, budget=40)
+    with pytest.raises(ValueError, match="budget must be 0 or more, not -1"):
+        min_memory_search(flower2, E, 2, budget=-1)
+    # A zero budget is legal: it runs out at the first expansion.
+    with pytest.raises(BudgetExceededError, match="budget of 0 expansions"):
+        min_memory_search(flower2, E, 2, budget=0)
 
 
 def test_min_memory_on_refuted_hook(flower2):

@@ -14,7 +14,6 @@ from genreach import (
     compress_adam,
     parse_game,
     solve_fpt,
-    subset_memory,
     verify_strategy,
 )
 from genreach.product import _dense_antichains, _solve_dense, _solve_sweep
@@ -24,11 +23,10 @@ E, A = Owner.EVE, Owner.ADAM
 
 
 def test_subset_memory_folds_colors(demo):
-    mem = subset_memory(demo.objective)
+    mem = solve_fpt(demo).adam_strategy.memory
     assert mem.states == 4
-    # Starting anywhere, the initial state is that vertex's own colors.
-    assert mem.initial_state(demo.arena.index_of("a")) == 1
-    assert mem.initial_state(demo.arena.index_of("c")) == 0
+    # It starts on Adam's region, d, in the state of d's own colors.
+    assert mem.initial == {demo.arena.index_of("d"): 2}
     assert mem.step(1, 0, demo.arena.index_of("d")) == 3
     assert mem.step(3, 3, 3) == 3
 

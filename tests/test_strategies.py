@@ -12,6 +12,9 @@ from genreach import (
     identity_memory,
     load_strategy,
     solve_fpt,
+    solve_oneplayer_size2,
+    solve_opponent_player,
+    solve_singleton,
     strategy_from_json,
     strategy_to_json,
     verify_strategy,
@@ -22,9 +25,6 @@ E, A = Owner.EVE, Owner.ADAM
 
 
 def test_memory_structure_initial_forms():
-    flat = MemoryStructure(2, 1, lambda s, u, v: s)
-    assert flat.initial_state(0) == 1 and flat.initial_state(7) == 1
-
     per_vertex = MemoryStructure(2, {0: 0, 3: 1}, lambda s, u, v: s)
     assert per_vertex.initial_state(3) == 1
     with pytest.raises(StrategyPartialError, match="start vertex 1"):
@@ -32,22 +32,22 @@ def test_memory_structure_initial_forms():
 
 
 def test_memory_from_table_defaults_to_stay():
-    mem = MemoryStructure.from_table(3, 0, {(0, 1, 2): 2})
+    mem = MemoryStructure.from_table(3, {0: 0}, {(0, 1, 2): 2})
     assert mem.step(0, 1, 2) == 2
     assert mem.step(0, 2, 1) == 0
     assert mem.step(1, 1, 2) == 1
 
 
 def test_identity_memory():
-    mem = identity_memory()
+    mem = identity_memory([5, 2])
     assert mem.states == 1
-    assert mem.initial_state(5) == 0
+    assert mem.initial == {5: 0, 2: 0}
     assert mem.step(0, 3, 4) == 0
 
 
 def test_move_fallback(demo):
     arena = demo.arena
-    strict = FiniteMemoryStrategy(E, identity_memory(), {})
+    strict = FiniteMemoryStrategy(E, identity_memory([demo.init]), {})
     with pytest.raises(StrategyPartialError, match="no move for vertex 'c'"):
         strict.move(arena, arena.index_of("c"), 0)
     # Single-successor vertices never need a table entry.
@@ -56,7 +56,7 @@ def test_move_fallback(demo):
 
 def test_json_round_trip(demo):
     solved = solve_fpt(demo)
-    doc = strategy_to_json(demo.arena, solved.eve_strategy, start=[demo.init])
+    doc = strategy_to_json(demo.arena, solved.eve_strategy)
     assert doc["player"] == "eve"
     assert {"vertex", "state", "successor"} <= set(doc["moves"][0])
 
@@ -67,7 +67,7 @@ def test_json_round_trip(demo):
 
 def test_json_round_trip_text_form(demo):
     solved = solve_fpt(demo)
-    text = dump_strategy(demo.arena, solved.eve_strategy, start=[demo.init])
+    text = dump_strategy(demo.arena, solved.eve_strategy)
     loaded = load_strategy(demo.arena, text)
     assert verify_strategy(demo, loaded, [demo.init]).winning
 
@@ -84,30 +84,56 @@ def test_json_per_vertex_initial(demo):
 def test_json_only_keeps_reachable_entries(demo):
     # A two-state memory that never leaves state 0 from c serializes
     # without any state-1 move rows.
-    mem = MemoryStructure(2, 0, lambda s, u, v: s)
+    mem = MemoryStructure(2, {demo.init: 0}, lambda s, u, v: s)
     sigma = FiniteMemoryStrategy(E, mem, {(0, 0): 1, (0, 1): 3})
-    doc = strategy_to_json(demo.arena, sigma, start=[demo.init])
+    doc = strategy_to_json(demo.arena, sigma)
     assert doc["moves"] and all(entry["state"] == 0 for entry in doc["moves"])
     assert doc["update"] == []
 
 
+# Per subclass solver, the random games it accepts.
+SUBCLASS = {
+    solve_singleton: {"color_size": (1, 1)},
+    solve_opponent_player: {"eve_ratio": 0.0},
+    solve_oneplayer_size2: {"eve_ratio": 1.0},
+}
+REGION_CASES = [
+    *((solve_fpt, name) for name in ("demo", "fig5", "flower2")),
+    *((solve_fpt, seed) for seed in range(24)),
+    *((solver, seed) for solver in SUBCLASS for seed in range(24)),
+]
+
+
+def _case_id(solver, case):
+    if isinstance(case, str):
+        return case
+    prefix = "" if solver is solve_fpt else f"{solver.__name__}-"
+    return f"{prefix}random{case}"
+
+
 @pytest.mark.parametrize(
-    "fixture", ["demo", "fig5", "flower2"] + [f"random{seed}" for seed in range(24)]
+    "solver, case", REGION_CASES, ids=[_case_id(*c) for c in REGION_CASES]
 )
 def test_solver_strategies_start_on_their_region_and_files_hold_no_guesses(
-    request, fixture
+    request, solver, case
 ):
-    if fixture.startswith("random"):
-        seed = int(fixture[len("random"):])
-        game = random_game(seed, n=6 + seed % 7, k=1 + seed % 4, density=0.35)
+    if isinstance(case, str):
+        game = request.getfixturevalue(case)
+    elif solver is solve_fpt:
+        game = random_game(case, n=6 + case % 7, k=1 + case % 4, density=0.35)
     else:
-        game = request.getfixturevalue(fixture)
+        game = random_game(
+            case, n=6 + case % 7, k=case % 4, density=0.35, **SUBCLASS[solver]
+        )
     arena = game.arena
-    solved = solve_fpt(game)
+    solved = solver(game)
     for strategy, region in (
         (solved.eve_strategy, solved.eve_region),
         (solved.adam_strategy, solved.adam_region),
     ):
+        if strategy is None:
+            continue
+        assert set(strategy.memory.initial) == region
         doc = strategy_to_json(arena, strategy)
         for row in doc["moves"]:
             v = arena.index_of(row["vertex"])
@@ -115,15 +141,11 @@ def test_solver_strategies_start_on_their_region_and_files_hold_no_guesses(
             assert strategy.moves.get((v, row["state"])) == w or arena.succ[v] == (w,)
         loaded = strategy_from_json(arena, doc)
         assert verify_strategy(game, loaded, region).winning
-        for v in range(arena.n):
-            if v not in region:
-                with pytest.raises(StrategyPartialError):
-                    strategy.memory.initial_state(v)
 
 
 def test_from_json_rejects_bad_documents(demo):
     solved = solve_fpt(demo)
-    good = strategy_to_json(demo.arena, solved.eve_strategy, start=[demo.init])
+    good = strategy_to_json(demo.arena, solved.eve_strategy)
 
     bad = dict(good, states=0)
     with pytest.raises(ValueError, match="at least one memory state"):

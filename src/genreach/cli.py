@@ -97,6 +97,7 @@ def _exit_code(exc: GenReachError) -> int:
 
 
 def _report(args, payload: dict, digest: str | None, seconds: float) -> dict:
+    # `seconds` runs from after the input is read, so it counts parsing.
     return {
         "command": args.command_echo,
         "version": __version__,
@@ -285,14 +286,14 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     text, digest = _read_text(Path(args.game))
-    game = parse_game(text)
     strategy_text, _ = _read_text(Path(args.strategy))
+    started = time.perf_counter()
+    game = parse_game(text)
     try:
         data = json.loads(strategy_text)
         strategy = strategy_from_json(game.arena, data)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise GameParseError(f"bad strategy document: {exc}") from None
-    started = time.perf_counter()
     if args.region == "init":
         if game.init is None:
             raise UnsupportedInputError("--region init needs a game with an init vertex")
@@ -325,9 +326,9 @@ def cmd_verify(args) -> int:
 
 def cmd_minmem(args) -> int:
     text, digest = _read_text(Path(args.game))
+    started = time.perf_counter()
     game = parse_game(text)
     player = Owner.EVE if args.player == "eve" else Owner.ADAM
-    started = time.perf_counter()
     try:
         result = min_memory_search(
             game, player, args.bound, machine_class=args.machine_class, budget=args.budget

@@ -8,10 +8,10 @@ Format, version 1::
     edge <from> <to>
     init <name>            # optional
 
-Tokens are whitespace separated; `#` starts a comment.  Colors are 1-based.
-The `colors` line must precede vertex declarations; edges may reference
-vertices declared later.  Parsing rejects anything `validate_arena` would
-flag, so a parsed game is ready for any solver.
+Tokens are whitespace separated; `#` starts a comment.  Colors are 1-based,
+at most `MAX_COLORS` of them.  The `colors` line must precede vertex
+declarations; edges may reference vertices declared later.  Parsing rejects
+anything `validate_arena` would flag, so a parsed game is ready for any solver.
 
 `_read_dimacs` at the bottom is the one reader of DIMACS CNF and QDIMACS
 text; `qbf.parse_qdimacs` and `subclasses.parse_dimacs_cnf2` build their
@@ -25,6 +25,8 @@ from .model import Arena, Game, Objective, Owner, mask_colors, validate_arena
 
 FORMAT_NAME = "genreach"
 FORMAT_VERSION = "1"
+# The largest color count; each declared color costs a list slot in memory.
+MAX_COLORS = 1 << 20
 
 _OWNERS = {"eve": Owner.EVE, "adam": Owner.ADAM}
 
@@ -35,7 +37,7 @@ def parse_game(text: str) -> Game:
     names: list[str] = []
     index: dict[str, int] = {}
     owners: list[Owner] = []
-    vertex_colors: list[list[int]] = []
+    carriers: dict[int, set[int]] = {}  # color -> the vertices carrying it
     vertex_lines: list[int] = []
     edge_refs: list[tuple[str, str, int]] = []
     init_ref: tuple[str, int] | None = None
@@ -62,6 +64,8 @@ def parse_game(text: str) -> Game:
             k = _parse_int(tokens[1], lineno)
             if k < 0:
                 raise GameParseError("color count must be non-negative", lineno)
+            if k > MAX_COLORS:
+                raise GameParseError(f"color count {k} exceeds the limit {MAX_COLORS}", lineno)
         elif keyword == "vertex":
             if k is None:
                 raise GameParseError("colors must be declared before vertices", lineno)
@@ -74,18 +78,18 @@ def parse_game(text: str) -> Game:
                 raise GameParseError(
                     f"owner must be 'eve' or 'adam', got '{tokens[2]}'", lineno
                 )
-            colors = []
+            v = len(names)
             for tok in tokens[3:]:
                 c = _parse_int(tok, lineno)
                 if not 1 <= c <= k:
                     raise GameParseError(f"color {c} out of range 1..{k}", lineno)
-                if c in colors:
+                members = carriers.setdefault(c, set())
+                if v in members:
                     raise GameParseError(f"repeated color {c}", lineno)
-                colors.append(c)
-            index[name] = len(names)
+                members.add(v)
+            index[name] = v
             names.append(name)
             owners.append(_OWNERS[tokens[2]])
-            vertex_colors.append(colors)
             vertex_lines.append(lineno)
         elif keyword == "edge":
             if len(tokens) != 3:
@@ -107,35 +111,30 @@ def parse_game(text: str) -> Game:
     if not names:
         raise GameParseError("game declares no vertices")
 
-    edges: list[tuple[int, int]] = []
-    seen_edges: set[tuple[int, int]] = set()
-    for src, dst, lineno in edge_refs:
-        for endpoint in (src, dst):
-            if endpoint not in index:
-                raise GameParseError(f"unknown vertex name '{endpoint}'", lineno)
-        edge = (index[src], index[dst])
-        if edge in seen_edges:
-            raise GameParseError(f"duplicate edge '{src}' -> '{dst}'", lineno)
-        seen_edges.add(edge)
-        edges.append(edge)
+    try:
+        edges = [(index[src], index[dst]) for src, dst, _ in edge_refs]
+    except KeyError as exc:
+        # The first edge line naming it is the one the comprehension failed on.
+        name = exc.args[0]
+        lineno = next(line for src, dst, line in edge_refs if name in (src, dst))
+        raise GameParseError(f"unknown vertex name '{name}'", lineno) from None
 
     arena = Arena.from_edges(names, owners, edges)
     violations = validate_arena(arena)
     if violations:
-        # Duplicates were caught above; what remains are dead ends, listed
-        # in vertex order.
+        # `validate_arena` is the check; only now is a line looked up: the
+        # file's first repeated edge, else the first dead end's declaration.
+        first_line: dict[tuple[int, int], int] = {}
+        for edge, (src, dst, lineno) in zip(edges, edge_refs):
+            if first_line.setdefault(edge, lineno) != lineno:
+                raise GameParseError(f"duplicate edge '{src}' -> '{dst}'", lineno)
         v = next(v for v, targets in enumerate(arena.succ) if not targets)
         raise GameParseError(violations[0], vertex_lines[v])
 
     # Colors no vertex carries share one empty set, so a declared count
     # costs a list slot per color and no more.
     uncarried: frozenset[int] = frozenset()
-    color_sets: list[frozenset[int] | set[int]] = [uncarried] * k
-    for v, colors in enumerate(vertex_colors):
-        for c in colors:
-            if color_sets[c - 1] is uncarried:
-                color_sets[c - 1] = set()
-            color_sets[c - 1].add(v)
+    color_sets = [carriers.get(c, uncarried) for c in range(1, k + 1)]
     objective = Objective.from_sets(len(names), color_sets)
 
     init = None
@@ -153,6 +152,8 @@ def serialize_game(game: Game) -> str:
     for name in arena.names:
         if not name or "#" in name or name.split() != [name]:
             raise UnsupportedInputError(f"vertex name {name!r} is not serializable")
+    if game.k > MAX_COLORS:
+        raise UnsupportedInputError(f"{game.k} colors exceed the format's limit {MAX_COLORS}")
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"colors {game.k}"]
     for v, name in enumerate(arena.names):
         parts = ["vertex", name, arena.owner[v].value]
@@ -212,7 +213,10 @@ def _parse_int(token: str, lineno: int) -> int:
     # An optional '-' then ASCII digits: int() also takes '+1' and '1_0'.
     if not (token.isascii() and token.removeprefix("-").isdigit()):
         raise GameParseError(f"expected an integer, got '{token}'", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than int() converts
+        raise GameParseError(f"integer of {len(token)} digits is too long", lineno) from None
 
 
 def _read_dimacs(

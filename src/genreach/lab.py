@@ -55,7 +55,7 @@ def simulate(
         return (tau.move(arena, v, pair[1]),)
 
     def step(pair, v, w):
-        return sigma.memory.step(pair[0], v, w), tau.memory.step(pair[1], v, w)
+        return sigma.memory.update(pair[0], v, w), tau.memory.update(pair[1], v, w)
 
     walk = _explore(game, [(v0, start)], moves, step)
     _, rows, _, full_id = walk
@@ -103,7 +103,7 @@ def verify_strategy(
             return (strategy.move(arena, v, state),)
         return arena.succ[v]
 
-    walk = _explore(game, starts, moves, memory.step)
+    walk = _explore(game, starts, moves, memory.update)
     configs, rows, _, full_id = walk
     states_used = frozenset(state for _, state, _ in configs)
     # Full-mask rows are empty, so a cycle is a play missing a color.
@@ -589,7 +589,7 @@ def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutat
     for m in range(memory.states):
         s = 0
         for i in range(k):
-            after = memory.step(m, heart, petal[i])
+            after = memory.update(m, heart, petal[i])
             if eve_machine.move(arena, petal[i], after) == back[i]:
                 s |= 1 << i
         stopping.append(s)

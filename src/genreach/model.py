@@ -8,7 +8,7 @@ membership masks, which is the representation the bitmask solvers use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -55,10 +55,11 @@ class Arena:
         owner: Sequence[Owner],
         edges: Iterable[tuple[int, int]],
     ) -> "Arena":
+        # Sources index `lists`; targets are checked by `__post_init__`.
         n = len(names)
         lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
+            if not 0 <= u < n:
                 raise ValueError(f"edge ({u}, {v}) out of range")
             lists[u].append(v)
         return cls(tuple(names), tuple(owner), tuple(tuple(sorted(l)) for l in lists))
@@ -99,39 +100,33 @@ class Arena:
 
 @dataclass(frozen=True)
 class Objective:
-    """A family of k vertex sets that must all be visited.
+    """A family of k vertex sets over vertices 0..n-1 that must all be visited.
 
-    `mask[v]` is the bitmask of colors that vertex v carries; it is derived
-    from `color_sets` and checked for agreement on construction.
+    `mask[v]` is the bitmask of colors that vertex v carries.  It is derived
+    from `color_sets` once, on construction, which is also the one place a
+    member is checked to be a vertex.
     """
 
-    k: int
+    n: int
     color_sets: tuple[frozenset[int], ...]
-    mask: tuple[int, ...]
+    mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k != len(self.color_sets):
-            raise ValueError("k disagrees with the number of color sets")
-        n = len(self.mask)
-        derived = [0] * n
+        mask = [0] * self.n
         for i, members in enumerate(self.color_sets):
             for v in members:
-                if not 0 <= v < n:
+                if not 0 <= v < self.n:
                     raise ValueError(f"color {i + 1} contains out-of-range vertex {v}")
-                derived[v] |= 1 << i
-        if tuple(derived) != self.mask:
-            raise ValueError("mask disagrees with color sets")
+                mask[v] |= 1 << i
+        object.__setattr__(self, "mask", tuple(mask))
 
     @classmethod
     def from_sets(cls, n: int, color_sets: Iterable[Iterable[int]]) -> "Objective":
-        sets = tuple(frozenset(s) for s in color_sets)
-        mask = [0] * n
-        for i, members in enumerate(sets):
-            for v in members:
-                if not 0 <= v < n:
-                    raise ValueError(f"color {i + 1} contains out-of-range vertex {v}")
-                mask[v] |= 1 << i
-        return cls(len(sets), sets, tuple(mask))
+        return cls(n, tuple(frozenset(s) for s in color_sets))
+
+    @property
+    def k(self) -> int:
+        return len(self.color_sets)
 
     @property
     def full_mask(self) -> int:
@@ -139,8 +134,8 @@ class Objective:
 
 
 def mask_colors(mask: int) -> list[int]:
-    """The 1-based colors whose bits are set in `mask`, ascending."""
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+    """The 1-based colors set in `mask`, ascending, in time linear in its length."""
+    return [i for i, bit in enumerate(reversed(bin(mask)), start=1) if bit == "1"]
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ class Game:
     init: int | None = None
 
     def __post_init__(self):
-        if len(self.objective.mask) != self.arena.n:
+        if self.objective.n != self.arena.n:
             raise ValueError("objective is over a different vertex count")
         if self.init is not None and not 0 <= self.init < self.arena.n:
             raise ValueError(f"init vertex {self.init} out of range")

@@ -39,9 +39,6 @@ class MemoryStructure:
                 f"no initial memory state for start vertex {v}"
             ) from None
 
-    def step(self, state: int, u: int, v: int) -> int:
-        return self.update(state, u, v)
-
     @classmethod
     def from_table(
         cls,
@@ -115,7 +112,7 @@ def strategy_to_json(arena: Arena, strategy: FiniteMemoryStrategy) -> dict:
         else:
             targets = list(arena.succ[v])
         for w in targets:
-            nxt = strategy.memory.step(state, v, w)
+            nxt = strategy.memory.update(state, v, w)
             if nxt != state:
                 updates[(state, v, w)] = nxt
             if (w, nxt) not in seen:

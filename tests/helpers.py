@@ -295,7 +295,7 @@ def machine_tables(game, machine) -> tuple[dict, dict]:
     whose update functions are closures."""
     arena = game.arena
     updates = {
-        (s, u, w): machine.memory.step(s, u, w)
+        (s, u, w): machine.memory.update(s, u, w)
         for s in range(machine.memory.states)
         for u in range(arena.n)
         for w in arena.succ[u]

@@ -102,7 +102,7 @@ def tiny_games():
                         frozenset(v for v in range(n) if masks[v] & 1),
                         frozenset(v for v in range(n) if masks[v] & 2),
                     )
-                    yield Game(arena, Objective(2, sets, masks))
+                    yield Game(arena, Objective(n, sets))
 
 
 def test_criterion_01_regions_partition_every_tiny_and_random_game():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from genreach import (
     strategy_from_json,
     verify_strategy,
 )
+from genreach import cli
 from genreach.cli import main
 from conftest import DEMO_TEXT, QBF1_TEXT
 
@@ -169,10 +171,11 @@ def test_solve_file_is_a_batch_of_one(capsys, tmp_path, demo_file, flower_file, 
     "text, options, exit_code",
     [
         ("genreach 1\ncolors 1\nvertex a queen 1\nedge a a\n", [], 2),
+        ("genreach 1\ncolors 1000000000000\nvertex a eve\nedge a a\n", [], 2),
         (DEMO_TEXT, ["--method", "singleton"], 3),
         (DEMO_TEXT, ["--method", "minimax", "--budget", "1"], 6),
     ],
-    ids=["parse-error", "refused-method", "minimax-budget"],
+    ids=["parse-error", "color-count-over-limit", "refused-method", "minimax-budget"],
 )
 def test_solve_file_fails_as_its_batch_record(capsys, tmp_path, text, options, exit_code):
     directory = tmp_path / "batch"
@@ -346,6 +349,35 @@ def test_integers_are_ascii_digits(capsys, tmp_path, command, text, where):
     assert code == 2
     assert out == ""
     assert where in err
+
+
+def test_report_seconds_count_parsing(capsys, tmp_path, monkeypatch, demo_file, flower_file):
+    # A clock that moves only while a parser runs: each report's seconds
+    # must then be exactly the one parse it counts.
+    _, out, _ = run(capsys, "solve", demo_file, "--json", "--emit-strategies")
+    strategy = tmp_path / "eve.json"
+    strategy.write_text(json.dumps(json.loads(out)["strategies"]["eve"]))
+    qbf = tmp_path / "f.qdimacs"
+    qbf.write_text(QBF1_TEXT)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
+    clock = [0.0]
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    for name in ("parse_game", "parse_qdimacs", "parse_dimacs_cnf2"):
+        def slow_parse(text, real_parse=getattr(cli, name)):
+            clock[0] += 100.0
+            return real_parse(text)
+        monkeypatch.setattr(cli, name, slow_parse)
+    for argv in (
+        ["solve", demo_file],
+        ["qbf", qbf],
+        ["twosat", cnf],
+        ["verify", demo_file, strategy],
+        ["minmem", flower_file, "--player", "eve", "--bound", "1"],
+    ):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert json.loads(out)["seconds"] == 100.0, argv[0]
 
 
 def test_qbf_both_routes(capsys, tmp_path):

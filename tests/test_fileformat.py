@@ -3,7 +3,7 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from genreach import (
     Arena,
@@ -17,6 +17,7 @@ from genreach import (
     serialize_game,
     solve_fpt,
 )
+from genreach.fileformat import MAX_COLORS
 from conftest import DEMO_TEXT
 from helpers import random_game
 
@@ -67,6 +68,10 @@ def test_serialize_round_trip_random(seed):
         (("vertex d adam 2", "vertex d"), "line 6: vertex needs a name and an owner"),
         (("edge c a", "edge c a b"), "line 7: edge takes exactly two vertex names"),
         (("init c", "init c a"), "line 15: init takes exactly one vertex name"),
+        (("colors 2", f"colors {MAX_COLORS + 1}"), f"line 2: color count {MAX_COLORS + 1} exceeds"),
+        (("colors 2", "colors 1000000000000"), "line 2: color count 1000000000000 exceeds"),
+        # More digits than int() converts.
+        (("colors 2", "colors " + "9" * 5000), "line 2: integer of 5000 digits is too long"),
     ],
 )
 def test_parse_errors(mutation, message):
@@ -127,6 +132,106 @@ def test_declared_colors_cost_nothing_until_carried():
     assert game.objective.color_sets[6] == {0}
     assert game.objective.mask == (1 << 6,)
     assert peak < 8 << 20
+
+
+def test_color_count_at_the_limit():
+    text = f"genreach 1\ncolors {MAX_COLORS}\nvertex a eve {MAX_COLORS}\nedge a a\n"
+    game = parse_game(text)
+    assert game.k == MAX_COLORS == 1 << 20
+    assert game.colors(0) == 1 << (MAX_COLORS - 1)
+    assert serialize_game(game) == text
+
+
+def test_serialize_refuses_more_colors_than_the_format_takes():
+    arena = Arena(("a",), (Owner.EVE,), ((0,),))
+    game = Game(arena, Objective(1, (frozenset(),) * (MAX_COLORS + 1)))
+    with pytest.raises(UnsupportedInputError, match=f"exceed the format's limit {MAX_COLORS}"):
+        serialize_game(game)
+
+
+# Files with several faults.  Faults on a line of their own come first, in
+# file order; then an edge to an unknown vertex; then a repeated edge, at
+# its first repeat in the file; then a dead end, at its vertex's
+# declaration; then an unknown init vertex.
+TWO_LOOPS = "genreach 1\ncolors 0\nvertex a eve\nvertex b eve\nedge b b\nedge a a\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            DEMO_TEXT.replace("edge c a", "edge c zz") + "noise\n",
+            "line 16: unknown directive 'noise'",
+        ),
+        (
+            DEMO_TEXT.replace("edge c b", "edge c a").replace("edge b d", "edge b zz"),
+            "line 13: unknown vertex name 'zz'",
+        ),
+        (TWO_LOOPS + "edge b b\nedge a a\n", "line 7: duplicate edge 'b' -> 'b'"),
+        (
+            DEMO_TEXT.replace("edge d d", "edge d d\nedge c a\nedge c a"),
+            "line 15: duplicate edge 'c' -> 'a'",
+        ),
+        (
+            TWO_LOOPS.replace("edge a a", "edge b a") + "edge b a\n",
+            "line 7: duplicate edge 'b' -> 'a'",
+        ),
+        (
+            TWO_LOOPS.replace("edge a a", "init zz"),
+            "line 3: dead end at vertex 'a'",
+        ),
+    ],
+    ids=[
+        "line-fault-before-unknown-name",
+        "unknown-name-before-earlier-duplicate",
+        "first-repeat-in-file-order",
+        "third-copy-blamed-on-second",
+        "duplicate-before-earlier-dead-end",
+        "dead-end-before-unknown-init",
+    ],
+)
+def test_fault_order(text, message):
+    with pytest.raises(GameParseError) as err:
+        parse_game(text)
+    assert str(err.value) == message
+
+
+_OPS = ("drop", "duplicate", "swap-lines", "swap-tokens", "insert-integer")
+_INTEGERS = st.one_of(
+    st.integers(-2, 5), st.sampled_from([MAX_COLORS, MAX_COLORS + 1]), st.integers()
+)
+
+
+@st.composite
+def mutated_demo(draw):
+    """DEMO_TEXT after one to four random edits of its lines and tokens."""
+    lines = [line.split() for line in DEMO_TEXT.splitlines()]
+    for op in draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=4)):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, list(lines[i]))
+        elif op == "swap-lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "swap-tokens" and lines[i] and lines[j]:
+            a = draw(st.integers(0, len(lines[i]) - 1))
+            b = draw(st.integers(0, len(lines[j]) - 1))
+            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+        elif op == "insert-integer":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i].insert(at, str(draw(_INTEGERS)))
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+@settings(deadline=None)
+@given(mutated_demo())
+def test_parse_gives_a_game_or_a_parse_error(text):
+    try:
+        game = parse_game(text)
+    except GameParseError:
+        return
+    assert parse_game(serialize_game(game)) == game
 
 
 def test_serialize_rejects_unprintable_names():

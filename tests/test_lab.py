@@ -290,7 +290,7 @@ def test_min_memory_flower_color_obs(flower2):
     mem = result.strategy.memory
     heart, petal1 = 0, 1
     for s in range(mem.states):
-        assert mem.step(s, heart, petal1) == s
+        assert mem.update(s, heart, petal1) == s
 
 
 def test_min_memory_flower_full_class_bound_two(flower2):

@@ -59,11 +59,6 @@ def test_objective_empty_color_set_is_allowed():
     assert obj.full_mask == 1
 
 
-def test_objective_rejects_inconsistent_mask():
-    with pytest.raises(ValueError, match="mask disagrees"):
-        Objective(k=1, color_sets=(frozenset({0}),), mask=(0, 1))
-
-
 def test_objective_rejects_out_of_range_member():
     with pytest.raises(ValueError, match="color 2"):
         Objective.from_sets(2, [{0}, {5}])

@@ -27,8 +27,8 @@ def test_subset_memory_folds_colors(demo):
     assert mem.states == 4
     # It starts on Adam's region, d, in the state of d's own colors.
     assert mem.initial == {demo.arena.index_of("d"): 2}
-    assert mem.step(1, 0, demo.arena.index_of("d")) == 3
-    assert mem.step(3, 3, 3) == 3
+    assert mem.update(1, 0, demo.arena.index_of("d")) == 3
+    assert mem.update(3, 3, 3) == 3
 
 
 def test_solve_fpt_on_demo(demo):

@@ -55,6 +55,8 @@ def test_parse_qdimacs_free_variables_warn():
         ("p cnf 1 1\ne 1 0\n1\n", "unterminated clause"),
         ("", "missing problem line"),
         ("p cnf -1 0\n", "line 1: negative count in problem line"),
+        # More digits than int() converts.
+        ("p cnf " + "9" * 5000 + " 1\n1 0\n", "line 1: integer of 5000 digits is too long"),
     ],
 )
 def test_parse_qdimacs_errors(text, message):

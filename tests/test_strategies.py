@@ -33,16 +33,16 @@ def test_memory_structure_initial_forms():
 
 def test_memory_from_table_defaults_to_stay():
     mem = MemoryStructure.from_table(3, {0: 0}, {(0, 1, 2): 2})
-    assert mem.step(0, 1, 2) == 2
-    assert mem.step(0, 2, 1) == 0
-    assert mem.step(1, 1, 2) == 1
+    assert mem.update(0, 1, 2) == 2
+    assert mem.update(0, 2, 1) == 0
+    assert mem.update(1, 1, 2) == 1
 
 
 def test_identity_memory():
     mem = identity_memory([5, 2])
     assert mem.states == 1
     assert mem.initial == {5: 0, 2: 0}
-    assert mem.step(0, 3, 4) == 0
+    assert mem.update(0, 3, 4) == 0
 
 
 def test_move_fallback(demo):

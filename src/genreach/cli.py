@@ -41,7 +41,7 @@ from .lab import (
 from .model import Game, Owner
 from .product import solve_fpt
 from .qbf import eval_qbf_bruteforce, parse_qdimacs, qbf_to_game
-from .strategies import SolveResult, strategy_from_json, strategy_to_json
+from .strategies import SolveResult, load_strategy, strategy_to_json
 from .subclasses import parse_dimacs_cnf2, solve_oneplayer_size2, solve_singleton, two_sat_solve
 
 EXIT_OK = 0
@@ -290,8 +290,7 @@ def cmd_verify(args) -> int:
     started = time.perf_counter()
     game = parse_game(text)
     try:
-        data = json.loads(strategy_text)
-        strategy = strategy_from_json(game.arena, data)
+        strategy = load_strategy(game.arena, strategy_text)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise GameParseError(f"bad strategy document: {exc}") from None
     if args.region == "init":

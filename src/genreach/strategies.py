@@ -189,7 +189,7 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
 
 
 def dump_strategy(arena: Arena, strategy: FiniteMemoryStrategy) -> str:
-    return json.dumps(strategy_to_json(arena, strategy), indent=2) + "\n"
+    return json.dumps(strategy_to_json(arena, strategy), separators=(",", ":")) + "\n"
 
 
 def load_strategy(arena: Arena, text: str) -> FiniteMemoryStrategy:

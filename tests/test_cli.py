@@ -13,9 +13,11 @@ import pytest
 import genreach
 from genreach import (
     GenParams,
+    dump_strategy,
     generate,
     parse_game,
     serialize_game,
+    solve_fpt,
     strategy_from_json,
     verify_strategy,
 )
@@ -554,6 +556,19 @@ def test_verify_region_all(capsys, tmp_path, demo_file):
     assert report["winning"] is True
     assert report["claimed"] == ["c", "a", "b"]
     assert report["states_used"] <= report["states_declared"]
+
+
+def test_verify_reads_compact_and_indented_files(capsys, tmp_path, demo_file):
+    # `dump_strategy` writes compact JSON; files written indented, the
+    # earlier form, still verify.
+    game = parse_game(DEMO_TEXT)
+    text = dump_strategy(game.arena, solve_fpt(game).eve_strategy)
+    spath = tmp_path / "eve.json"
+    for form in (text, json.dumps(json.loads(text), indent=2) + "\n"):
+        spath.write_text(form)
+        code, out, _ = run(capsys, "verify", demo_file, spath, "--json")
+        assert code == 0
+        assert json.loads(out)["winning"] is True
 
 
 def test_verify_solver_strategy_outside_its_region(capsys, tmp_path, demo_file):

@@ -59,6 +59,26 @@ def test_solve_fpt_frozen_flower_stats(flower2):
     assert result.stats["route"] == "dense"
 
 
+@pytest.mark.parametrize(
+    "n, color_size, work",
+    [
+        (2000, (20, 100), (1_745_891, 7_031_691, 2_063_730, 1_023, 963)),
+        (4000, (40, 200), (3_399_771, 13_627_396, 3_887_593, 1_023, 1_900)),
+    ],
+)
+def test_solve_fpt_criterion_10_work_is_pinned(n, color_size, work):
+    # Criterion 10's games: a change to the closure or the kernel that
+    # alters the work fails here, not only in that test's timing.
+    game = random_game(11, n=n, k=10, density=4 / n, color_size=color_size)
+    result = solve_fpt(game)
+    stats = result.stats
+    assert stats["route"] == "dense"
+    assert (
+        stats["configs"], stats["product_edges"], stats["ops"], stats["eve_states"],
+        len(result.eve_region),
+    ) == work
+
+
 def test_solve_fpt_fixture_regions(picker3, fig44, fig5):
     assert solve_fpt(picker3).eve_region == frozenset()
     assert solve_fpt(fig5).eve_region == frozenset()

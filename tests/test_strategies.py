@@ -1,5 +1,7 @@
 """Memory structures, finite-memory strategies and their JSON form."""
 
+import json
+
 import pytest
 
 from genreach import (
@@ -68,8 +70,13 @@ def test_json_round_trip(demo):
 def test_json_round_trip_text_form(demo):
     solved = solve_fpt(demo)
     text = dump_strategy(demo.arena, solved.eve_strategy)
-    loaded = load_strategy(demo.arena, text)
-    assert verify_strategy(demo, loaded, [demo.init]).winning
+    doc = json.loads(text)
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+    # Files written indented, the earlier form, read the same.
+    for form in (text, json.dumps(doc, indent=2) + "\n"):
+        loaded = load_strategy(demo.arena, form)
+        assert verify_strategy(demo, loaded, [demo.init]).winning
+        assert strategy_to_json(demo.arena, loaded) == doc
 
 
 def test_json_per_vertex_initial(demo):

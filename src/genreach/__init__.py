@@ -32,7 +32,6 @@ from .lab import (
     FULL_CLASS,
     FlowerRefutation,
     MinMemResult,
-    Reason,
     SimOutcome,
     VerifyResult,
     flower_adversary,

@@ -3,9 +3,9 @@
 The attractor of a target set is everything from which Eve can force the
 token into the set.  `_attract` computes it backwards with per-vertex
 successor counters, touching every edge at most once; the level sweep of
-`product.solve_fpt` runs the same kernel once per mask.  Ranks record how
-many steps the forcing needs; they drive positional move extraction (step
-to any successor of strictly smaller rank).
+`product.solve_fpt` runs the same kernel once per mask.  Both read Eve's
+positional move off the kernel: at each Eve vertex won, the successor that
+won it, which was won one step closer to the targets.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from .strategies import FiniteMemoryStrategy, SolveResult, identity_memory
 
 @dataclass(frozen=True)
 class AttractorResult:
-    """`rank[v]` is None outside the attractor.  `moves` maps each Eve
-    vertex of positive rank to its lowest-index rank-decreasing successor.
-    `ops` counts predecessor-edge relaxations (at most the edge count)."""
+    """`moves` maps each Eve vertex of the attractor outside the targets
+    to the successor that won it.  `ops` counts predecessor-edge
+    relaxations (at most the edge count)."""
 
     attractor: frozenset[int]
-    rank: tuple[int | None, ...]
     moves: dict[int, int]
     ops: int
 
@@ -36,7 +35,8 @@ def _attract(pred: Sequence[Sequence[int]], need: list[int], won: list[int]) -> 
     an Eve vertex, the successor count at an Adam one, 0 once won or out
     of play, negative when u can never be won (still relaxed, never won).
     Returns the successor that completed each vertex won here, and the
-    relaxation count.  FIFO order wins vertices by non-decreasing rank."""
+    relaxation count.  FIFO order wins vertices layer by layer, so the
+    successor that completed u was won a layer closer to the targets."""
     via: dict[int, int] = {}
     ops = 0
     i = 0
@@ -61,21 +61,8 @@ def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
     for t in won:
         need[t] = 0
     via, ops = _attract(arena._pred, need, won)
-    rank: list[int | None] = [None] * n
-    for u in won:
-        rank[u] = rank[via[u]] + 1 if u in via else 0
-
-    moves: dict[int, int] = {}
-    for u in range(n):
-        ru = rank[u]
-        if not eve[u] or ru is None or ru == 0:
-            continue
-        for w in arena.succ[u]:
-            rw = rank[w]
-            if rw is not None and rw < ru:
-                moves[u] = w
-                break
-    return AttractorResult(frozenset(won), tuple(rank), moves, ops)
+    moves = {u: w for u, w in via.items() if eve[u]}
+    return AttractorResult(frozenset(won), moves, ops)
 
 
 def avoid_moves(arena: Arena, result: AttractorResult) -> dict[int, int]:

@@ -143,12 +143,12 @@ def _solve_game(game: Game, method: str, budget: int | None) -> SolveResult:
 def pick_method(game: Game) -> str:
     """The `auto` dispatch rule; never picks a method that would reject."""
     sizes = [len(s) for s in game.objective.color_sets]
-    owners_eve = [game.arena.is_eve(v) for v in range(game.arena.n)]
+    owners = set(game.arena.owner)
     if all(size == 1 for size in sizes):
         return "singleton"
-    if not any(owners_eve):
+    if Owner.EVE not in owners:
         return "opponent"
-    if all(owners_eve) and all(size <= 2 for size in sizes):
+    if Owner.ADAM not in owners and all(size <= 2 for size in sizes):
         return "oneplayer2"
     return "fpt"
 

@@ -108,8 +108,6 @@ def parse_game(text: str) -> Game:
         raise GameParseError(f"missing '{FORMAT_NAME} {FORMAT_VERSION}' header")
     if k is None:
         raise GameParseError("missing colors declaration")
-    if not names:
-        raise GameParseError("game declares no vertices")
 
     try:
         edges = [(index[src], index[dst]) for src, dst, _ in edge_refs]
@@ -123,13 +121,14 @@ def parse_game(text: str) -> Game:
     violations = validate_arena(arena)
     if violations:
         # `validate_arena` is the check; only now is a line looked up: the
-        # file's first repeated edge, else the first dead end's declaration.
+        # file's first repeated edge, else the first dead end's declaration,
+        # else none, since the file declares no vertices.
         first_line: dict[tuple[int, int], int] = {}
         for edge, (src, dst, lineno) in zip(edges, edge_refs):
             if first_line.setdefault(edge, lineno) != lineno:
                 raise GameParseError(f"duplicate edge '{src}' -> '{dst}'", lineno)
-        v = next(v for v, targets in enumerate(arena.succ) if not targets)
-        raise GameParseError(violations[0], vertex_lines[v])
+        v = next((v for v, targets in enumerate(arena.succ) if not targets), None)
+        raise GameParseError(violations[0], None if v is None else vertex_lines[v])
 
     # Colors no vertex carries share one empty set, so a declared count
     # costs a list slot per color and no more.

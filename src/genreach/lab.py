@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import BudgetExceededError, UnsupportedInputError
 from .model import Game, Owner, Play, trace_play
@@ -20,17 +19,13 @@ FULL_CLASS = "full"
 COLOR_OBS = "color-obs"
 
 
-class Reason(Enum):
-    ALL_COLORS = "all-colors"
-    STATE_REPEAT = "state-repeat"
-
-
 @dataclass(frozen=True)
 class SimOutcome:
+    """Eve wins when `play` completes every color; Adam wins when the
+    configuration repeats first, and `play` then ends with that cycle."""
+
     winner: Owner
     play: Play
-    steps: int
-    reason: Reason
 
 
 def simulate(
@@ -60,13 +55,12 @@ def simulate(
     walk = _explore(game, [(v0, start)], moves, step)
     _, rows, _, full_id = walk
     if full_id >= 0:
-        winner, reason, end = Owner.EVE, Reason.ALL_COLORS, full_id
+        winner, end = Owner.EVE, full_id
     else:
         # Both moves are fixed, so the walk is one path whose last row
         # points back at the configuration that repeats.
-        winner, reason, end = Owner.ADAM, Reason.STATE_REPEAT, rows[-1][0]
-    play = _lasso(game, walk, end)
-    return SimOutcome(winner, play, len(play.vertices) - 1, reason)
+        winner, end = Owner.ADAM, rows[-1][0]
+    return SimOutcome(winner, _lasso(game, walk, end))
 
 
 @dataclass(frozen=True)

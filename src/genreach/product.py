@@ -45,11 +45,14 @@ def _bits(x: int) -> list[int]:
 
 def _color_steps(game: Game) -> tuple[list[int], list[list[tuple[int, int]]]]:
     """M[i], whose set bits are the masks holding color i, and per vertex
-    the (M[i], 2^i) shift steps of its colors."""
+    the (M[i], 2^i) shift steps of its colors: one list per distinct
+    color mask, shared by the vertices that carry it."""
     k = game.k
     ones = (1 << (1 << k)) - 1
     M = [ones // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(k)]
-    return M, [[(M[i], 1 << i) for i in range(k) if c >> i & 1] for c in game.objective.mask]
+    masks = game.objective.mask
+    steps = {c: [(M[i], 1 << i) for i in _bits(c)] for c in set(masks)}
+    return M, [steps[c] for c in masks]
 
 
 def _image(S: int, steps: list[tuple[int, int]]) -> int:

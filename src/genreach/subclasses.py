@@ -323,7 +323,8 @@ def _size2_witness(
     """Chain one chosen vertex per color into a play visiting them all.
 
     Each leg follows the next stop's attractor moves; every vertex is
-    Eve's, so ranks are distances and each leg is a shortest path.
+    Eve's, so the attractor is won breadth-first and each leg is a
+    shortest path.
     """
     arena = game.arena
     chosen: dict[int, int] = {}

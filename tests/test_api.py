@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "Owner",
     "Play",
     "QBFFormula",
-    "Reason",
     "SimOutcome",
     "SolveResult",
     "StrategyPartialError",
@@ -110,7 +109,7 @@ def public_names():
 
 def test_public_names():
     assert public_names() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 59
 
 
 def test_defaulted_parameters_of_public_functions():

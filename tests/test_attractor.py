@@ -1,13 +1,18 @@
 """Eve's attractor and the opponent-only solver built on it."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from genreach import (
+    FiniteMemoryStrategy,
+    Objective,
     Owner,
     UnsupportedInputError,
     attractor,
     avoid_moves,
+    identity_memory,
     parse_game,
     solve_fpt,
     solve_opponent_player,
@@ -18,20 +23,18 @@ from helpers import random_game
 E = Owner.EVE
 
 
-def test_attractor_ranks_on_demo(demo):
+def test_attractor_moves_on_demo(demo):
     arena = demo.arena
     ix = arena.index_of
     attr = attractor(arena, [ix("d")])
     assert attr.attractor == frozenset(range(4))
-    # Index order is c, a, b, d.
-    assert attr.rank == (1, 2, 1, 0)
-    # Rank-decreasing moves pick the lowest-index successor that descends.
+    # d wins both Eve vertices, c and b, before Adam's a is complete.
     assert attr.moves == {ix("c"): ix("d"), ix("b"): ix("d")}
     assert 0 < attr.ops <= arena.m
 
 
-# Index order e, x, y, a, t1, t2, z, o.  Eve's e has two rank-1
-# successors, x and y; Adam's a needs both of them won; z and o stay out.
+# Index order e, x, y, a, t1, t2, z, o.  Eve's e has two successors one
+# step from the targets, x and y; Adam's a needs both of them won; z and o stay out.
 # `{0}` is the owner of e, x, y and o.
 MIXED_TEXT = """\
 genreach 1
@@ -66,10 +69,9 @@ def test_attractor_exact_counts():
     assert attr.attractor == frozenset(range(6))
     # FIFO: t1 wins y, t2 wins x, y wins e and half of a, x the other
     # half; z is relaxed once from e and never won.
-    assert attr.rank == (2, 1, 1, 2, 0, 0, None, None)
     assert attr.ops == 6
-    # y completed e, but the move is the lowest-index descending one, x.
-    assert attr.moves == {0: 1, 1: 5, 2: 4}
+    # Each Eve vertex moves to the successor that won it: e to y.
+    assert attr.moves == {0: 2, 1: 5, 2: 4}
 
     result = solve_opponent_player(parse_game(MIXED_TEXT.format("adam")))
     # All Adam: color 1 = {t1, t2} attracts all but z and o in 7
@@ -82,7 +84,6 @@ def test_attractor_exact_counts():
 def test_attractor_empty_targets(demo):
     attr = attractor(demo.arena, [])
     assert attr.attractor == frozenset()
-    assert attr.rank == (None, None, None, None)
     assert attr.moves == {}
 
 
@@ -91,7 +92,8 @@ def test_attractor_proper_subset(demo):
     ix = arena.index_of
     attr = attractor(arena, [ix("a")])
     assert attr.attractor == frozenset({ix("c"), ix("a"), ix("b")})
-    assert attr.rank[ix("d")] is None
+    # Both Eve vertices step straight into the target; d has no move.
+    assert attr.moves == {ix("c"): ix("a"), ix("b"): ix("a")}
 
 
 def test_avoid_moves_on_closed_complement(demo):
@@ -109,7 +111,7 @@ def test_avoid_moves_rejects_open_complement(demo):
     # Eve's attractor here is everything; fake a result that pretends
     # Adam's a stayed outside even though all of a's successors lead in.
     assert attr.attractor == frozenset(range(4))
-    fake = attr.__class__(frozenset({ix("d"), ix("b"), ix("c")}), attr.rank, {}, 0)
+    fake = attr.__class__(frozenset({ix("d"), ix("b"), ix("c")}), {}, 0)
     with pytest.raises(AssertionError, match="must be closed"):
         avoid_moves(arena, fake)
 
@@ -159,3 +161,23 @@ def test_attractor_is_a_fixpoint(seed):
             assert inside == any(succ_in)
         else:
             assert inside == all(succ_in)
+
+
+@given(st.integers(0, 5_000), st.sets(st.integers(0, 9), max_size=4))
+def test_attractor_moves_win_the_attractor(seed, picks):
+    """Eve's moves, played positionally, force a visit of the targets
+    from every vertex of the attractor: they win the one-color game
+    whose color is the target set."""
+    game = random_game(seed, n=10, k=1, density=0.3)
+    arena = game.arena
+    targets = {v % arena.n for v in picks}
+    attr = attractor(arena, targets)
+    assert set(attr.moves) == {
+        v for v in attr.attractor - targets if arena.owner[v] is E
+    }
+    reach = dataclasses.replace(
+        game, objective=Objective.from_sets(arena.n, [targets])
+    )
+    moves = {(u, 0): w for u, w in attr.moves.items()}
+    sigma = FiniteMemoryStrategy(E, identity_memory(attr.attractor), moves)
+    assert verify_strategy(reach, sigma, attr.attractor).winning

@@ -112,8 +112,12 @@ def test_missing_pieces():
         parse_game("")
     with pytest.raises(GameParseError, match="missing colors"):
         parse_game("genreach 1\n")
-    with pytest.raises(GameParseError, match="declares no vertices"):
+    with pytest.raises(GameParseError) as err:
         parse_game("genreach 1\ncolors 0\n")
+    assert str(err.value) == "arena has no vertices"
+    # With no vertices, an edge names an unknown vertex, and that comes first.
+    with pytest.raises(GameParseError, match="line 3: unknown vertex name 'a'"):
+        parse_game("genreach 1\ncolors 0\nedge a a\n")
 
 
 def test_zero_colors_is_a_valid_game():

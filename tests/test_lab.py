@@ -14,7 +14,6 @@ from genreach import (
     FiniteMemoryStrategy,
     MemoryStructure,
     Owner,
-    Reason,
     UnsupportedInputError,
     canonical_flower_eve,
     compress_adam,
@@ -58,10 +57,10 @@ def test_simulate_eve_collects_all_colors(flower2):
     tau = positional(A, flower2)
     outcome = simulate(flower2, sigma, tau)
     assert outcome.winner is E
-    assert outcome.reason is Reason.ALL_COLORS
     assert outcome.play.masks[-1] == 3
+    # The play stops at the first full mask.
+    assert outcome.play.masks[-2] != 3
     check_play(flower2, outcome.play)
-    assert outcome.steps == len(outcome.play.vertices) - 1
 
 
 def test_simulate_adam_wins_on_repeat(flower2):
@@ -71,8 +70,9 @@ def test_simulate_adam_wins_on_repeat(flower2):
     tau = positional(A, flower2)
     outcome = simulate(flower2, sigma, tau)
     assert outcome.winner is A
-    assert outcome.reason is Reason.STATE_REPEAT
     assert outcome.play.masks[-1] != 3
+    # The play ends on a lap: its last vertex was visited before.
+    assert outcome.play.vertices[-1] in outcome.play.vertices[:-1]
     check_play(flower2, outcome.play)
 
 
@@ -101,7 +101,7 @@ def test_simulate_immediate_win_with_no_colors(demo):
         demo, objective=Objective.from_sets(demo.arena.n, [])
     )
     outcome = simulate(empty, positional(E, empty), positional(A, empty))
-    assert outcome.winner is E and outcome.steps == 0
+    assert outcome.winner is E and outcome.play.vertices == (empty.init,)
 
 
 def test_verify_accepts_canonical_flower_machine(flower2):

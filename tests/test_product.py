@@ -244,6 +244,23 @@ init e
 """
 
 
+def routes_agree(game: Game):
+    """Both routes on `game`, after checking that they agree."""
+    dense, sweep = _solve_dense(game), _solve_sweep(game)
+    assert (dense.stats["route"], sweep.stats["route"]) == ("dense", "sweep")
+    assert dense.eve_region == sweep.eve_region
+    rest = [
+        {key: v for key, v in r.stats.items() if key not in ("route", "seconds")}
+        for r in (dense, sweep)
+    ]
+    assert rest[0] == rest[1]
+    assert dict(dense.adam_strategy.moves) == dict(sweep.adam_strategy.moves)
+    # Eve may move elsewhere, but on the same (vertex, state) pairs.
+    assert set(dense.eve_strategy.moves) == set(sweep.eve_strategy.moves)
+    assert len(dense.eve_strategy.moves) == len(sweep.eve_strategy.moves)
+    return dense, sweep
+
+
 def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44, fig5):
     fold = parse_game(FOLD_TEXT)
     sweep = _solve_sweep(fold)
@@ -256,18 +273,18 @@ def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44
     games += [random_game(seed, n=6 + seed % 5, k=1 + seed % 3, density=0.3) for seed in range(60)]
     games += [random_game(seed, n=7, k=3, density=0.35) for seed in range(40)]
     for game in games:
-        dense, sweep = _solve_dense(game), _solve_sweep(game)
-        assert (dense.stats["route"], sweep.stats["route"]) == ("dense", "sweep")
-        assert dense.eve_region == sweep.eve_region
-        rest = [
-            {key: v for key, v in r.stats.items() if key not in ("route", "seconds")}
-            for r in (dense, sweep)
-        ]
-        assert rest[0] == rest[1]
-        assert dict(dense.adam_strategy.moves) == dict(sweep.adam_strategy.moves)
-        # Eve may move elsewhere, but on the same (vertex, state) pairs.
-        assert set(dense.eve_strategy.moves) == set(sweep.eve_strategy.moves)
-        assert len(dense.eve_strategy.moves) == len(sweep.eve_strategy.moves)
+        dense, sweep = routes_agree(game)
         assert (0, -1) not in dense.eve_strategy.moves and (0, -1) not in dense.adam_strategy.moves
         for result in (dense, sweep):
             assert verify_strategy(game, result.eve_strategy, result.eve_region).winning
+
+
+def test_dense_route_matches_sweep_on_mid_size_games():
+    # Large enough for the closure's LIFO order and multi-color step lists
+    # to matter: n = 60..225, k = 5..8, up to 22 vertices per color.
+    for seed in range(12):
+        n = 60 + 15 * seed
+        game = random_game(
+            seed, n=n, k=5 + seed % 4, density=4 / n, color_size=(2, max(2, n // 10))
+        )
+        routes_agree(game)

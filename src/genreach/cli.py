@@ -18,8 +18,9 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .attractor import solve_opponent_player
@@ -52,7 +53,14 @@ EXIT_DISAGREE = 4
 EXIT_REFUTED = 5
 EXIT_BUDGET = 6
 
-METHODS = ("auto", "fpt", "singleton", "oneplayer2", "opponent", "minimax")
+# The solvers `--method` names, besides `auto` and the budgeted `minimax`.
+_SOLVERS = {
+    "fpt": solve_fpt,
+    "singleton": solve_singleton,
+    "oneplayer2": solve_oneplayer_size2,
+    "opponent": solve_opponent_player,
+}
+METHODS = ("auto", *_SOLVERS, "minimax")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,10 +78,6 @@ def _budget(text: str) -> int:
     return int(text)
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _read_text(path: Path) -> tuple[str, str]:
     try:
         data = path.read_bytes()
@@ -85,7 +89,7 @@ def _read_text(path: Path) -> tuple[str, str]:
         raise GameParseError(
             f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
         ) from None
-    return text, _digest(data)
+    return text, hashlib.sha256(data).hexdigest()
 
 
 def _exit_code(exc: GenReachError) -> int:
@@ -96,23 +100,34 @@ def _exit_code(exc: GenReachError) -> int:
     return EXIT_INVALID
 
 
-def _report(args, payload: dict, digest: str | None, seconds: float) -> dict:
-    # `seconds` runs from after the input is read, so it counts parsing.
-    return {
+def _run(args, paths: Sequence, work: Callable[..., tuple[dict, str, int]]) -> tuple[dict, str, int]:
+    """Read every file of `paths`, in order, then run `work` on their texts.
+
+    `work` returns the command's payload, summary line and exit code; this
+    returns the report, the summary line and the exit code.  `seconds` times
+    `work` alone: parsing, solving and building the payload, not reading the
+    files or writing the report.  `input_sha256` is the first file's.
+    """
+    texts, digests = zip(*(_read_text(Path(path)) for path in paths))
+    started = time.perf_counter()
+    payload, summary, code = work(*texts)
+    report = {
         "command": args.command_echo,
         "version": __version__,
-        "input_sha256": digest,
-        "seconds": round(seconds, 6),
+        "input_sha256": digests[0],
+        "seconds": round(time.perf_counter() - started, 6),
         **payload,
     }
+    return report, summary, code
 
 
-def _emit(args, report: dict, summary: str) -> None:
+def _emit(args, report, summary: str, code: int) -> int:
     if getattr(args, "json", False):
         print(json.dumps(report, indent=2))
         print(summary, file=sys.stderr)
     else:
         print(summary)
+    return code
 
 
 def _names(game: Game, vertices) -> list[str]:
@@ -122,20 +137,13 @@ def _names(game: Game, vertices) -> list[str]:
 def _solve_game(game: Game, method: str, budget: int | None) -> SolveResult:
     if method == "auto":
         method = pick_method(game)
-    if method == "fpt":
-        return solve_fpt(game)
-    if method == "singleton":
-        return solve_singleton(game)
-    if method == "oneplayer2":
-        return solve_oneplayer_size2(game)
-    if method == "opponent":
-        return solve_opponent_player(game)
-    assert method == "minimax"
+    if method != "minimax":
+        return _SOLVERS[method](game)
     winner = minimax_oracle(game, budget=budget)
-    n = game.arena.n
-    eve = frozenset(range(n)) if winner is Owner.EVE else frozenset()
-    # The oracle only decides the init vertex; regions echo that verdict.
-    result = SolveResult("minimax", eve, frozenset(range(n)) - eve)
+    # The oracle decides the init vertex alone, so its regions hold init alone.
+    init = frozenset([game.init])
+    eve = init if winner is Owner.EVE else frozenset()
+    result = SolveResult("minimax", eve, init - eve)
     result.stats["decides"] = "init"
     return result
 
@@ -153,37 +161,46 @@ def pick_method(game: Game) -> str:
     return "fpt"
 
 
-def _solve_payload(game: Game, result: SolveResult, emit_strategies: bool) -> dict:
-    init = game.init
-    payload = {
-        "method": result.method,
-        "n": game.arena.n,
-        "k": game.k,
-        "eve_region": _names(game, result.eve_region),
-        "adam_region": _names(game, result.adam_region),
-        "winner_from_init": None if init is None else result.winner(init).value,
-        "stats": result.stats,
-    }
-    if result.method == "minimax":
-        # Regions other than init are not decided by this method.
-        payload["eve_region"] = payload["adam_region"] = None
-    if result.witness is not None:
-        payload["witness"] = [game.arena.names[v] for v in result.witness]
-    if emit_strategies:
-        strategies = {}
-        for label, strategy in (("eve", result.eve_strategy), ("adam", result.adam_strategy)):
-            if strategy is not None:
-                strategies[label] = strategy_to_json(game.arena, strategy)
-        payload["strategies"] = strategies
-    return payload
-
-
 def cmd_solve(args) -> int:
     path = Path(args.file)
     batch = path.is_dir()
-    if batch and args.dot:
-        print("error: --dot cannot render a directory", file=sys.stderr)
-        return EXIT_USAGE
+    if args.dot:
+        if batch:
+            print("error: --dot cannot render a directory", file=sys.stderr)
+            return EXIT_USAGE
+        game = parse_game(_read_text(path)[0])
+        print(export_dot(game, _solve_game(game, args.method, args.budget)))
+        return EXIT_OK
+
+    def work(name: str, text: str) -> tuple[dict, str, int]:
+        game = parse_game(text)
+        result = _solve_game(game, args.method, args.budget)
+        winner = None if game.init is None else result.winner(game.init).value
+        payload = {
+            "method": result.method,
+            "n": game.arena.n,
+            "k": game.k,
+            "eve_region": _names(game, result.eve_region),
+            "adam_region": _names(game, result.adam_region),
+            "winner_from_init": winner,
+            "stats": result.stats,
+        }
+        if result.method == "minimax":
+            # Regions other than init are not decided by this method.
+            payload["eve_region"] = payload["adam_region"] = None
+        if result.witness is not None:
+            payload["witness"] = [game.arena.names[v] for v in result.witness]
+        if args.emit_strategies:
+            payload["strategies"] = {
+                label: strategy_to_json(game.arena, strategy)
+                for label, strategy in (("eve", result.eve_strategy), ("adam", result.adam_strategy))
+                if strategy is not None
+            }
+        summary = f"{name}: method {result.method}, " + (
+            f"winner {winner} from init" if winner else f"eve wins {len(result.eve_region)}/{game.arena.n} vertices"
+        )
+        return ({"file": name, **payload} if batch else payload), summary, EXIT_OK
+
     # A single file is a batch of one that re-raises its error for main.
     try:
         paths = sorted(p for p in path.iterdir() if p.is_file()) if batch else [path]
@@ -194,10 +211,7 @@ def cmd_solve(args) -> int:
     code = EXIT_OK
     for path in paths:
         try:
-            text, digest = _read_text(path)
-            started = time.perf_counter()
-            game = parse_game(text)
-            result = _solve_game(game, args.method, args.budget)
+            report, summary, _ = _run(args, [path], partial(work, path.name))
         except GenReachError as exc:
             if not batch:
                 raise
@@ -207,57 +221,38 @@ def cmd_solve(args) -> int:
             reports.append({"file": path.name, "error": str(exc), "exit_code": file_code})
             summaries.append(f"{path.name}: error: {exc}")
             continue
-        seconds = time.perf_counter() - started
-        if args.dot:
-            if result.method == "minimax":  # the oracle decides init alone: fill only init
-                init = {game.init}
-                result = SolveResult("minimax", result.eve_region & init, result.adam_region & init)
-            print(export_dot(game, result))
-            return EXIT_OK
-        payload = _solve_payload(game, result, args.emit_strategies)
-        if batch:
-            payload = {"file": path.name, **payload}
-        reports.append(_report(args, payload, digest, seconds))
-        winner = payload["winner_from_init"]
-        summaries.append(
-            f"{path.name}: method {result.method}, "
-            + (f"winner {winner} from init" if winner else f"eve wins {len(result.eve_region)}/{game.arena.n} vertices")
-        )
-    _emit(args, reports if batch else reports[0], "\n".join(summaries) or "no files")
-    return code
+        reports.append(report)
+        summaries.append(summary)
+    return _emit(args, reports if batch else reports[0], "\n".join(summaries) or "no files", code)
 
 
 def cmd_qbf(args) -> int:
-    text, digest = _read_text(Path(args.file))
-    started = time.perf_counter()
-    formula = parse_qdimacs(text)
-    payload: dict = {
-        "via": args.via,
-        "variables": formula.num_vars,
-        "clauses": len(formula.clauses),
-    }
-    game_value = brute_value = None
-    if args.via in ("game", "both"):
-        game = qbf_to_game(formula)
-        result = solve_fpt(game)
-        game_value = game.init in result.eve_region
-        payload["game_value"] = game_value
-        payload["game_stats"] = result.stats
-    if args.via in ("brute", "both"):
-        brute_value = eval_qbf_bruteforce(formula)
-        payload["brute_value"] = brute_value
-    value = game_value if game_value is not None else brute_value
-    payload["value"] = value
-    seconds = time.perf_counter() - started
-    if args.via == "both":
-        payload["agreement"] = game_value == brute_value
-        if not payload["agreement"]:
-            report = _report(args, payload, digest, seconds)
-            _emit(args, report, "route disagreement: game route and brute force differ")
-            return EXIT_DISAGREE
-    report = _report(args, payload, digest, seconds)
-    _emit(args, report, f"{Path(args.file).name}: {'true' if value else 'false'}")
-    return EXIT_OK
+    def work(text: str) -> tuple[dict, str, int]:
+        formula = parse_qdimacs(text)
+        payload: dict = {
+            "via": args.via,
+            "variables": formula.num_vars,
+            "clauses": len(formula.clauses),
+        }
+        game_value = brute_value = None
+        if args.via in ("game", "both"):
+            game = qbf_to_game(formula)
+            result = solve_fpt(game)
+            game_value = game.init in result.eve_region
+            payload["game_value"] = game_value
+            payload["game_stats"] = result.stats
+        if args.via in ("brute", "both"):
+            brute_value = eval_qbf_bruteforce(formula)
+            payload["brute_value"] = brute_value
+        value = game_value if game_value is not None else brute_value
+        payload["value"] = value
+        if args.via == "both":
+            payload["agreement"] = game_value == brute_value
+            if not payload["agreement"]:
+                return payload, "route disagreement: game route and brute force differ", EXIT_DISAGREE
+        return payload, f"{Path(args.file).name}: {'true' if value else 'false'}", EXIT_OK
+
+    return _emit(args, *_run(args, [args.file], work))
 
 
 def cmd_gen(args) -> int:
@@ -285,93 +280,84 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    text, digest = _read_text(Path(args.game))
-    strategy_text, _ = _read_text(Path(args.strategy))
-    started = time.perf_counter()
-    game = parse_game(text)
-    try:
-        strategy = load_strategy(game.arena, strategy_text)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise GameParseError(f"bad strategy document: {exc}") from None
-    if args.region == "init":
-        if game.init is None:
-            raise UnsupportedInputError("--region init needs a game with an init vertex")
-        claimed = frozenset([game.init])
-    else:
-        solved = solve_fpt(game)
-        claimed = solved.eve_region if strategy.player is Owner.EVE else solved.adam_region
-    outcome = verify_strategy(game, strategy, claimed)
-    seconds = time.perf_counter() - started
-    payload = {
-        "player": strategy.player.value,
-        "region": args.region,
-        "claimed": _names(game, claimed),
-        "winning": outcome.winning,
-        "states_declared": strategy.memory.states,
-        "states_used": len(outcome.states_used),
-    }
-    if not outcome.winning:
+    def work(text: str, strategy_text: str) -> tuple[dict, str, int]:
+        game = parse_game(text)
+        try:
+            strategy = load_strategy(game.arena, strategy_text)
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            raise GameParseError(f"bad strategy document: {exc}") from None
+        if args.region == "init":
+            if game.init is None:
+                raise UnsupportedInputError("--region init needs a game with an init vertex")
+            claimed = frozenset([game.init])
+        else:
+            solved = solve_fpt(game)
+            claimed = solved.eve_region if strategy.player is Owner.EVE else solved.adam_region
+        outcome = verify_strategy(game, strategy, claimed)
+        payload = {
+            "player": strategy.player.value,
+            "region": args.region,
+            "claimed": _names(game, claimed),
+            "winning": outcome.winning,
+            "states_declared": strategy.memory.states,
+            "states_used": len(outcome.states_used),
+        }
+        if outcome.winning:
+            return payload, f"winning on all {len(claimed)} claimed vertices", EXIT_OK
         payload["failing_vertex"] = game.arena.names[outcome.failing_vertex]
         payload["counterexample"] = [
             game.arena.names[v] for v in outcome.counterexample.vertices
         ]
-    report = _report(args, payload, digest, seconds)
-    if outcome.winning:
-        _emit(args, report, f"winning on all {len(claimed)} claimed vertices")
-        return EXIT_OK
-    _emit(args, report, f"refuted from {payload['failing_vertex']}")
-    return EXIT_REFUTED
+        return payload, f"refuted from {payload['failing_vertex']}", EXIT_REFUTED
+
+    return _emit(args, *_run(args, [args.game, args.strategy], work))
 
 
 def cmd_minmem(args) -> int:
-    text, digest = _read_text(Path(args.game))
-    started = time.perf_counter()
-    game = parse_game(text)
     player = Owner.EVE if args.player == "eve" else Owner.ADAM
-    try:
+
+    def work(text: str) -> tuple[dict, str, int]:
+        game = parse_game(text)
         result = min_memory_search(
             game, player, args.bound, machine_class=args.machine_class, budget=args.budget
         )
-    except ValueError as exc:
+        payload = {
+            "player": args.player,
+            "machine_class": result.machine_class,
+            "bound": args.bound,
+            "found": result.strategy is not None,
+            "states": result.states,
+            "refuted": result.refuted,
+            "expansions": result.expansions,
+        }
+        if result.strategy is None:
+            return payload, f"NONE within {args.bound} states ({result.refuted} machines refuted)", EXIT_OK
+        payload["strategy"] = strategy_to_json(game.arena, result.strategy)
+        return payload, f"minimum {result.states} states ({result.machine_class} class)", EXIT_OK
+
+    try:
+        report, summary, code = _run(args, [args.game], work)
+    except ValueError as exc:  # a bound or budget min_memory_search refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    seconds = time.perf_counter() - started
-    payload = {
-        "player": args.player,
-        "machine_class": result.machine_class,
-        "bound": args.bound,
-        "found": result.strategy is not None,
-        "states": result.states,
-        "refuted": result.refuted,
-        "expansions": result.expansions,
-    }
-    if result.strategy is not None:
-        payload["strategy"] = strategy_to_json(game.arena, result.strategy)
-    report = _report(args, payload, digest, seconds)
-    if result.strategy is None:
-        summary = f"NONE within {args.bound} states ({result.refuted} machines refuted)"
-    else:
-        summary = f"minimum {result.states} states ({result.machine_class} class)"
-    _emit(args, report, summary)
-    return EXIT_OK
+    return _emit(args, report, summary, code)
 
 
 def cmd_twosat(args) -> int:
-    text, digest = _read_text(Path(args.file))
-    started = time.perf_counter()
-    formula = parse_dimacs_cnf2(text)
-    result = two_sat_solve(formula)
-    seconds = time.perf_counter() - started
-    payload = {
-        "variables": formula.num_vars,
-        "clauses": len(formula.clauses),
-        "satisfiable": result.satisfiable,
-        "assignment": None if result.assignment is None else list(result.assignment),
-        "conflict_var": result.conflict_var,
-    }
-    report = _report(args, payload, digest, seconds)
-    _emit(args, report, "satisfiable" if result.satisfiable else f"unsatisfiable (variable {result.conflict_var})")
-    return EXIT_OK
+    def work(text: str) -> tuple[dict, str, int]:
+        formula = parse_dimacs_cnf2(text)
+        result = two_sat_solve(formula)
+        payload = {
+            "variables": formula.num_vars,
+            "clauses": len(formula.clauses),
+            "satisfiable": result.satisfiable,
+            "assignment": None if result.assignment is None else list(result.assignment),
+            "conflict_var": result.conflict_var,
+        }
+        summary = "satisfiable" if result.satisfiable else f"unsatisfiable (variable {result.conflict_var})"
+        return payload, summary, EXIT_OK
+
+    return _emit(args, *_run(args, [args.file], work))
 
 
 def build_parser() -> argparse.ArgumentParser:

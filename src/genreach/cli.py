@@ -201,6 +201,7 @@ def cmd_solve(args) -> int:
         )
         return ({"file": name, **payload} if batch else payload), summary, EXIT_OK
 
+    args.json |= args.emit_strategies  # strategies are shown in the JSON report only
     # A single file is a batch of one that re-raises its error for main.
     try:
         paths = sorted(p for p in path.iterdir() if p.is_file()) if batch else [path]
@@ -337,7 +338,7 @@ def cmd_minmem(args) -> int:
 
     try:
         report, summary, code = _run(args, [args.game], work)
-    except ValueError as exc:  # a bound or budget min_memory_search refuses
+    except ValueError as exc:  # a bound min_memory_search refuses, such as 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return _emit(args, report, summary, code)

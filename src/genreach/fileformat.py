@@ -22,11 +22,15 @@ from __future__ import annotations
 
 from .errors import GameParseError, UnsupportedInputError
 from .model import Arena, Game, Objective, Owner, mask_colors, validate_arena
+from .strategies import strategy_to_json
 
 FORMAT_NAME = "genreach"
 FORMAT_VERSION = "1"
 # The largest color count; each declared color costs a list slot in memory.
 MAX_COLORS = 1 << 20
+# The largest DIMACS variable count; `two_sat_solve`, `parse_qdimacs` and
+# `qbf_to_game` each allocate for every declared variable, used or not.
+MAX_VARIABLES = 1 << 20
 
 _OWNERS = {"eve": Owner.EVE, "adam": Owner.ADAM}
 
@@ -168,8 +172,8 @@ def serialize_game(game: Game) -> str:
 def export_dot(game: Game, result=None) -> str:
     """Graphviz document: circles for Eve, boxes for Adam, colors in labels.
 
-    `result` may be a SolveResult; its regions become fill colors and any
-    attached strategy's moves are drawn bold.
+    `result` may be a SolveResult; its regions become fill colors, and the
+    moves `strategy_to_json` writes for its strategies are drawn bold.
     """
     arena = game.arena
     lines = ["digraph genreach {", "  rankdir=LR;"]
@@ -197,8 +201,8 @@ def export_dot(game: Game, result=None) -> str:
         getattr(result, "adam_strategy", None),
     ):
         if strategy is not None:
-            for (v, _state), w in strategy.moves.items():
-                marked.add((v, w))
+            for row in strategy_to_json(arena, strategy)["moves"]:
+                marked.add((arena.index_of(row["vertex"]), arena.index_of(row["successor"])))
     for u, v in sorted(arena.edges):
         attrs = " [penwidth=2]" if (u, v) in marked else ""
         lines.append(
@@ -226,9 +230,10 @@ def _read_dimacs(
     Lines starting with `c` are comments and a line starting with `%` ends
     the input.  One `p cnf <vars> <clauses>` line comes first, then `e`/`a`
     quantifier lines ended by 0, then clauses ended by 0, which may span
-    lines; the clause count must match the problem line.  Returns the
-    variable count, the quantifier blocks as (line, quantifier, variables),
-    the clauses, and the line each clause ends on.
+    lines; the clause count must match the problem line, and the variable
+    count is at most `MAX_VARIABLES`.  Returns the variable count, the
+    quantifier blocks as (line, quantifier, variables), the clauses, and the
+    line each clause ends on.
     """
     num_vars: int | None = None
     declared = 0
@@ -255,6 +260,10 @@ def _read_dimacs(
             declared = _parse_int(tokens[3], lineno)
             if num_vars < 0 or declared < 0:
                 raise GameParseError("negative count in problem line", lineno)
+            if num_vars > MAX_VARIABLES:
+                raise GameParseError(
+                    f"variable count {num_vars} exceeds the limit {MAX_VARIABLES}", lineno
+                )
             continue
         quantifier = tokens[0] in ("e", "a")
         if num_vars is None:

@@ -6,6 +6,8 @@ from collections import deque
 
 from typing import Iterable
 
+from hypothesis import strategies as st
+
 from genreach import (
     FiniteMemoryStrategy,
     Game,
@@ -301,3 +303,29 @@ def machine_tables(game, machine) -> tuple[dict, dict]:
         for w in arena.succ[u]
     }
     return dict(machine.moves), updates
+
+
+_EDITS = ("drop", "duplicate", "swap-lines", "swap-tokens", "insert-integer")
+
+
+@st.composite
+def mutated(draw, text: str, integers):
+    """`text` after one to four random edits of its lines and tokens; an
+    inserted token is drawn from `integers`."""
+    lines = [line.split() for line in text.splitlines()]
+    for op in draw(st.lists(st.sampled_from(_EDITS), min_size=1, max_size=4)):
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        if op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, list(lines[i]))
+        elif op == "swap-lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "swap-tokens" and lines[i] and lines[j]:
+            a = draw(st.integers(0, len(lines[i]) - 1))
+            b = draw(st.integers(0, len(lines[j]) - 1))
+            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+        elif op == "insert-integer":
+            at = draw(st.integers(0, len(lines[i])))
+            lines[i].insert(at, str(draw(integers)))
+    return "".join(" ".join(tokens) + "\n" for tokens in lines)

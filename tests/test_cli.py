@@ -98,6 +98,13 @@ def test_solve_emit_strategies(capsys, demo_file):
     assert verify_strategy(game, adam, [game.arena.index_of("d")]).winning
 
 
+def test_emit_strategies_turns_on_the_json_report(capsys, demo_file):
+    code, out, err = run(capsys, "solve", demo_file, "--emit-strategies")
+    assert code == 0
+    assert set(json.loads(out)["strategies"]) == {"eve", "adam"}
+    assert err == "demo.game: method fpt, winner eve from init\n"
+
+
 def test_solve_dot_output(capsys, demo_file):
     code, out, _ = run(capsys, "solve", demo_file, "--dot")
     assert code == 0
@@ -707,6 +714,17 @@ def test_twosat(capsys, tmp_path):
     code, out, _ = run(capsys, "twosat", path)
     assert code == 0
     assert "unsatisfiable (variable 1)" in out
+
+
+@pytest.mark.parametrize("command", ["twosat", "qbf"])
+def test_dimacs_variable_count_over_the_limit(capsys, tmp_path, command):
+    # Both commands allocate per declared variable; the count is refused first.
+    path = tmp_path / "f.cnf"
+    path.write_text("p cnf 1048577 0\n")
+    code, out, err = run(capsys, command, path, "--json")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1: variable count 1048577 exceeds the limit 1048576\n"
 
 
 def test_twosat_parse_error(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Game text parsing, serialization and Graphviz export."""
 
+import re
 import tracemalloc
 
 import pytest
@@ -16,10 +17,11 @@ from genreach import (
     parse_game,
     serialize_game,
     solve_fpt,
+    strategy_to_json,
 )
 from genreach.fileformat import MAX_COLORS
 from conftest import DEMO_TEXT
-from helpers import random_game
+from helpers import mutated, random_game
 
 
 def test_parse_demo(demo):
@@ -200,36 +202,13 @@ def test_fault_order(text, message):
     assert str(err.value) == message
 
 
-_OPS = ("drop", "duplicate", "swap-lines", "swap-tokens", "insert-integer")
 _INTEGERS = st.one_of(
     st.integers(-2, 5), st.sampled_from([MAX_COLORS, MAX_COLORS + 1]), st.integers()
 )
 
 
-@st.composite
-def mutated_demo(draw):
-    """DEMO_TEXT after one to four random edits of its lines and tokens."""
-    lines = [line.split() for line in DEMO_TEXT.splitlines()]
-    for op in draw(st.lists(st.sampled_from(_OPS), min_size=1, max_size=4)):
-        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
-        if op == "drop" and len(lines) > 1:
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(j, list(lines[i]))
-        elif op == "swap-lines":
-            lines[i], lines[j] = lines[j], lines[i]
-        elif op == "swap-tokens" and lines[i] and lines[j]:
-            a = draw(st.integers(0, len(lines[i]) - 1))
-            b = draw(st.integers(0, len(lines[j]) - 1))
-            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
-        elif op == "insert-integer":
-            at = draw(st.integers(0, len(lines[i])))
-            lines[i].insert(at, str(draw(_INTEGERS)))
-    return "".join(" ".join(tokens) + "\n" for tokens in lines)
-
-
 @settings(deadline=None)
-@given(mutated_demo())
+@given(mutated(DEMO_TEXT, _INTEGERS))
 def test_parse_gives_a_game_or_a_parse_error(text):
     try:
         game = parse_game(text)
@@ -254,3 +233,19 @@ def test_export_dot_shapes_and_marks(demo):
     solved = solve_fpt(demo)
     decorated = export_dot(demo, solved)
     assert "penwidth=2" in decorated
+
+
+def test_export_dot_draws_the_moves_strategy_files_hold(demo, flower2):
+    # A file writes the forced move of a one-successor vertex too, and leaves
+    # out a held move at a state no play from the start map reaches, as
+    # solve_fpt's Eve strategy holds on random_game(0, n=8, k=3).
+    for game in (demo, flower2, *(random_game(seed, n=8, k=3) for seed in range(5))):
+        result = solve_fpt(game)
+        dot = export_dot(game, result)
+        bold = set(re.findall(r'^  "(.+)" -> "(.+)" \[penwidth=2\];$', dot, re.M))
+        written = {
+            (row["vertex"], row["successor"])
+            for strategy in (result.eve_strategy, result.adam_strategy)
+            for row in strategy_to_json(game.arena, strategy)["moves"]
+        }
+        assert bold == written

@@ -15,6 +15,7 @@ from genreach import (
     qbf_to_game,
     solve_fpt,
 )
+from genreach.fileformat import MAX_VARIABLES
 from conftest import QBF1_TEXT
 
 
@@ -55,6 +56,7 @@ def test_parse_qdimacs_free_variables_warn():
         ("p cnf 1 1\ne 1 0\n1\n", "unterminated clause"),
         ("", "missing problem line"),
         ("p cnf -1 0\n", "line 1: negative count in problem line"),
+        (f"p cnf {MAX_VARIABLES + 1} 0\n", "line 1: variable count 1048577 exceeds the limit 1048576"),
         # More digits than int() converts.
         ("p cnf " + "9" * 5000 + " 1\n1 0\n", "line 1: integer of 5000 digits is too long"),
     ],
@@ -62,6 +64,13 @@ def test_parse_qdimacs_free_variables_warn():
 def test_parse_qdimacs_errors(text, message):
     with pytest.raises(GameParseError, match=message):
         parse_qdimacs(text)
+
+
+def test_parse_qdimacs_at_the_variable_limit():
+    # Parsing alone: the game route would build 3 vertices per variable.
+    with pytest.warns(UserWarning, match="treated as innermost existentials"):
+        formula = parse_qdimacs(f"p cnf {MAX_VARIABLES} 0\n")
+    assert formula.num_vars == len(formula.prefix) == MAX_VARIABLES
 
 
 def test_formula_validation():

@@ -24,6 +24,7 @@ from genreach import (
     two_sat_solve,
     verify_strategy,
 )
+from genreach.fileformat import MAX_VARIABLES
 from helpers import random_game
 
 E, A = Owner.EVE, Owner.ADAM
@@ -231,11 +232,18 @@ def test_parse_dimacs():
         ("p cnf 2 1\n0\n", "empty clause"),
         ("p cnf 2 1\nx y 0\n", "expected an integer"),
         ("", "missing problem line"),
+        (f"p cnf {MAX_VARIABLES + 1} 0\n", "line 1: variable count 1048577 exceeds the limit 1048576"),
     ],
 )
 def test_parse_dimacs_errors(text, message):
     with pytest.raises(GameParseError, match=message):
         parse_dimacs_cnf2(text)
+
+
+def test_parse_dimacs_at_the_variable_limit():
+    # Parsing alone: two_sat_solve would build two lists per variable.
+    formula = parse_dimacs_cnf2(f"p cnf {MAX_VARIABLES} 0\n")
+    assert formula.num_vars == MAX_VARIABLES and formula.clauses == ()
 
 
 def test_parse_dimacs_line_numbers():

@@ -34,10 +34,11 @@ _INTEGERS = st.one_of(
 _BUDGETS = st.integers(0, 2000).map(str)
 _FLOWER2_TEXT = serialize_game(generate(GenParams("flower", k=2)))
 _GAMES = st.sampled_from([DEMO_TEXT, _FLOWER2_TEXT]).flatmap(lambda text: mutated(text, _INTEGERS))
+_DEMO = parse_game(DEMO_TEXT)
+_SOLVED = solve_fpt(_DEMO)
 _STRATEGY_TEXTS = [
-    json.dumps(strategy_to_json(demo.arena, strategy), indent=2)
-    for demo in [parse_game(DEMO_TEXT)]
-    for strategy in (solve_fpt(demo).eve_strategy, solve_fpt(demo).adam_strategy)
+    json.dumps(strategy_to_json(_DEMO.arena, strategy), indent=2)
+    for strategy in (_SOLVED.eve_strategy, _SOLVED.adam_strategy)
 ]
 
 

@@ -41,7 +41,6 @@ from .lab import (
     verify_strategy,
 )
 from .model import (
-    DEFAULT_COLOR_CAP,
     Arena,
     Game,
     Objective,

@@ -235,15 +235,17 @@ def cmd_qbf(args) -> int:
             "variables": formula.num_vars,
             "clauses": len(formula.clauses),
         }
-        game_value = brute_value = None
+        # The brute force runs first, so its variable limit refuses a
+        # formula before the game is built.
+        game_value = None
+        brute_value = eval_qbf_bruteforce(formula) if args.via in ("brute", "both") else None
         if args.via in ("game", "both"):
             game = qbf_to_game(formula)
             result = solve_fpt(game)
             game_value = game.init in result.eve_region
             payload["game_value"] = game_value
             payload["game_stats"] = result.stats
-        if args.via in ("brute", "both"):
-            brute_value = eval_qbf_bruteforce(formula)
+        if brute_value is not None:
             payload["brute_value"] = brute_value
         value = game_value if game_value is not None else brute_value
         payload["value"] = value

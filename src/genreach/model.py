@@ -13,9 +13,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
-# Bitmask-based methods refuse instances with more colors than this.
-DEFAULT_COLOR_CAP = 20
-
 
 class Owner(Enum):
     """Which player chooses the successor at a vertex."""

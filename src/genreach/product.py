@@ -10,10 +10,10 @@ its n * 2^k configurations fit in `MAX_CONFIGS`: per vertex one int of
 s to s | colors(w), one shift step per color of w, so the attractor is a
 worklist fixpoint of ORs and ANDs over those ints.  Otherwise it takes
 the level sweep (`_solve_sweep`), which allocates only the masks a play
-reaches.  `compress_adam` always runs the dense kernel.  Eve's winning
-strategy lives on the non-full masks (at most 2^k - 1 states); Adam's
-winning strategy compresses further, onto per-vertex antichains of masks
-(at most C(k, floor(k/2)) states).
+reaches, up to `_MAX_SLOTS`.  `compress_adam` always runs the dense
+kernel.  Both players' strategies live on the non-full masks that occur
+(at most 2^k - 1 states); Adam's compresses further, onto per-vertex
+antichains of masks (at most C(k, floor(k/2)) states).
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import reduce
+from heapq import heappop, heappush
 from operator import or_
 
 from .attractor import _attract
 from .errors import UnsupportedInputError
-from .model import DEFAULT_COLOR_CAP, Game, Owner
+from .model import Game, Owner
 from .strategies import (
     FiniteMemoryStrategy,
     MemoryStructure,
@@ -36,6 +37,8 @@ from .strategies import (
 # The dense kernel's limit on n * 2^k configurations: above it
 # `solve_fpt` takes the sweep, and `compress_adam` refuses the game.
 MAX_CONFIGS = 1 << 22
+# The sweep's limit on n * (masks reached), a row of n bytes per mask.
+_MAX_SLOTS = MAX_CONFIGS << 2
 
 
 def _bits(x: int) -> list[int]:
@@ -48,8 +51,14 @@ def _color_steps(game: Game) -> tuple[list[int], list[list[tuple[int, int]]]]:
     the (M[i], 2^i) shift steps of its colors: one list per distinct
     color mask, shared by the vertices that carry it."""
     k = game.k
-    ones = (1 << (1 << k)) - 1
-    M = [ones // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(k)]
+    M = []
+    for i in range(k):
+        # One period, 2^i clear bits then 2^i set bits, doubled up to 2^k.
+        m, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width >> k == 0:
+            m |= m << width
+            width <<= 1
+        M.append(m)
     masks = game.objective.mask
     steps = {c: [(M[i], 1 << i) for i in _bits(c)] for c in set(masks)}
     return M, [steps[c] for c in masks]
@@ -138,17 +147,13 @@ def solve_fpt(game: Game) -> SolveResult:
     The dense route serves games whose n * 2^k configurations fit in
     `MAX_CONFIGS`, the level sweep larger ones; `stats["route"]` names
     the one taken.  Both give the same regions, other stats and Adam
-    moves, and Eve moves on the same (vertex, state) pairs.  Eve's
-    strategy replays the moves recorded as her configurations were won,
-    on a memory of the non-full masks that occur; Adam's keeps the play
-    outside the attractor, on the raw subset memory.  Each strategy has
-    initial states only on its own player's region.  A game with more
-    than `DEFAULT_COLOR_CAP` color sets is refused.
+    moves, and Eve moves on the same (vertex, state) pairs.  Both
+    strategies share one memory, the non-full masks that occur: Eve's
+    replays the moves recorded as her configurations were won, Adam's
+    keeps the play outside the attractor.  Each starts only on its own
+    player's region.  k has no limit; the sweep refuses a game whose n
+    times its reached masks exceeds `_MAX_SLOTS`.
     """
-    if game.k > DEFAULT_COLOR_CAP:
-        raise UnsupportedInputError(
-            f"{game.k} color sets exceed the bitmask cap of {DEFAULT_COLOR_CAP}"
-        )
     dense = game.arena.n << game.k <= MAX_CONFIGS
     return _solve_dense(game) if dense else _solve_sweep(game)
 
@@ -210,14 +215,14 @@ def _solve_dense(game: Game) -> SolveResult:
             for w in succ[u]:
                 ops += (ru & stay[w]).bit_count()
     idx = {s: i for i, s in enumerate(_bits(reduce(or_, Rp)) or [full])}
-    masks = range(full + 1)
+    masks = list(idx)
     eve_moves = _LazyMoves(
         [r & W[v] if eve[v] else 0 for v, r in enumerate(Rp)],
-        lambda v, s: next(w for got, w in won[v] if got >> s & 1), list(idx), idx,
+        lambda v, s: next(w for got, w in won[v] if got >> s & 1), masks, idx,
     )
     adam_moves = _LazyMoves(
         [0 if eve[v] else r & ~W[v] for v, r in enumerate(Rp)],
-        lambda v, s: _escape(succ, L, v, s), masks, masks,
+        lambda v, s: _escape(succ, L, v, s), masks, idx,
     )
     edges = sum(r.bit_count() * len(succ[v]) for v, r in enumerate(Rp))
     counts = {"configs": sum(r.bit_count() for r in R), "product_edges": edges, "ops": ops}
@@ -240,14 +245,23 @@ def _solve_sweep(game: Game) -> SolveResult:
     full = game.objective.full_mask
     live: dict[int, bytearray] = {}
     verts: dict[int, list[int]] = {}
-    buckets: list[list[int]] = [[] for _ in range(game.k + 1)]
+    # The masks of each popcount that occurs, and those popcounts as a heap.
+    buckets: dict[int, list[int]] = {}
+    popcounts: list[int] = []
 
     def reach(s: int, w: int) -> None:
         row = live.get(s)
         if row is None:
+            if (len(live) + 1) * n > _MAX_SLOTS:
+                raise UnsupportedInputError(
+                    f"level sweep needs {(len(live) + 1) * n} configurations, above the limit of {_MAX_SLOTS}"
+                )
             row = live[s] = bytearray(n)
             verts[s] = []
-            buckets[s.bit_count()].append(s)
+            p = s.bit_count()
+            if p not in buckets:
+                heappush(popcounts, p)
+            buckets.setdefault(p, []).append(s)
         if not row[w]:
             row[w] = 1
             verts[s].append(w)
@@ -256,8 +270,8 @@ def _solve_sweep(game: Game) -> SolveResult:
         reach(vm[v], v)
     levels: list[tuple[int, list[int]]] = []
     n_edges = 0
-    for bucket in buckets:
-        for s in bucket:
+    while popcounts:  # a jump adds colors, so it fills a later bucket
+        for s in buckets[heappop(popcounts)]:
             vs = verts[s]
             levels.append((s, vs))
             i = 0
@@ -310,7 +324,7 @@ def _solve_sweep(game: Game) -> SolveResult:
             wrow[v] = 1
     # Adam's first escape from each losing Adam configuration.
     adam_moves = {
-        (v, s): next(w for w in succ[v] if not win[s | vm[w]][w])
+        (v, idx[s]): next(w for w in succ[v] if not win[s | vm[w]][w])
         for s, vs in levels
         for v in vs
         if not eve[v] and not win[s][v]
@@ -324,31 +338,30 @@ def _fpt_result(
     game: Game, t0: float, route: str, eve_region: frozenset[int], idx: dict[int, int],
     eve_moves: Mapping, adam_moves: Mapping, counts: dict[str, int],
 ) -> SolveResult:
-    """Both routes' strategies and stats.  `idx` numbers Eve's memory
-    states: the non-full masks that occur, ascending, or one idle state
-    when none does."""
+    """Both routes' strategies and stats.  `idx` numbers the memory both
+    players share: the non-full masks that occur, ascending, or one idle
+    state when none does."""
     vm = game.objective.mask
     adam_region = frozenset(range(game.arena.n)) - eve_region
 
-    def eve_update(s: int, u: int, w: int, _m=list(idx), _i=idx) -> int:
+    def update(s: int, u: int, w: int, _m=list(idx), _i=idx) -> int:
         t = _i.get(_m[s] | vm[w])
         return s if t is None else t
 
-    eve_initial = {v: idx.get(vm[v], 0) for v in sorted(eve_region)}
-    eve_mem = MemoryStructure(len(idx), eve_initial, eve_update)
-    adam_initial = {v: vm[v] for v in sorted(adam_region)}
-    mem = MemoryStructure(1 << game.k, adam_initial, lambda s, u, w: s | vm[w])
+    def strategy(player: Owner, region: frozenset[int], moves: Mapping) -> FiniteMemoryStrategy:
+        initial = {v: idx.get(vm[v], 0) for v in sorted(region)}
+        return FiniteMemoryStrategy(player, MemoryStructure(len(idx), initial, update), moves)
+
     return SolveResult(
         method="fpt",
         eve_region=eve_region,
         adam_region=adam_region,
-        eve_strategy=FiniteMemoryStrategy(Owner.EVE, eve_mem, eve_moves),
-        adam_strategy=FiniteMemoryStrategy(Owner.ADAM, mem, adam_moves),
+        eve_strategy=strategy(Owner.EVE, eve_region, eve_moves),
+        adam_strategy=strategy(Owner.ADAM, adam_region, adam_moves),
         stats={
             "k": game.k,
             **counts,
-            "eve_states": eve_mem.states,
-            "adam_states": mem.states,
+            "eve_states": len(idx),
             "route": route,
             "seconds": time.perf_counter() - t0,
         },
@@ -394,8 +407,6 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     arena = game.arena
     n = arena.n
     k = game.k
-    if k > DEFAULT_COLOR_CAP:
-        raise UnsupportedInputError(f"{k} color sets exceed the bitmask cap of {DEFAULT_COLOR_CAP}")
     if n << k > MAX_CONFIGS:
         raise UnsupportedInputError(
             f"full product needs {n << k} configurations, above the limit of {MAX_CONFIGS}"

@@ -51,14 +51,16 @@ class QBFFormula:
 
 
 def parse_qdimacs(text: str) -> QBFFormula:
-    """Parse QDIMACS; free variables become innermost existentials."""
+    """Parse QDIMACS; free variables become innermost existentials, with a
+    warning that counts them and names the first ten."""
     num_vars, blocks, clauses, _ = _read_dimacs(text)
     prefix = [(quant, v) for _, quant, block in blocks for v in block]
     quantified = {v for _, v in prefix}
     free = [v for v in range(1, num_vars + 1) if v not in quantified]
     if free:
+        sample = ", ".join(map(str, free[:10])) + (", ..." if len(free) > 10 else "")
         warnings.warn(
-            f"variables {free} are unquantified; treated as innermost existentials",
+            f"{len(free)} unquantified variable(s) treated as innermost existentials: {sample}",
             stacklevel=2,
         )
         prefix.extend((QUANT_EXISTS, v) for v in free)

@@ -9,10 +9,12 @@ from typing import Iterable
 from hypothesis import strategies as st
 
 from genreach import (
+    Arena,
     FiniteMemoryStrategy,
     Game,
     GenParams,
     MemoryStructure,
+    Objective,
     Owner,
     Play,
     UnsupportedInputError,
@@ -41,6 +43,18 @@ def random_game(
             seed=seed,
         )
     )
+
+
+def padded_hub(n: int, k: int) -> Game:
+    """Eve's hub h moves to k spokes, spoke i carrying color i and moving
+    back to h, so plays reach all 2^k masks; the n - k - 1 uncolored pads
+    move to h and raise n.  With n * 2^k over `MAX_CONFIGS` it takes the
+    sweep, which allocates a row of n bytes per reached mask."""
+    names = ["h"] + [f"s{i}" for i in range(1, k + 1)] + [f"p{i}" for i in range(n - k - 1)]
+    owners = [Owner.EVE] * n
+    edges = [(0, i) for i in range(1, k + 1)] + [(i, 0) for i in range(1, n)]
+    objective = Objective.from_sets(n, [{i} for i in range(1, k + 1)])
+    return Game(Arena.from_edges(names, owners, edges), objective, init=0)
 
 
 def minimax_region(game: Game) -> frozenset[int]:

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "AttractorResult",
     "BudgetExceededError",
     "COLOR_OBS",
-    "DEFAULT_COLOR_CAP",
     "FULL_CLASS",
     "FiniteMemoryStrategy",
     "FlowerRefutation",
@@ -109,7 +108,7 @@ def public_names():
 
 def test_public_names():
     assert public_names() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 59
+    assert len(PUBLIC_NAMES) == 58
 
 
 def test_defaulted_parameters_of_public_functions():

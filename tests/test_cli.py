@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -23,7 +24,9 @@ from genreach import (
 )
 from genreach import cli
 from genreach.cli import main
+from genreach.product import _MAX_SLOTS
 from conftest import DEMO_TEXT, QBF1_TEXT
+from helpers import padded_hub
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
 
@@ -59,7 +62,7 @@ def test_usage_errors_exit_one(capsys):
     assert main(["solve"]) == 1
     assert main(["solve", "x", "--method", "sorcery"]) == 1
     assert main(["frobnicate"]) == 1
-    # The 20-color limit is fixed: no command takes a cap.
+    # No command takes a cap.
     assert main(["solve", "x", "--cap", "20000"]) == 1
     assert main(["qbf", "x", "--cap", "20000"]) == 1
     assert main(["verify", "x", "y", "--cap", "20000"]) == 1
@@ -83,7 +86,8 @@ def test_solve_json_report(capsys, demo_file):
     assert report["eve_region"] == ["c", "a", "b"]
     assert report["adam_region"] == ["d"]
     assert report["winner_from_init"] == "eve"
-    assert report["stats"]["adam_states"] == 4
+    # Both strategies number the 3 non-full masks that occur.
+    assert report["stats"]["eve_states"] == 3 and "adam_states" not in report["stats"]
     assert "winner eve" in err
 
 
@@ -229,15 +233,19 @@ def test_solve_undecodable_file(capsys, tmp_path):
     assert "not UTF-8: byte 0xff" in err
 
 
-@pytest.mark.parametrize("k", [21, 20000])
-def test_solve_cap_exceeded(capsys, tmp_path, k):
-    # At k=20000, 2^k has too many digits to print: refused before that.
+@pytest.mark.parametrize("k", [21, 22, 20000, 1 << 20])
+def test_solve_wide_one_vertex_game(capsys, tmp_path, k):
+    # No limit on k: one vertex reaches one mask, so the report and the
+    # strategy files count one memory state, not 2^k.
     path = tmp_path / "wide.game"
     path.write_text(f"genreach 1\ncolors {k}\nvertex v adam 1\nedge v v\ninit v\n")
-    code, out, err = run(capsys, "solve", path, "--method", "fpt", "--json")
-    assert code == 3
-    assert out == ""
-    assert err == f"error: {k} color sets exceed the bitmask cap of 20\n"
+    code, out, err = run(capsys, "solve", path, "--method", "fpt", "--emit-strategies")
+    assert code == 0
+    assert err == "wide.game: method fpt, winner adam from init\n"
+    report = json.loads(out)
+    assert report["stats"]["k"] == k
+    assert report["stats"]["route"] == ("dense" if k <= 22 else "sweep")
+    assert report["stats"]["eve_states"] == report["strategies"]["adam"]["states"] == 1
 
 
 def test_solve_wrong_method_for_game(capsys, demo_file):
@@ -260,8 +268,8 @@ edge c a
 init a
 """
 EVE_STRATEGY = '{"player": "eve", "states": 1, "initial": 0}'
-# 21 clauses, so its game has 21 color sets.
-WIDE_QBF_TEXT = "p cnf 1 21\ne 1 0\n" + "1 0\n" * 21
+# Past the level sweep's limit: 8193 masks of 2048 vertices.
+HUB_TEXT = serialize_game(padded_hub(2048, 14))
 
 
 @pytest.mark.parametrize(
@@ -269,7 +277,10 @@ WIDE_QBF_TEXT = "p cnf 1 21\ne 1 0\n" + "1 0\n" * 21
     [
         (["solve", "demo.game", "--method", "oneplayer2"], "vertex 'a' belongs to the opponent"),
         (["solve", "triple.game", "--method", "oneplayer2"], "color 1 has 3 vertices, at most two allowed"),
-        (["qbf", "wide.qdimacs"], "21 color sets exceed the bitmask cap of 20"),
+        (
+            ["solve", "hub.game", "--method", "fpt"],
+            f"level sweep needs {8193 * 2048} configurations, above the limit of {_MAX_SLOTS}",
+        ),
         (["minmem", "noinit.game", "--player", "eve", "--bound", "1"], "memory search needs a game with init"),
         (["solve", "noinit.game", "--method", "minimax"], "the minimax oracle needs a game with init"),
         (["verify", "noinit.game", "eve.json", "--region", "init"], "--region init needs a game with an init vertex"),
@@ -280,7 +291,7 @@ def test_unsupported_input_exits_three(capsys, tmp_path, argv, message):
         "demo.game": DEMO_TEXT,
         "noinit.game": DEMO_TEXT.replace("init c\n", ""),
         "triple.game": ALL_EVE_TRIPLE_TEXT,
-        "wide.qdimacs": WIDE_QBF_TEXT,
+        "hub.game": HUB_TEXT,
         "eve.json": EVE_STRATEGY,
     }
     for name, text in inputs.items():
@@ -399,6 +410,58 @@ def test_qbf_both_routes(capsys, tmp_path):
     assert report["game_value"] is True and report["brute_value"] is True
     assert report["agreement"] is True
     assert "true" in err
+
+
+def random_3cnf(seed: int, num_vars: int, num_clauses: int) -> str:
+    """QDIMACS: each variable in order under its own quantifier, universal
+    with probability 1/4, then clauses over three distinct variables."""
+    rng = random.Random(seed)
+    lines = [f"p cnf {num_vars} {num_clauses}"]
+    lines += [f"{'a' if rng.random() < 0.25 else 'e'} {v} 0" for v in range(1, num_vars + 1)]
+    for _ in range(num_clauses):
+        lits = [v * rng.choice((-1, 1)) for v in rng.sample(range(1, num_vars + 1), 3)]
+        lines.append(" ".join(map(str, lits)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        # 21 clauses, so its game has 21 color sets.
+        ("p cnf 1 21\ne 1 0\n" + "1 0\n" * 21, True),
+        # One color per clause, 21-40 of them: each game takes the sweep.
+        (random_3cnf(0, 10, 21), True),
+        (random_3cnf(1, 10, 21), False),
+        (random_3cnf(0, 12, 30), True),
+        (random_3cnf(1, 12, 30), False),
+        (random_3cnf(0, 13, 35), True),
+        (random_3cnf(1, 13, 35), False),
+        (random_3cnf(0, 14, 24), True),
+        (random_3cnf(1, 12, 40), False),
+    ],
+    ids=["1x21", "10x21-0", "10x21-1", "12x30-0", "12x30-1", "13x35-0", "13x35-1", "14x24-0", "12x40-1"],
+)
+def test_qbf_both_routes_on_wide_formulas(capsys, tmp_path, text, value):
+    path = tmp_path / "f.qdimacs"
+    path.write_text(text)
+    code, out, _ = run(capsys, "qbf", path, "--via", "both", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["game_value"] is report["brute_value"] is value
+    assert report["agreement"] is True
+    assert report["game_stats"]["route"] == "sweep"
+    assert report["game_stats"]["k"] == report["clauses"] > 20
+
+
+def test_qbf_both_refuses_past_the_brute_force_cap_first(capsys, tmp_path, monkeypatch):
+    # The brute force's variable limit refuses before any game is built.
+    built = []
+    monkeypatch.setattr("genreach.cli.qbf_to_game", built.append)
+    path = tmp_path / "f.qdimacs"
+    path.write_text("p cnf 21 0\ne " + " ".join(map(str, range(1, 22))) + " 0\n")
+    code, out, err = run(capsys, "qbf", path, "--via", "both")
+    assert (code, out, built) == (3, "", [])
+    assert err == "error: 21 variables exceed the brute-force cap of 20\n"
 
 
 def test_qbf_route_disagreement_exits_four(capsys, tmp_path, monkeypatch):

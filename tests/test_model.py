@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from genreach import (
     Arena,
-    DEFAULT_COLOR_CAP,
     Game,
     Objective,
     Owner,
@@ -101,10 +100,6 @@ def test_validate_arena_reports_violations():
     assert validate_arena(dead) == ["dead end at vertex 'b'"]
     dup = Arena.from_edges(["a", "b"], [E, A], [(0, 1), (0, 1), (1, 0)])
     assert validate_arena(dup) == ["duplicate edge 'a' -> 'b'"]
-
-
-def test_default_cap_value():
-    assert DEFAULT_COLOR_CAP == 20
 
 
 @given(st.integers(0, 10_000))

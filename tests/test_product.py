@@ -16,19 +16,24 @@ from genreach import (
     solve_fpt,
     verify_strategy,
 )
-from genreach.product import _dense_antichains, _solve_dense, _solve_sweep
-from helpers import antichain_table, explicit_product, minimax_region, random_game
+from genreach.product import _MAX_SLOTS, _dense_antichains, _solve_dense, _solve_sweep
+from helpers import antichain_table, explicit_product, minimax_region, padded_hub, random_game
 
 E, A = Owner.EVE, Owner.ADAM
 
 
 def test_subset_memory_folds_colors(demo):
-    mem = solve_fpt(demo).adam_strategy.memory
-    assert mem.states == 4
+    # Both players number the non-full masks that occur: 0, {1}, {2}.
+    result = solve_fpt(demo)
+    mem = result.adam_strategy.memory
+    assert mem.states == result.eve_strategy.memory.states == result.stats["eve_states"] == 3
+    ix = demo.arena.index_of
     # It starts on Adam's region, d, in the state of d's own colors.
-    assert mem.initial == {demo.arena.index_of("d"): 2}
-    assert mem.update(1, 0, demo.arena.index_of("d")) == 3
-    assert mem.update(3, 3, 3) == 3
+    assert mem.initial == {ix("d"): 2}
+    assert mem.update(0, ix("c"), ix("a")) == 1
+    # A step onto the full mask keeps the last state.
+    assert mem.update(1, ix("a"), ix("d")) == 1
+    assert mem.update(2, ix("d"), ix("d")) == 2
 
 
 def test_solve_fpt_on_demo(demo):
@@ -37,7 +42,7 @@ def test_solve_fpt_on_demo(demo):
     assert result.method == "fpt"
     assert result.eve_region == frozenset({ix("c"), ix("a"), ix("b")})
     assert result.adam_region == frozenset({ix("d")})
-    assert result.stats["adam_states"] == 4
+    assert "adam_states" not in result.stats
     assert result.stats["configs"] <= demo.arena.n * 4
     assert verify_strategy(demo, result.eve_strategy, result.eve_region).winning
     assert verify_strategy(demo, result.adam_strategy, result.adam_region).winning
@@ -47,15 +52,15 @@ def test_solve_fpt_frozen_flower_stats(flower2):
     result = solve_fpt(flower2)
     names = flower2.arena.names
     assert sorted(names[v] for v in result.eve_region) == ["c1", "c2", "h", "v1", "v2"]
-    stats = {key: result.stats[key] for key in ("k", "configs", "product_edges", "ops", "eve_states", "adam_states")}
+    stats = {key: result.stats[key] for key in ("k", "configs", "product_edges", "ops", "eve_states")}
     assert stats == {
         "k": 2,
         "configs": 17,
         "product_edges": 22,
         "ops": 8,
         "eve_states": 3,
-        "adam_states": 4,
     }
+    assert result.adam_strategy.memory.states == 3 and "adam_states" not in result.stats
     assert result.stats["route"] == "dense"
 
 
@@ -95,17 +100,44 @@ def test_solve_fpt_zero_colors(demo):
     )
     result = solve_fpt(empty)
     assert result.eve_region == frozenset(range(demo.arena.n))
-    assert result.stats["adam_states"] == 1
+    assert result.adam_strategy.memory.states == result.stats["eve_states"] == 1
 
 
-def test_solve_fpt_cap():
-    # 21 colors on one self-looping vertex: refused on k alone.
-    arena = Arena(("v",), (A,), ((0,),))
-    game = Game(arena, Objective.from_sets(1, [{0}] * 21))
-    with pytest.raises(
-        UnsupportedInputError, match="^21 color sets exceed the bitmask cap of 20$"
-    ):
-        solve_fpt(game)
+@pytest.mark.parametrize("k", [21, 60])
+def test_solve_fpt_has_no_color_cap(k):
+    # Eve's a carries the first colors and Adam's b the rest: from a, Eve
+    # moves to b; from b, Adam escapes to the uncolored sink c.  Seven
+    # configurations over three non-full masks, whatever k is.
+    arena = Arena.from_edges(
+        ["a", "b", "c"], [E, A, A], [(0, 1), (0, 2), (1, 0), (1, 2), (2, 2)]
+    )
+    game = Game(arena, Objective.from_sets(3, [{0}] * (k // 2) + [{1}] * (k - k // 2)))
+    result = solve_fpt(game)
+    assert result.stats["route"] == "sweep"
+    assert (result.stats["configs"], result.stats["eve_states"]) == (7, 3)
+    assert result.eve_region == frozenset({0})
+    assert result.adam_strategy.memory.states == result.eve_strategy.memory.states == 3
+    assert verify_strategy(game, result.eve_strategy, result.eve_region).winning
+    assert verify_strategy(game, result.adam_strategy, result.adam_region).winning
+
+
+def test_solve_fpt_refuses_past_the_sweep_limit():
+    # 2048 * 2^14 configurations take the sweep; it stops at the mask that
+    # would bring n * (masks reached) past _MAX_SLOTS, holding one row of n
+    # bytes per mask reached.
+    game = padded_hub(2048, 14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            UnsupportedInputError,
+            match=f"^level sweep needs {8193 * 2048} configurations, above the limit of {_MAX_SLOTS}$",
+        ):
+            solve_fpt(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _MAX_SLOTS == 1 << 24
+    assert peak < 24 << 20
 
 
 def test_solve_fpt_agrees_with_explicit_product():
@@ -157,13 +189,18 @@ def test_compress_adam_config_limit():
         compress_adam(game)
 
 
-def test_compress_adam_color_cap():
-    # 21 colors on one self-looping vertex: refused on k alone.
+def test_compress_adam_on_one_wide_vertex():
+    # Adam's self-looping v carries color 1 of k: its 2^k configurations
+    # fit up to k=22, and Adam keeps one state per other color, the mask
+    # that misses only it.
     arena = Arena(("v",), (A,), ((0,),))
-    game = Game(arena, Objective.from_sets(1, [{0}] * 21))
-    with pytest.raises(
-        UnsupportedInputError, match="^21 color sets exceed the bitmask cap of 20$"
-    ):
+    for k in (21, 22):
+        game = Game(arena, Objective.from_sets(1, [{0}] + [set()] * (k - 1)))
+        small = compress_adam(game)
+        assert small.memory.states == k - 1
+        assert verify_strategy(game, small, [0]).winning
+    game = Game(arena, Objective.from_sets(1, [{0}] + [set()] * 22))
+    with pytest.raises(UnsupportedInputError, match="^full product needs 8388608 configurations"):
         compress_adam(game)
 
 
@@ -254,6 +291,8 @@ def routes_agree(game: Game):
         for r in (dense, sweep)
     ]
     assert rest[0] == rest[1]
+    for r in (dense, sweep):
+        assert r.adam_strategy.memory.states == r.eve_strategy.memory.states == r.stats["eve_states"]
     assert dict(dense.adam_strategy.moves) == dict(sweep.adam_strategy.moves)
     # Eve may move elsewhere, but on the same (vertex, state) pairs.
     assert set(dense.eve_strategy.moves) == set(sweep.eve_strategy.moves)

@@ -38,7 +38,9 @@ def test_parse_qdimacs_percent_ends_input():
 
 def test_parse_qdimacs_free_variables_warn():
     text = "p cnf 2 1\na 1 0\n1 2 0\n"
-    with pytest.warns(UserWarning, match="treated as innermost existentials"):
+    with pytest.warns(
+        UserWarning, match=r"^1 unquantified variable\(s\) treated as innermost existentials: 2$"
+    ):
         formula = parse_qdimacs(text)
     assert formula.prefix == (("a", 1), ("e", 2))
 
@@ -68,9 +70,14 @@ def test_parse_qdimacs_errors(text, message):
 
 def test_parse_qdimacs_at_the_variable_limit():
     # Parsing alone: the game route would build 3 vertices per variable.
-    with pytest.warns(UserWarning, match="treated as innermost existentials"):
+    # The warning counts the free variables and names only the first ten.
+    with pytest.warns(UserWarning) as record:
         formula = parse_qdimacs(f"p cnf {MAX_VARIABLES} 0\n")
     assert formula.num_vars == len(formula.prefix) == MAX_VARIABLES
+    assert [str(w.message) for w in record] == [
+        "1048576 unquantified variable(s) treated as innermost existentials:"
+        " 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ..."
+    ]
 
 
 def test_formula_validation():

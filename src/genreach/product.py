@@ -401,8 +401,8 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
 
     Adam's region is downward closed only over the full product, so this
     runs the dense kernel of `solve_fpt` over every mask, and refuses a
-    game whose n * 2^k configurations exceed `MAX_CONFIGS` before
-    allocating any of them.
+    game whose n * 2^k configurations exceed `MAX_CONFIGS` (so any with
+    k > 22) before allocating any of them.
     """
     arena = game.arena
     n = arena.n

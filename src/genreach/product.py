@@ -10,7 +10,7 @@ its n * 2^k configurations fit in `MAX_CONFIGS`: per vertex one int of
 s to s | colors(w), one shift step per color of w, so the attractor is a
 worklist fixpoint of ORs and ANDs over those ints.  Otherwise it takes
 the level sweep (`_solve_sweep`), which allocates only the masks a play
-reaches, up to `_MAX_SLOTS`.  `compress_adam` always runs the dense
+reaches, up to `_MAX_SLOTS` bytes.  `compress_adam` always runs the dense
 kernel.  Both players' strategies live on the non-full masks that occur
 (at most 2^k - 1 states); Adam's compresses further, onto per-vertex
 antichains of masks (at most C(k, floor(k/2)) states).
@@ -37,7 +37,7 @@ from .strategies import (
 # The dense kernel's limit on n * 2^k configurations: above it
 # `solve_fpt` takes the sweep, and `compress_adam` refuses the game.
 MAX_CONFIGS = 1 << 22
-# The sweep's limit on n * (masks reached), a row of n bytes per mask.
+# The sweep's limit on n plus the mask's bytes, summed over masks reached.
 _MAX_SLOTS = MAX_CONFIGS << 2
 
 
@@ -151,8 +151,8 @@ def solve_fpt(game: Game) -> SolveResult:
     strategies share one memory, the non-full masks that occur: Eve's
     replays the moves recorded as her configurations were won, Adam's
     keeps the play outside the attractor.  Each starts only on its own
-    player's region.  k has no limit; the sweep refuses a game whose n
-    times its reached masks exceeds `_MAX_SLOTS`.
+    player's region.  k has no limit; the sweep refuses a game once n
+    plus the mask's bytes, summed over masks reached, exceeds `_MAX_SLOTS`.
     """
     dense = game.arena.n << game.k <= MAX_CONFIGS
     return _solve_dense(game) if dense else _solve_sweep(game)
@@ -248,13 +248,17 @@ def _solve_sweep(game: Game) -> SolveResult:
     # The masks of each popcount that occurs, and those popcounts as a heap.
     buckets: dict[int, list[int]] = {}
     popcounts: list[int] = []
+    slots = 0
 
     def reach(s: int, w: int) -> None:
+        nonlocal slots
         row = live.get(s)
         if row is None:
-            if (len(live) + 1) * n > _MAX_SLOTS:
+            slots += n + s.bit_length() // 8  # its row, and s of up to k bits
+            if slots > _MAX_SLOTS:
                 raise UnsupportedInputError(
-                    f"level sweep needs {(len(live) + 1) * n} configurations, above the limit of {_MAX_SLOTS}"
+                    f"level sweep needs {slots} slots (n plus the mask's bytes per mask reached), "
+                    f"above the limit of {_MAX_SLOTS}"
                 )
             row = live[s] = bytearray(n)
             verts[s] = []

@@ -45,15 +45,19 @@ def random_game(
     )
 
 
-def padded_hub(n: int, k: int) -> Game:
+def padded_hub(n: int, k: int, colors: int | None = None) -> Game:
     """Eve's hub h moves to k spokes, spoke i carrying color i and moving
     back to h, so plays reach all 2^k masks; the n - k - 1 uncolored pads
     move to h and raise n.  With n * 2^k over `MAX_CONFIGS` it takes the
-    sweep, which allocates a row of n bytes per reached mask."""
+    sweep, which allocates a row of n bytes per reached mask.  With
+    `colors` the game declares that many colors and spoke i carries color
+    colors - k + i, so each mask a spoke adds is an int of `colors` bits."""
+    colors = k if colors is None else colors
     names = ["h"] + [f"s{i}" for i in range(1, k + 1)] + [f"p{i}" for i in range(n - k - 1)]
     owners = [Owner.EVE] * n
     edges = [(0, i) for i in range(1, k + 1)] + [(i, 0) for i in range(1, n)]
-    objective = Objective.from_sets(n, [{i} for i in range(1, k + 1)])
+    sets = [frozenset()] * (colors - k) + [{i} for i in range(1, k + 1)]
+    objective = Objective.from_sets(n, sets)
     return Game(Arena.from_edges(names, owners, edges), objective, init=0)
 
 

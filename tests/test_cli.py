@@ -268,8 +268,11 @@ edge c a
 init a
 """
 EVE_STRATEGY = '{"player": "eve", "states": 1, "initial": 0}'
-# Past the level sweep's limit: 8193 masks of 2048 vertices.
+# Past the level sweep's limit: on 8,189 rows of 2048 vertices, and on 129
+# masks of up to 2^20 bits.
 HUB_TEXT = serialize_game(padded_hub(2048, 14))
+WIDE_HUB_TEXT = serialize_game(padded_hub(18, 17, 1 << 20))
+SWEEP_LIMIT = "level sweep needs {} slots (n plus the mask's bytes per mask reached), above the limit of {}"
 
 
 @pytest.mark.parametrize(
@@ -279,8 +282,9 @@ HUB_TEXT = serialize_game(padded_hub(2048, 14))
         (["solve", "triple.game", "--method", "oneplayer2"], "color 1 has 3 vertices, at most two allowed"),
         (
             ["solve", "hub.game", "--method", "fpt"],
-            f"level sweep needs {8193 * 2048} configurations, above the limit of {_MAX_SLOTS}",
+            SWEEP_LIMIT.format(16_779_133, _MAX_SLOTS),
         ),
+        (["solve", "widehub.game", "--method", "fpt"], SWEEP_LIMIT.format(16_779_384, _MAX_SLOTS)),
         (["minmem", "noinit.game", "--player", "eve", "--bound", "1"], "memory search needs a game with init"),
         (["solve", "noinit.game", "--method", "minimax"], "the minimax oracle needs a game with init"),
         (["verify", "noinit.game", "eve.json", "--region", "init"], "--region init needs a game with an init vertex"),
@@ -292,6 +296,7 @@ def test_unsupported_input_exits_three(capsys, tmp_path, argv, message):
         "noinit.game": DEMO_TEXT.replace("init c\n", ""),
         "triple.game": ALL_EVE_TRIPLE_TEXT,
         "hub.game": HUB_TEXT,
+        "widehub.game": WIDE_HUB_TEXT,
         "eve.json": EVE_STRATEGY,
     }
     for name, text in inputs.items():

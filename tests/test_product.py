@@ -1,6 +1,7 @@
 """Subset memory, the dense and sweep solvers, and the antichain compression."""
 
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -121,17 +122,28 @@ def test_solve_fpt_has_no_color_cap(k):
     assert verify_strategy(game, result.adam_strategy, result.adam_region).winning
 
 
-def test_solve_fpt_refuses_past_the_sweep_limit():
-    # 2048 * 2^14 configurations take the sweep; it stops at the mask that
-    # would bring n * (masks reached) past _MAX_SLOTS, holding one row of n
-    # bytes per mask reached.
-    game = padded_hub(2048, 14)
+@pytest.mark.parametrize(
+    "hub, slots",
+    [
+        # n = 2048, k = 14: stops at the 8,189th mask, on its rows.
+        ((2048, 14), 16_779_133),
+        # n = 18 and 2^20 colors, the spokes' the highest: stops at the
+        # 129th mask, on the masks' own bytes, with 2,322 row bytes.
+        ((18, 17, 1 << 20), 16_779_384),
+    ],
+)
+def test_solve_fpt_refuses_past_the_sweep_limit(hub, slots):
+    # The sweep charges each mask it reaches n plus the mask's bytes and
+    # stops before the total passes _MAX_SLOTS, so what it holds stays
+    # bounded however wide the masks are.
+    game = padded_hub(*hub)
+    message = (
+        f"level sweep needs {slots} slots (n plus the mask's bytes per mask reached), "
+        f"above the limit of {_MAX_SLOTS}"
+    )
     tracemalloc.start()
     try:
-        with pytest.raises(
-            UnsupportedInputError,
-            match=f"^level sweep needs {8193 * 2048} configurations, above the limit of {_MAX_SLOTS}$",
-        ):
+        with pytest.raises(UnsupportedInputError, match=f"^{re.escape(message)}$"):
             solve_fpt(game)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -134,11 +134,13 @@ def parse_game(text: str) -> Game:
         v = next((v for v, targets in enumerate(arena.succ) if not targets), None)
         raise GameParseError(violations[0], None if v is None else vertex_lines[v])
 
-    # Colors no vertex carries share one empty set, so a declared count
-    # costs a list slot per color and no more.
-    uncarried: frozenset[int] = frozenset()
-    color_sets = [carriers.get(c, uncarried) for c in range(1, k + 1)]
-    objective = Objective.from_sets(len(names), color_sets)
+    # Colors no vertex carries share one empty set, and the list of k is
+    # made by one repeat, so a declared count costs a slot per color and
+    # no Python step.
+    color_sets = [frozenset()] * k
+    for c, members in carriers.items():
+        color_sets[c - 1] = frozenset(members)
+    objective = Objective(len(names), tuple(color_sets))
 
     init = None
     if init_ref is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Sequence
 
 
@@ -116,8 +117,9 @@ class Objective:
 
     def __post_init__(self):
         mask = [0] * self.n
-        for i, members in enumerate(self.color_sets):
-            for v in members:
+        sets = self.color_sets
+        for i in compress(range(len(sets)), sets):  # skips the empty sets
+            for v in sets[i]:
                 if not 0 <= v < self.n:
                     raise ValueError(f"color {i + 1} contains out-of-range vertex {v}")
                 mask[v] |= 1 << i

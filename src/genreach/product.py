@@ -9,8 +9,12 @@ its n * 2^k configurations fit in `MAX_CONFIGS`: per vertex one int of
 2^k bits, bit s set when Eve wins (v, s).  An edge into w maps each mask
 s to s | colors(w), one shift step per color of w, so the attractor is a
 worklist fixpoint of ORs and ANDs over those ints.  Otherwise it takes
-the level sweep (`_solve_sweep`), which allocates only the masks a play
-reaches, up to `_MAX_SLOTS` bytes.  `compress_adam` always runs the dense
+the level sweep (`_solve_sweep`), which allocates a row only for each
+mask a play reaches.  It refuses a game once its rows and masks would
+pass `_MAX_SLOTS` slots, each reached mask counting n for its row plus
+its own bytes.  The limit does not count what the sweep keeps per
+reached configuration, about 120 bytes in its dicts and lists, so a game
+just under it can need gigabytes.  `compress_adam` always runs the dense
 kernel.  Both players' strategies live on the non-full masks that occur
 (at most 2^k - 1 states); Adam's compresses further, onto per-vertex
 antichains of masks (at most C(k, floor(k/2)) states).
@@ -21,8 +25,9 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from heapq import heappop, heappush
+from itertools import compress
 from operator import or_
 
 from .attractor import _attract
@@ -41,9 +46,25 @@ MAX_CONFIGS = 1 << 22
 _MAX_SLOTS = MAX_CONFIGS << 2
 
 
+# Turns the digit 0 into a false byte, so `compress` keeps the 1 digits.
+_NUL = bytes.maketrans(b"0", b"\0")
+
+
 def _bits(x: int) -> list[int]:
-    """The set bits of x, ascending."""
-    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+    """The set bits of x, ascending.  A sparse x is read by `str.find`
+    jumps between its set digits, a dense one by `compress` over all its
+    digits, so the time follows the set bits or the length, whichever is
+    less."""
+    digits = bin(x)[:1:-1]
+    if x.bit_count() << 3 < x.bit_length():
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
+    flags = digits.encode().translate(_NUL)
+    return list(compress(range(len(flags)), flags))
 
 
 def _color_steps(game: Game) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -113,7 +134,18 @@ def _dense_win(game: Game, steps: list[list[tuple[int, int]]]) -> tuple[list[int
 
 def _escape(succ: Sequence[Sequence[int]], L: Sequence[int], v: int, s: int) -> int:
     """Adam's first successor out of a losing (v, s) that Eve does not win."""
-    return next(w for w in succ[v] if not L[w] >> s & 1)
+    for w in succ[v]:
+        if not L[w] >> s & 1:
+            return w
+    raise AssertionError(f"no escape from a losing ({v}, {s:#b})")
+
+
+def _first_won(won: Sequence[Sequence[tuple[int, int]]], v: int, s: int) -> int:
+    """Eve's move at a won (v, s): the successor whose win first took s."""
+    for got, w in won[v]:
+        if got >> s & 1:
+            return w
+    raise AssertionError(f"no won move at ({v}, {s:#b})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,12 +159,19 @@ class _LazyMoves(Mapping):
     masks: Sequence[int]
     index: Mapping[int, int]
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
+    def get(self, key: tuple[int, int], default=None):
         v, state = key
         if 0 <= v < len(self.held) and 0 <= state < len(self.masks):
-            if self.held[v] >> self.masks[state] & 1:
-                return self.find(v, self.masks[state])
-        raise KeyError(key)
+            s = self.masks[state]
+            if self.held[v] >> s & 1:
+                return self.find(v, s)
+        return default
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        w = self.get(key)
+        if w is None:
+            raise KeyError(key)
+        return w
 
     def __iter__(self):
         return ((v, self.index[s]) for v, bits in enumerate(self.held) for s in _bits(bits))
@@ -218,11 +257,11 @@ def _solve_dense(game: Game) -> SolveResult:
     masks = list(idx)
     eve_moves = _LazyMoves(
         [r & W[v] if eve[v] else 0 for v, r in enumerate(Rp)],
-        lambda v, s: next(w for got, w in won[v] if got >> s & 1), masks, idx,
+        partial(_first_won, won), masks, idx,
     )
     adam_moves = _LazyMoves(
         [0 if eve[v] else r & ~W[v] for v, r in enumerate(Rp)],
-        lambda v, s: _escape(succ, L, v, s), masks, idx,
+        partial(_escape, succ, L), masks, idx,
     )
     edges = sum(r.bit_count() * len(succ[v]) for v, r in enumerate(Rp))
     counts = {"configs": sum(r.bit_count() for r in R), "product_edges": edges, "ops": ops}

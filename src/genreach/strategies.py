@@ -96,28 +96,32 @@ def strategy_to_json(arena: Arena, strategy: FiniteMemoryStrategy) -> dict:
     with no move is left out and not expanded, so a file holds no guessed
     move.  For `solve_fpt` strategies such pairs lie only on walks past
     the full mask, which no play needs."""
+    owner, succ, player = arena.owner, arena.succ, strategy.player
+    move, update = strategy.move, strategy.memory.update
     initial = sorted(strategy.memory.initial.items())
     queue = list(initial)
     seen = set(initial)
     moves: dict[tuple[int, int], int] = {}
     updates: dict[tuple[int, int, int], int] = {}
     while queue:
-        v, state = queue.pop()
-        if arena.owner[v] is strategy.player:
+        v, state = pair = queue.pop()
+        if owner[v] is player:
             try:
-                targets = [strategy.move(arena, v, state)]
+                w = move(arena, v, state)
             except StrategyPartialError:
                 continue
-            moves[(v, state)] = targets[0]
+            moves[pair] = w
+            targets = (w,)
         else:
-            targets = list(arena.succ[v])
+            targets = succ[v]
         for w in targets:
-            nxt = strategy.memory.update(state, v, w)
+            nxt = update(state, v, w)
             if nxt != state:
                 updates[(state, v, w)] = nxt
-            if (w, nxt) not in seen:
-                seen.add((w, nxt))
-                queue.append((w, nxt))
+            pair = (w, nxt)
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
 
     return {
         "player": strategy.player.value,
@@ -162,27 +166,48 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
         raise ValueError("per_vertex must map vertex names to states")
     initial = {arena.index_of(name): check_state(s) for name, s in per_vertex.items()}
 
+    # The loops resolve names by the arena's index and test states inline;
+    # `index_of` and `check_state` run only to raise.
+    index, owner, succ = arena._index, arena.owner, arena.succ
     table: dict[tuple[int, int, int], int] = {}
     for entry in update_entries:
-        u = arena.index_of(entry["from"])
-        w = arena.index_of(entry["to"])
-        if w not in arena.succ[u]:
+        u = index.get(entry["from"])
+        if u is None:
+            arena.index_of(entry["from"])
+        w = index.get(entry["to"])
+        if w is None:
+            arena.index_of(entry["to"])
+        if w not in succ[u]:
             raise ValueError(
                 f"update on ({entry['from']}, {entry['to']}), which is not an edge"
             )
-        table[(check_state(entry["state"]), u, w)] = check_state(entry["next_state"])
+        # next_state is checked before state: of two faults, it is named.
+        nxt = entry["next_state"]
+        if not (type(nxt) is int and 0 <= nxt < states):
+            check_state(nxt)
+        s = entry["state"]
+        if not (type(s) is int and 0 <= s < states):
+            check_state(s)
+        table[(s, u, w)] = nxt
 
     moves: dict[tuple[int, int], int] = {}
     for entry in move_entries:
-        v = arena.index_of(entry["vertex"])
-        w = arena.index_of(entry["successor"])
-        if arena.owner[v] is not player:
+        v = index.get(entry["vertex"])
+        if v is None:
+            arena.index_of(entry["vertex"])
+        w = index.get(entry["successor"])
+        if w is None:
+            arena.index_of(entry["successor"])
+        if owner[v] is not player:
             raise ValueError(f"move at {entry['vertex']!r}, which {player.value} does not own")
-        if w not in arena.succ[v]:
+        if w not in succ[v]:
             raise ValueError(
                 f"move ({entry['vertex']}, {entry['successor']}) is not an edge"
             )
-        moves[(v, check_state(entry["state"]))] = w
+        s = entry["state"]
+        if not (type(s) is int and 0 <= s < states):
+            check_state(s)
+        moves[(v, s)] = w
 
     memory = MemoryStructure.from_table(states, initial, table)
     return FiniteMemoryStrategy(player, memory, moves)

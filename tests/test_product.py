@@ -5,6 +5,7 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from genreach import (
     Arena,
@@ -17,10 +18,32 @@ from genreach import (
     solve_fpt,
     verify_strategy,
 )
-from genreach.product import _MAX_SLOTS, _dense_antichains, _solve_dense, _solve_sweep
+from genreach.product import _MAX_SLOTS, _bits, _dense_antichains, _solve_dense, _solve_sweep
 from helpers import antichain_table, explicit_product, minimax_region, padded_hub, random_game
 
 E, A = Owner.EVE, Owner.ADAM
+
+
+def _bits_by_scan(x: int) -> list[int]:
+    """`_bits` as a scan of every binary digit, the reference."""
+    return [i for i, c in enumerate(bin(x)[:1:-1]) if c == "1"]
+
+
+def test_bits_of_zero_and_single_bits():
+    assert _bits(0) == []
+    for i in range(1 << 12):
+        assert _bits(1 << i) == [i]
+
+
+@given(
+    st.one_of(
+        st.sets(st.integers(0, (1 << 12) - 1), max_size=8).map(lambda s: sum(1 << i for i in s)),
+        st.integers(0, (1 << (1 << 12)) - 1),
+        st.integers(1, 1 << 12).map(lambda b: (1 << b) - 1),
+    )
+)
+def test_bits_matches_the_digit_scan(x):
+    assert _bits(x) == _bits_by_scan(x)
 
 
 def test_subset_memory_folds_colors(demo):

@@ -1,16 +1,19 @@
 """Memory structures, finite-memory strategies and their JSON form."""
 
+import hashlib
 import json
 
 import pytest
 
 from genreach import (
     FiniteMemoryStrategy,
+    GenParams,
     MemoryStructure,
     Owner,
     SolveResult,
     StrategyPartialError,
     dump_strategy,
+    gen_random,
     identity_memory,
     load_strategy,
     solve_fpt,
@@ -176,6 +179,86 @@ def test_from_json_rejects_bad_documents(demo):
 
     with pytest.raises(ValueError, match="malformed strategy document"):
         strategy_from_json(demo.arena, {"player": "eve"})
+
+
+def test_from_json_rejects_bad_entries(demo):
+    # demo's Eve memory has three states; d -> c is not an edge.
+    good = strategy_to_json(demo.arena, solve_fpt(demo).eve_strategy)
+    update = {"state": 0, "from": "c", "to": "a", "next_state": 1}
+    move = {"vertex": "c", "state": 0, "successor": "a"}
+    cases = [
+        ("update", dict(update, to="c", **{"from": "d"}), ValueError,
+         r"update on \(d, c\), which is not an edge"),
+        ("update", dict(update, state=True), ValueError, "memory state True is not a JSON integer"),
+        ("update", dict(update, state=1.5), ValueError, "memory state 1.5 is not a JSON integer"),
+        ("update", dict(update, next_state=3), ValueError, r"memory state 3 out of range 0\.\.2"),
+        ("update", dict(update, next_state=True), ValueError, "memory state True is not a JSON"),
+        ("update", dict(update, **{"from": "zz"}), KeyError, "no vertex named 'zz'"),
+        ("update", dict(update, to="zz"), KeyError, "no vertex named 'zz'"),
+        ("moves", dict(move, state=True), ValueError, "memory state True is not a JSON integer"),
+        ("moves", dict(move, state=1.5), ValueError, "memory state 1.5 is not a JSON integer"),
+        ("moves", dict(move, state=-1), ValueError, r"memory state -1 out of range 0\.\.2"),
+        ("moves", dict(move, successor="zz"), KeyError, "no vertex named 'zz'"),
+    ]
+    for key, entry, error, message in cases:
+        with pytest.raises(error, match=message):
+            strategy_from_json(demo.arena, dict(good, **{key: [entry]}))
+    bad = dict(good, initial={"per_vertex": {"c": True}})
+    with pytest.raises(ValueError, match="memory state True is not a JSON integer"):
+        strategy_from_json(demo.arena, bad)
+    bad = dict(good, initial={"per_vertex": {"zz": 0}})
+    with pytest.raises(KeyError, match="no vertex named 'zz'"):
+        strategy_from_json(demo.arena, bad)
+    # Of two faults in one update, the next state is named first.
+    bad = dict(good, update=[dict(update, state=-1, next_state=7)])
+    with pytest.raises(ValueError, match="memory state 7 out of range"):
+        strategy_from_json(demo.arena, bad)
+
+
+# sha256 of both `solve_fpt` strategy files, Eve's then Adam's, per game.
+STRATEGY_FILE_DIGESTS = {
+    "fig5": "8252cfc828cd9706e619383272b268c8cf5f356e5d7c65dc468fbe5ff92c2a4a",
+    "flower2": "814701ac77ff301289402f73a99fb304ea5211891a9873cba04ff84bd279d0b1",
+    # perfbench's CERTIFY_LARGEST
+    "random-k8-n500": "bf81685aa59bb03c57dd56d93c95037008cefb7a667ffcda1f18dd1faba83625",
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRATEGY_FILE_DIGESTS))
+def test_solve_fpt_strategy_files_are_pinned(request, case):
+    if case == "random-k8-n500":
+        params = GenParams("random", k=8, n=500, density=4 / 500, color_size=(5, 25), seed=11)
+        game = gen_random(params)
+    else:
+        game = request.getfixturevalue(case)
+    solved = solve_fpt(game)
+    digest = hashlib.sha256()
+    for strategy in (solved.eve_strategy, solved.adam_strategy):
+        digest.update(dump_strategy(game.arena, strategy).encode())
+    assert digest.hexdigest() == STRATEGY_FILE_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", ["demo", "fig5"])
+def test_solve_fpt_moves_answer_every_lookup_alike(request, case):
+    game = request.getfixturevalue(case)
+    solved = solve_fpt(game)
+    n, states = game.arena.n, solved.stats["eve_states"]
+    for strategy in (solved.eve_strategy, solved.adam_strategy):
+        moves = strategy.moves
+        held = dict(moves)
+        assert held and len(moves) == len(held) == len(list(moves))
+        for key, w in held.items():
+            assert moves[key] == moves.get(key) == moves.get(key, -1) == w
+            assert key in moves
+        # Out-of-range vertices and states, and pairs not held.
+        for v in range(-1, n + 1):
+            for s in range(-1, states + 1):
+                if (v, s) in held:
+                    continue
+                assert (v, s) not in moves
+                assert moves.get((v, s)) is None and moves.get((v, s), -1) == -1
+                with pytest.raises(KeyError):
+                    moves[(v, s)]
 
 
 def test_solve_result_winner(demo):

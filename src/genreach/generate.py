@@ -24,6 +24,10 @@ RANDOM = "random"
 
 FAMILIES = (FLOWER, PICKER, FIG4, FIG5, RANDOM)
 
+# The most vertices, colors or edges `gen_random` draws, as many as the
+# file format allows colors.
+_MAX_DRAWS = 1 << 20
+
 
 @dataclass(frozen=True)
 class GenParams:
@@ -222,6 +226,8 @@ def gen_random(params: GenParams) -> Game:
     Draw order is fixed (edges, owners, colors, init) so a seed pins
     the instance byte for byte.  The exact edge count is
     round(density * n^2), and dead ends get a self-loop afterwards.
+    A vertex, color or edge count above `_MAX_DRAWS` is refused before
+    the first draw.
     """
     if params.seed is None:
         raise ValueError("random generation requires a seed")
@@ -237,8 +243,11 @@ def gen_random(params: GenParams) -> Game:
     lo, hi = params.color_size
     if not 1 <= lo <= hi:
         raise ValueError("color size bounds must satisfy 1 <= lo <= hi")
-    rng = random.Random(params.seed)
     m = min(n * n, round(params.density * n * n))
+    for what, count in (("vertex", n), ("color", k), ("edge", m)):
+        if count > _MAX_DRAWS:
+            raise ValueError(f"{what} count {count} exceeds the limit {_MAX_DRAWS}")
+    rng = random.Random(params.seed)
     edges = [divmod(cell, n) for cell in rng.sample(range(n * n), m)]
     owners = [
         Owner.EVE if rng.random() < params.eve_ratio else Owner.ADAM

@@ -176,7 +176,9 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
     n*k steps, which suffices: a winning Eve never needs more than n
     steps per color set.  Memoized, depth-first on an explicit stack, so
     the full horizon needs no recursion; intended for small instances,
-    with a node budget (default 2,000,000) as the stop guard.
+    with a node budget (default 2,000,000) as the stop guard.  Every
+    frame pushed counts as a node, so the budget bounds the time, the
+    memo and the stack alike, whatever the horizon.
     """
     if game.init is None:
         raise UnsupportedInputError("the minimax oracle needs a game with init")
@@ -188,10 +190,6 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
     mask_of = game.objective.mask
     full = game.objective.full_mask
     horizon = arena.n * game.k
-    if horizon > 10_000:
-        raise BudgetExceededError(
-            f"minimax horizon {horizon} is beyond desk scale"
-        )
     succ = arena.succ
     memo: dict[tuple[int, int, int], bool] = {}
     nodes = 0

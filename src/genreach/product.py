@@ -9,15 +9,16 @@ its n * 2^k configurations fit in `MAX_CONFIGS`: per vertex one int of
 2^k bits, bit s set when Eve wins (v, s).  An edge into w maps each mask
 s to s | colors(w), one shift step per color of w, so the attractor is a
 worklist fixpoint of ORs and ANDs over those ints.  Otherwise it takes
-the level sweep (`_solve_sweep`), which allocates a row only for each
-mask a play reaches.  It refuses a game once its rows and masks would
-pass `_MAX_SLOTS` slots, each reached mask counting n for its row plus
-its own bytes.  The limit does not count what the sweep keeps per
-reached configuration, about 120 bytes in its dicts and lists, so a game
-just under it can need gigabytes.  `compress_adam` always runs the dense
-kernel.  Both players' strategies live on the non-full masks that occur
-(at most 2^k - 1 states); Adam's compresses further, onto per-vertex
-antichains of masks (at most C(k, floor(k/2)) states).
+the level sweep (`_solve_sweep`), which visits the masks a play reaches
+in ascending order and keeps one row of n bytes for each.  It refuses a
+game once its rows and masks would pass `_MAX_SLOTS` slots, each reached
+mask counting n for its row plus its own bytes.  The limit does not
+count what the sweep keeps per reached configuration, about 120 bytes in
+its dicts and lists, so a game just under it can need gigabytes.
+`compress_adam` always runs the dense kernel.  Both players' strategies
+live on the non-full masks that occur (at most 2^k - 1 states); Adam's
+compresses further, onto per-vertex antichains of masks (at most
+C(k, floor(k/2)) states).
 """
 
 from __future__ import annotations
@@ -271,27 +272,26 @@ def _solve_dense(game: Game) -> SolveResult:
 
 def _solve_sweep(game: Game) -> SolveResult:
     """`solve_fpt` by forward discovery of one level per reached mask,
-    then a sweep over the levels in descending popcount order.  A jump,
-    an edge that adds colors, lands in a larger mask, so it lands in a
-    level already solved; a level's vertices carry only colors its mask
-    holds, so each level is one pass of `attractor`'s kernel, `_attract`,
-    over the base arena.
+    in ascending order off one heap, then a sweep back over the levels.
+    A jump, an edge that adds colors, lands on a larger mask, so it lands
+    in a level already solved; a level's vertices carry only colors its
+    mask holds, so each level is one pass of `attractor`'s kernel,
+    `_attract`, over the base arena.  Each reached mask keeps one row of
+    n bytes: 1 once (v, s) is reached, 2 once it is won.
     """
     t0 = time.perf_counter()
     arena = game.arena
     n, succ = arena.n, arena.succ
     vm = game.objective.mask
     full = game.objective.full_mask
-    live: dict[int, bytearray] = {}
+    rows: dict[int, bytearray] = {}
     verts: dict[int, list[int]] = {}
-    # The masks of each popcount that occurs, and those popcounts as a heap.
-    buckets: dict[int, list[int]] = {}
-    popcounts: list[int] = []
+    heap: list[int] = []
     slots = 0
 
     def reach(s: int, w: int) -> None:
         nonlocal slots
-        row = live.get(s)
+        row = rows.get(s)
         if row is None:
             slots += n + s.bit_length() // 8  # its row, and s of up to k bits
             if slots > _MAX_SLOTS:
@@ -299,82 +299,79 @@ def _solve_sweep(game: Game) -> SolveResult:
                     f"level sweep needs {slots} slots (n plus the mask's bytes per mask reached), "
                     f"above the limit of {_MAX_SLOTS}"
                 )
-            row = live[s] = bytearray(n)
+            row = rows[s] = bytearray(n)
             verts[s] = []
-            p = s.bit_count()
-            if p not in buckets:
-                heappush(popcounts, p)
-            buckets.setdefault(p, []).append(s)
+            heappush(heap, s)
         if not row[w]:
             row[w] = 1
             verts[s].append(w)
 
     for v in range(n):
         reach(vm[v], v)
-    levels: list[tuple[int, list[int]]] = []
+    # The non-full masks in the order popped, ascending: the memory states.
+    idx: dict[int, int] = {}
     n_edges = 0
-    while popcounts:  # a jump adds colors, so it fills a later bucket
-        for s in buckets[heappop(popcounts)]:
-            vs = verts[s]
-            levels.append((s, vs))
-            i = 0
-            while s != full and i < len(vs):  # the full level is absorbing
-                v = vs[i]
-                i += 1
-                n_edges += len(succ[v])
-                for w in succ[v]:
-                    reach(s | vm[w], w)
+    while heap:
+        s = heappop(heap)
+        vs = verts[s]
+        if s == full:  # the largest mask, absorbing: won outright
+            for v in vs:
+                rows[s][v] = 2
+            break
+        idx[s] = len(idx)
+        i = 0
+        while i < len(vs):
+            v = vs[i]
+            i += 1
+            n_edges += len(succ[v])
+            for w in succ[v]:
+                reach(s | vm[w], w)
 
-    idx = {s: i for i, s in enumerate(sorted(s for s, _ in levels if s != full) or [full])}
     pred = arena._pred
     eve = [o is Owner.EVE for o in arena.owner]
-    win: dict[int, bytearray] = {}
     eve_moves: dict[tuple[int, int], int] = {}
     ops = 0
-    for s, vs in reversed(levels):
-        won = vs  # the full level is won outright
-        if s != full:
-            si, need, won = idx[s], [0] * n, []
-            # Fold in the jumps, then attract within the level.  An Eve
-            # configuration wins outright on a winning jump; an Adam one
-            # with a losing jump never wins (need -1), and one whose every
-            # successor jumps to a win is won before the kernel starts.
-            for v in vs:
-                if eve[v]:
-                    for w in succ[v]:
-                        s2 = s | vm[w]
-                        if s2 != s and win[s2][w]:
-                            eve_moves[(v, si)] = w
-                            won.append(v)
-                            break
-                    else:
-                        need[v] = 1
-                else:
-                    for w in succ[v]:
-                        s2 = s | vm[w]
-                        if s2 == s:
-                            need[v] += 1
-                        elif not win[s2][w]:
-                            need[v] = -1
-                            break
-                    if not need[v]:
+    for s, si in reversed(idx.items()):
+        row, need, won = rows[s], [0] * n, []
+        # Fold in the jumps, then attract within the level.  An Eve
+        # configuration wins outright on a winning jump; an Adam one
+        # with a losing jump never wins (need -1), and one whose every
+        # successor jumps to a win is won before the kernel starts.
+        for v in verts[s]:
+            if eve[v]:
+                for w in succ[v]:
+                    s2 = s | vm[w]
+                    if s2 != s and rows[s2][w] == 2:
+                        eve_moves[(v, si)] = w
                         won.append(v)
-            via, level_ops = _attract(pred, need, won)
-            ops += level_ops
-            eve_moves.update(((u, si), w) for u, w in via.items() if eve[u])
-        wrow = win[s] = bytearray(n)
+                        break
+                else:
+                    need[v] = 1
+            else:
+                for w in succ[v]:
+                    s2 = s | vm[w]
+                    if s2 == s:
+                        need[v] += 1
+                    elif rows[s2][w] != 2:
+                        need[v] = -1
+                        break
+                if not need[v]:
+                    won.append(v)
+        via, level_ops = _attract(pred, need, won)
+        ops += level_ops
+        eve_moves.update(((u, si), w) for u, w in via.items() if eve[u])
         for v in won:
-            wrow[v] = 1
+            row[v] = 2
     # Adam's first escape from each losing Adam configuration.
     adam_moves = {
-        (v, idx[s]): next(w for w in succ[v] if not win[s | vm[w]][w])
-        for s, vs in levels
-        for v in vs
-        if not eve[v] and not win[s][v]
+        (v, si): next(w for w in succ[v] if rows[s | vm[w]][w] != 2)
+        for s, si in idx.items()
+        for v in verts[s]
+        if not eve[v] and rows[s][v] != 2
     }
-    counts = {"configs": sum(len(x) for _, x in levels), "product_edges": n_edges, "ops": ops}
-    eve_region = frozenset(v for v in range(n) if win[vm[v]][v])
-    return _fpt_result(game, t0, "sweep", eve_region, idx, eve_moves, adam_moves, counts)
+    counts = {"configs": sum(map(len, verts.values())), "product_edges": n_edges, "ops": ops}
+    eve_region = frozenset(v for v in range(n) if rows[vm[v]][v] == 2)
+    return _fpt_result(game, t0, "sweep", eve_region, idx or {full: 0}, eve_moves, adam_moves, counts)
 
 
 def _fpt_result(

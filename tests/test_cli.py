@@ -284,7 +284,7 @@ SWEEP_LIMIT = "level sweep needs {} slots (n plus the mask's bytes per mask reac
             ["solve", "hub.game", "--method", "fpt"],
             SWEEP_LIMIT.format(16_779_133, _MAX_SLOTS),
         ),
-        (["solve", "widehub.game", "--method", "fpt"], SWEEP_LIMIT.format(16_779_384, _MAX_SLOTS)),
+        (["solve", "widehub.game", "--method", "fpt"], SWEEP_LIMIT.format(16_779_367, _MAX_SLOTS)),
         (["minmem", "noinit.game", "--player", "eve", "--bound", "1"], "memory search needs a game with init"),
         (["solve", "noinit.game", "--method", "minimax"], "the minimax oracle needs a game with init"),
         (["verify", "noinit.game", "eve.json", "--region", "init"], "--region init needs a game with an init vertex"),
@@ -548,6 +548,10 @@ def test_gen_bad_parameter_value(capsys):
     assert "density" in err
     code, out, err = run(capsys, "gen", "random", "--k", "1", "--n", "5", "--seed", "1", "--eve-ratio", "7")
     assert (code, out, err) == (1, "", "error: eve ratio must lie in [0, 1]\n")
+    # 20000^2 edges would fill memory in the first draw; the count is
+    # refused before it, with one error line and no traceback.
+    code, out, err = run(capsys, "gen", "random", "--k", "1", "--n", "20000", "--seed", "1", "--density", "1")
+    assert (code, out, err) == (1, "", "error: edge count 400000000 exceeds the limit 1048576\n")
 
 
 def test_gen_random_requires_seed(capsys):

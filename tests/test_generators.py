@@ -168,3 +168,14 @@ def test_random_parameter_validation():
         generate(GenParams("random", n=5, density=0.5, color_size=(0, 2), seed=1))
     with pytest.raises(ValueError, match="negative color count"):
         generate(GenParams("random", n=5, k=-1, density=0.5, seed=1))
+    # Above 2^20 vertices, colors or edges a game is refused before any
+    # draw; n = 1025 at density 1 is the smallest such edge count.
+    too_many = [
+        (dict(n=(1 << 20) + 1), "vertex count 1048577"),
+        (dict(n=1, k=(1 << 20) + 1), "color count 1048577"),
+        (dict(n=1025, density=1.0), "edge count 1050625"),
+        (dict(n=20000, density=1.0), "edge count 400000000"),
+    ]
+    for fields, what in too_many:
+        with pytest.raises(ValueError, match=f"^{what} exceeds the limit 1048576$"):
+            generate(GenParams("random", **{"k": 1, "seed": 1, **fields}))

@@ -260,15 +260,18 @@ def test_minimax_node_budget(flower3):
         minimax_oracle(flower3, budget=0)
 
 
-def test_minimax_horizon_guard():
+def test_minimax_long_horizon_is_bounded_by_the_budget():
+    # Horizon n * k = 12,000: the node budget alone bounds the search.
     big = random_game(3, n=4000, k=3, density=0.001)
-    with pytest.raises(BudgetExceededError, match="beyond desk scale"):
-        minimax_oracle(big)
+    assert solve_fpt(big).winner(big.init) is A
+    assert minimax_oracle(big) is A
+    with pytest.raises(BudgetExceededError, match="exceeded 10 nodes"):
+        minimax_oracle(big, budget=10)
 
 
 def test_minimax_full_horizon_needs_no_recursion():
     # A 4999-vertex Eve cycle through color 1, and an unreachable color-2
-    # sink: n * k = 10000, the largest horizon the oracle accepts.
+    # sink: a horizon of n * k = 10000 steps, each a frame of the stack.
     from genreach import Arena, Game, Objective
 
     n = 5000

@@ -1,5 +1,6 @@
 """Subset memory, the dense and sweep solvers, and the antichain compression."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -127,15 +128,19 @@ def test_solve_fpt_zero_colors(demo):
     assert result.adam_strategy.memory.states == result.stats["eve_states"] == 1
 
 
-@pytest.mark.parametrize("k", [21, 60])
-def test_solve_fpt_has_no_color_cap(k):
-    # Eve's a carries the first colors and Adam's b the rest: from a, Eve
-    # moves to b; from b, Adam escapes to the uncolored sink c.  Seven
-    # configurations over three non-full masks, whatever k is.
+def uncapped_game(k: int) -> Game:
+    """Eve's a carries the first colors and Adam's b the rest: from a, Eve
+    moves to b; from b, Adam escapes to the uncolored sink c."""
     arena = Arena.from_edges(
         ["a", "b", "c"], [E, A, A], [(0, 1), (0, 2), (1, 0), (1, 2), (2, 2)]
     )
-    game = Game(arena, Objective.from_sets(3, [{0}] * (k // 2) + [{1}] * (k - k // 2)))
+    return Game(arena, Objective.from_sets(3, [{0}] * (k // 2) + [{1}] * (k - k // 2)))
+
+
+@pytest.mark.parametrize("k", [21, 60])
+def test_solve_fpt_has_no_color_cap(k):
+    # Seven configurations over three non-full masks, whatever k is.
+    game = uncapped_game(k)
     result = solve_fpt(game)
     assert result.stats["route"] == "sweep"
     assert (result.stats["configs"], result.stats["eve_states"]) == (7, 3)
@@ -152,7 +157,7 @@ def test_solve_fpt_has_no_color_cap(k):
         ((2048, 14), 16_779_133),
         # n = 18 and 2^20 colors, the spokes' the highest: stops at the
         # 129th mask, on the masks' own bytes, with 2,322 row bytes.
-        ((18, 17, 1 << 20), 16_779_384),
+        ((18, 17, 1 << 20), 16_779_367),
     ],
 )
 def test_solve_fpt_refuses_past_the_sweep_limit(hub, slots):
@@ -316,6 +321,24 @@ init e
 """
 
 
+def small_games() -> list[Game]:
+    """The 100 small random games both routes are checked on."""
+    games = [random_game(seed, n=6 + seed % 5, k=1 + seed % 3, density=0.3) for seed in range(60)]
+    return games + [random_game(seed, n=7, k=3, density=0.35) for seed in range(40)]
+
+
+def mid_size_games() -> list[Game]:
+    """Large enough for the closure's LIFO order and multi-color step lists
+    to matter: n = 60..225, k = 5..8, up to 22 vertices per color."""
+    games = []
+    for seed in range(12):
+        n = 60 + 15 * seed
+        games.append(
+            random_game(seed, n=n, k=5 + seed % 4, density=4 / n, color_size=(2, max(2, n // 10)))
+        )
+    return games
+
+
 def routes_agree(game: Game):
     """Both routes on `game`, after checking that they agree."""
     dense, sweep = _solve_dense(game), _solve_sweep(game)
@@ -343,9 +366,7 @@ def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44
     assert dict(sweep.adam_strategy.moves) == {(1, 0): 5, (5, 1): 5}
     # One relaxation each: a from e (never won), c from b.
     assert sweep.stats["ops"] == 2
-    games = [fold, demo, flower2, flower3, picker3, fig42, fig44, fig5]
-    games += [random_game(seed, n=6 + seed % 5, k=1 + seed % 3, density=0.3) for seed in range(60)]
-    games += [random_game(seed, n=7, k=3, density=0.35) for seed in range(40)]
+    games = [fold, demo, flower2, flower3, picker3, fig42, fig44, fig5, *small_games()]
     for game in games:
         dense, sweep = routes_agree(game)
         assert (0, -1) not in dense.eve_strategy.moves and (0, -1) not in dense.adam_strategy.moves
@@ -354,11 +375,47 @@ def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44
 
 
 def test_dense_route_matches_sweep_on_mid_size_games():
-    # Large enough for the closure's LIFO order and multi-color step lists
-    # to matter: n = 60..225, k = 5..8, up to 22 vertices per color.
-    for seed in range(12):
-        n = 60 + 15 * seed
-        game = random_game(
-            seed, n=n, k=5 + seed % 4, density=4 / n, color_size=(2, max(2, n // 10))
-        )
+    for game in mid_size_games():
         routes_agree(game)
+
+
+# sha256 over each group's sweep outputs: regions, stats but `seconds`,
+# Adam's moves, both start maps and the pairs Eve holds a move on.  Eve's
+# targets are left out: among equally good moves, the one she keeps
+# follows the order a level's vertices were reached in.
+SWEEP_DIGESTS = {
+    "fold": "72259c63ad46d4c74bfc3fad00253cff2b4e0ac75c34af7f11993f42b47c41d9",
+    "families": "88c138091d58cfbf23c8c6b6d30aa3a527954549d50f5a0690d4e5c365e0c445",
+    "uncapped": "7d5a4b8c21de4575d435efc6ae69075bbb8cec57fdd143be422180afe9ceab77",
+    "small": "52f63e7b4fe494a4dd0d229bd999447045e158bbc0196fff1b0aa7f5e27fe2fc",
+    "mid-size": "c5efd97389ab741d455e8cf0a85a27fc7bb94ef02e69b707dff2008abcbb4455",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_DIGESTS))
+def test_sweep_outputs_are_pinned(request, case):
+    if case == "fold":
+        games = [parse_game(FOLD_TEXT)]
+    elif case == "families":
+        names = ["demo", "flower2", "flower3", "picker3", "fig42", "fig44", "fig5"]
+        games = [request.getfixturevalue(name) for name in names]
+    elif case == "uncapped":
+        games = [uncapped_game(21), uncapped_game(60)]
+    elif case == "small":
+        games = small_games()
+    else:
+        games = mid_size_games()
+    digest = hashlib.sha256()
+    for game in games:
+        r = _solve_sweep(game)
+        record = (
+            sorted(r.eve_region),
+            sorted(r.adam_region),
+            sorted((key, v) for key, v in r.stats.items() if key != "seconds"),
+            sorted(r.adam_strategy.moves.items()),
+            sorted(r.eve_strategy.memory.initial.items()),
+            sorted(r.adam_strategy.memory.initial.items()),
+            sorted(r.eve_strategy.moves),
+        )
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == SWEEP_DIGESTS[case]

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import UnsupportedInputError
+from .fileformat import MAX_COLORS
 from .model import Arena, Game, Objective, Owner
 from .strategies import FiniteMemoryStrategy, MemoryStructure
 
@@ -23,10 +24,6 @@ FIG5 = "fig5"
 RANDOM = "random"
 
 FAMILIES = (FLOWER, PICKER, FIG4, FIG5, RANDOM)
-
-# The most vertices, colors or edges `gen_random` draws, as many as the
-# file format allows colors.
-_MAX_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -226,8 +223,9 @@ def gen_random(params: GenParams) -> Game:
     Draw order is fixed (edges, owners, colors, init) so a seed pins
     the instance byte for byte.  The exact edge count is
     round(density * n^2), and dead ends get a self-loop afterwards.
-    A vertex, color or edge count above `_MAX_DRAWS` is refused before
-    the first draw.
+    A game needing more than `MAX_COLORS` draws in all (n owners, the
+    edges, and up to min(hi, n) members for each of the k colors) is
+    refused before the first draw.
     """
     if params.seed is None:
         raise ValueError("random generation requires a seed")
@@ -244,9 +242,11 @@ def gen_random(params: GenParams) -> Game:
     if not 1 <= lo <= hi:
         raise ValueError("color size bounds must satisfy 1 <= lo <= hi")
     m = min(n * n, round(params.density * n * n))
-    for what, count in (("vertex", n), ("color", k), ("edge", m)):
-        if count > _MAX_DRAWS:
-            raise ValueError(f"{what} count {count} exceeds the limit {_MAX_DRAWS}")
+    draws = n + m + k * min(hi, n)
+    if draws > MAX_COLORS:
+        raise ValueError(
+            f"{draws} draws (vertices, edges and color members) exceed the limit {MAX_COLORS}"
+        )
     rng = random.Random(params.seed)
     edges = [divmod(cell, n) for cell in rng.sample(range(n * n), m)]
     owners = [

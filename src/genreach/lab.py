@@ -177,8 +177,10 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
     steps per color set.  Memoized, depth-first on an explicit stack, so
     the full horizon needs no recursion; intended for small instances,
     with a node budget (default 2,000,000) as the stop guard.  Every
-    frame pushed counts as a node, so the budget bounds the time, the
-    memo and the stack alike, whatever the horizon.
+    frame pushed counts as one node plus one per 64 bits of its visited
+    mask, which the frame and its memo key hold, so the budget bounds
+    the time, the memo and the stack alike, whatever the horizon or the
+    color count.
     """
     if game.init is None:
         raise UnsupportedInputError("the minimax oracle needs a game with init")
@@ -209,7 +211,7 @@ def minimax_oracle(game: Game, budget: int | None = None) -> Owner:
         cached = memo.get((v, mask, steps))
         if cached is not None:
             return cached
-        nodes += 1
+        nodes += 1 + (mask.bit_length() >> 6)
         if nodes > budget:
             raise BudgetExceededError(f"minimax oracle exceeded {budget} nodes")
         stack.append([v, mask, steps, 0])

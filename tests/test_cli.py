@@ -314,6 +314,15 @@ def test_solve_minimax_budget(capsys, demo_file):
     assert "exceeded 1 nodes" in err
 
 
+def test_solve_minimax_budget_bounds_wide_masks(capsys, tmp_path):
+    # A horizon of 2^20 steps over 128 KB masks: the node budget, which
+    # charges each frame its mask's width, stops it with one error line.
+    path = tmp_path / "wide.game"
+    path.write_text("genreach 1\ncolors 1048576\nvertex a eve 1048576\nedge a a\ninit a\n")
+    code, out, err = run(capsys, "solve", path, "--method", "minimax")
+    assert (code, out, err) == (6, "", "error: minimax oracle exceeded 2000000 nodes\n")
+
+
 ONEPLAYER2_TEXT = """\
 genreach 1
 colors 2
@@ -548,10 +557,17 @@ def test_gen_bad_parameter_value(capsys):
     assert "density" in err
     code, out, err = run(capsys, "gen", "random", "--k", "1", "--n", "5", "--seed", "1", "--eve-ratio", "7")
     assert (code, out, err) == (1, "", "error: eve ratio must lie in [0, 1]\n")
-    # 20000^2 edges would fill memory in the first draw; the count is
-    # refused before it, with one error line and no traceback.
+    # 20000^2 edges, or 2000 colors of 10^6 members, would fill memory in
+    # the draws; the total is refused before them, with one error line and
+    # no traceback.
+    limit = "draws (vertices, edges and color members) exceed the limit 1048576"
     code, out, err = run(capsys, "gen", "random", "--k", "1", "--n", "20000", "--seed", "1", "--density", "1")
-    assert (code, out, err) == (1, "", "error: edge count 400000000 exceeds the limit 1048576\n")
+    assert (code, out, err) == (1, "", f"error: 400020002 {limit}\n")
+    code, out, err = run(
+        capsys, "gen", "random", "--k", "2000", "--n", "1000000", "--density", "0",
+        "--color-min", "1000000", "--color-max", "1000000", "--seed", "1",
+    )
+    assert (code, out, err) == (1, "", f"error: 2001000000 {limit}\n")
 
 
 def test_gen_random_requires_seed(capsys):

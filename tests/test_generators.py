@@ -168,14 +168,18 @@ def test_random_parameter_validation():
         generate(GenParams("random", n=5, density=0.5, color_size=(0, 2), seed=1))
     with pytest.raises(ValueError, match="negative color count"):
         generate(GenParams("random", n=5, k=-1, density=0.5, seed=1))
-    # Above 2^20 vertices, colors or edges a game is refused before any
-    # draw; n = 1025 at density 1 is the smallest such edge count.
+    # A game needing more than 2^20 draws in all (vertices, edges and
+    # color members) is refused before the first draw.
     too_many = [
-        (dict(n=(1 << 20) + 1), "vertex count 1048577"),
-        (dict(n=1, k=(1 << 20) + 1), "color count 1048577"),
-        (dict(n=1025, density=1.0), "edge count 1050625"),
-        (dict(n=20000, density=1.0), "edge count 400000000"),
+        (dict(n=(1 << 20) + 1), (1 << 20) + 1 + 2),
+        (dict(n=1, k=1 << 20), (1 << 20) + 1),
+        # n = 1024 at density 1: the edges alone fill the limit.
+        (dict(n=1024, density=1.0), 1024 + (1 << 20) + 2),
+        (dict(n=20000, density=1.0), 20000 + 400_000_000 + 2),
+        # Each count below 2^20, but 2000 colors of 10^6 members each.
+        (dict(n=10**6, k=2000, color_size=(10**6, 10**6)), 10**6 + 2000 * 10**6),
     ]
-    for fields, what in too_many:
-        with pytest.raises(ValueError, match=f"^{what} exceeds the limit 1048576$"):
+    for fields, draws in too_many:
+        message = f"^{draws} draws \\(vertices, edges and color members\\) exceed the limit 1048576$"
+        with pytest.raises(ValueError, match=message):
             generate(GenParams("random", **{"k": 1, "seed": 1, **fields}))

@@ -5,6 +5,7 @@ import graphlib
 import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -267,6 +268,21 @@ def test_minimax_long_horizon_is_bounded_by_the_budget():
     assert minimax_oracle(big) is A
     with pytest.raises(BudgetExceededError, match="exceeded 10 nodes"):
         minimax_oracle(big, budget=10)
+
+
+def test_minimax_budget_bounds_wide_masks():
+    # One Eve vertex on the last of 2^20 colors: a horizon of 2^20 steps,
+    # each frame holding a 128 KB mask.  A frame counts one node per 64
+    # bits of its mask, so the default budget stops after 122 frames.
+    game = parse_game("genreach 1\ncolors 1048576\nvertex a eve 1048576\nedge a a\ninit a\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="^minimax oracle exceeded 2000000 nodes$"):
+            minimax_oracle(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_minimax_full_horizon_needs_no_recursion():

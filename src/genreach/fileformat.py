@@ -21,7 +21,7 @@ formulas from what it returns.
 from __future__ import annotations
 
 from .errors import GameParseError, UnsupportedInputError
-from .model import Arena, Game, Objective, Owner, mask_colors, validate_arena
+from .model import Arena, Game, Objective, Owner, _bits, validate_arena
 from .strategies import strategy_to_json
 
 FORMAT_NAME = "genreach"
@@ -162,7 +162,7 @@ def serialize_game(game: Game) -> str:
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"colors {game.k}"]
     for v, name in enumerate(arena.names):
         parts = ["vertex", name, arena.owner[v].value]
-        parts.extend(str(c) for c in mask_colors(game.colors(v)))
+        parts.extend(str(c + 1) for c in _bits(game.colors(v)))
         lines.append(" ".join(parts))
     for u, v in sorted(arena.edges):
         lines.append(f"edge {arena.names[u]} {arena.names[v]}")
@@ -183,9 +183,9 @@ def export_dot(game: Game, result=None) -> str:
     adam_region = getattr(result, "adam_region", frozenset())
     for v, name in enumerate(arena.names):
         label = name
-        colors = mask_colors(game.colors(v))
+        colors = _bits(game.colors(v))
         if colors:
-            label += " [" + ",".join(str(c) for c in colors) + "]"
+            label += " [" + ",".join(str(c + 1) for c in colors) + "]"
         attrs = [
             f'label="{_dot_escape(label)}"',
             "shape=circle" if arena.is_eve(v) else "shape=box",

@@ -138,9 +138,25 @@ class Objective:
         return (1 << self.k) - 1
 
 
-def mask_colors(mask: int) -> list[int]:
-    """The 1-based colors set in `mask`, ascending, in time linear in its length."""
-    return [i for i, bit in enumerate(reversed(bin(mask)), start=1) if bit == "1"]
+# Turns the digit 0 into a false byte, so `compress` keeps the 1 digits.
+_NUL = bytes.maketrans(b"0", b"\0")
+
+
+def _bits(x: int) -> list[int]:
+    """The set bits of x, ascending.  A sparse x is read by `str.find`
+    jumps between its set digits, a dense one by `compress` over all its
+    digits, so the time follows the set bits or the length, whichever is
+    less."""
+    digits = bin(x)[:1:-1]
+    if x.bit_count() << 3 < x.bit_length():
+        out = []
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
+    flags = digits.encode().translate(_NUL)
+    return list(compress(range(len(flags)), flags))
 
 
 @dataclass(frozen=True)

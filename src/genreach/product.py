@@ -12,13 +12,13 @@ worklist fixpoint of ORs and ANDs over those ints.  Otherwise it takes
 the level sweep (`_solve_sweep`), which visits the masks a play reaches
 in ascending order and keeps one row of n bytes for each.  It refuses a
 game once its rows and masks would pass `_MAX_SLOTS` slots, each reached
-mask counting n for its row plus its own bytes.  The limit does not
-count what the sweep keeps per reached configuration, about 120 bytes in
-its dicts and lists, so a game just under it can need gigabytes.
-`compress_adam` always runs the dense kernel.  Both players' strategies
-live on the non-full masks that occur (at most 2^k - 1 states); Adam's
-compresses further, onto per-vertex antichains of masks (at most
-C(k, floor(k/2)) states).
+mask counting n for its row plus its own bytes.  Beyond those it holds
+one list slot per reached configuration and a few hundred bytes per mask.
+Both routes find strategy moves on lookup; the sweep re-solves a level
+when Eve's moves there are first read.  `compress_adam` always runs the
+dense kernel.  Both players' strategies live on the non-full masks that
+occur (at most 2^k - 1 states); Adam's compresses further, onto
+per-vertex antichains of masks (at most C(k, floor(k/2)) states).
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from heapq import heappop, heappush
-from itertools import compress
 from operator import or_
 
 from .attractor import _attract
 from .errors import UnsupportedInputError
-from .model import Game, Owner
+from .model import Game, Owner, _bits
 from .strategies import (
     FiniteMemoryStrategy,
     MemoryStructure,
@@ -45,27 +44,6 @@ from .strategies import (
 MAX_CONFIGS = 1 << 22
 # The sweep's limit on n plus the mask's bytes, summed over masks reached.
 _MAX_SLOTS = MAX_CONFIGS << 2
-
-
-# Turns the digit 0 into a false byte, so `compress` keeps the 1 digits.
-_NUL = bytes.maketrans(b"0", b"\0")
-
-
-def _bits(x: int) -> list[int]:
-    """The set bits of x, ascending.  A sparse x is read by `str.find`
-    jumps between its set digits, a dense one by `compress` over all its
-    digits, so the time follows the set bits or the length, whichever is
-    less."""
-    digits = bin(x)[:1:-1]
-    if x.bit_count() << 3 < x.bit_length():
-        out = []
-        i = digits.find("1")
-        while i >= 0:
-            out.append(i)
-            i = digits.find("1", i + 1)
-        return out
-    flags = digits.encode().translate(_NUL)
-    return list(compress(range(len(flags)), flags))
 
 
 def _color_steps(game: Game) -> tuple[list[int], list[list[tuple[int, int]]]]:
@@ -151,20 +129,20 @@ def _first_won(won: Sequence[Sequence[tuple[int, int]]], v: int, s: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _LazyMoves(Mapping):
-    """Moves computed on lookup.  Bit s of `held[v]` says (v, s) holds the
-    move `find(v, s)`; `masks[state]` is a memory state's mask and
-    `index` the inverse."""
+    """Moves computed on lookup.  `masks[state]` is a memory state's
+    mask, and (v, state) holds the move `find(v, s)` when `held(v, s)`,
+    for v below n and s that mask."""
 
-    held: list[int]
+    n: int
+    held: Callable[[int, int], bool]
     find: Callable[[int, int], int]
     masks: Sequence[int]
-    index: Mapping[int, int]
 
     def get(self, key: tuple[int, int], default=None):
         v, state = key
-        if 0 <= v < len(self.held) and 0 <= state < len(self.masks):
+        if 0 <= v < self.n and 0 <= state < len(self.masks):
             s = self.masks[state]
-            if self.held[v] >> s & 1:
+            if self.held(v, s):
                 return self.find(v, s)
         return default
 
@@ -175,10 +153,10 @@ class _LazyMoves(Mapping):
         return w
 
     def __iter__(self):
-        return ((v, self.index[s]) for v, bits in enumerate(self.held) for s in _bits(bits))
+        return ((v, i) for v in range(self.n) for i, s in enumerate(self.masks) if self.held(v, s))
 
     def __len__(self) -> int:
-        return sum(bits.bit_count() for bits in self.held)
+        return sum(1 for _ in self)
 
 
 def solve_fpt(game: Game) -> SolveResult:
@@ -255,15 +233,8 @@ def _solve_dense(game: Game) -> SolveResult:
             for w in succ[u]:
                 ops += (ru & stay[w]).bit_count()
     idx = {s: i for i, s in enumerate(_bits(reduce(or_, Rp)) or [full])}
-    masks = list(idx)
-    eve_moves = _LazyMoves(
-        [r & W[v] if eve[v] else 0 for v, r in enumerate(Rp)],
-        partial(_first_won, won), masks, idx,
-    )
-    adam_moves = _LazyMoves(
-        [0 if eve[v] else r & ~W[v] for v, r in enumerate(Rp)],
-        partial(_escape, succ, L), masks, idx,
-    )
+    eve_moves = (lambda v, s: eve[v] and (Rp[v] & W[v]) >> s & 1, partial(_first_won, won))
+    adam_moves = (lambda v, s: not eve[v] and (Rp[v] & ~W[v]) >> s & 1, partial(_escape, succ, L))
     edges = sum(r.bit_count() * len(succ[v]) for v, r in enumerate(Rp))
     counts = {"configs": sum(r.bit_count() for r in R), "product_edges": edges, "ops": ops}
     eve_region = frozenset(v for v in range(n) if W[v] >> vm[v] & 1)
@@ -329,20 +300,21 @@ def _solve_sweep(game: Game) -> SolveResult:
 
     pred = arena._pred
     eve = [o is Owner.EVE for o in arena.owner]
-    eve_moves: dict[tuple[int, int], int] = {}
-    ops = 0
-    for s, si in reversed(idx.items()):
-        row, need, won = rows[s], [0] * n, []
-        # Fold in the jumps, then attract within the level.  An Eve
-        # configuration wins outright on a winning jump; an Adam one
-        # with a losing jump never wins (need -1), and one whose every
-        # successor jumps to a win is won before the kernel starts.
+
+    def level(s: int) -> tuple[list[int], dict[int, int], int]:
+        """Level s's won vertices in the order won, Eve's moves and the
+        relaxations, once every larger level is marked.  Fold in the
+        jumps, then attract within the level.  An Eve configuration wins
+        outright on a winning jump; an Adam one with a losing jump never
+        wins (need -1), and one whose every successor jumps to a win is
+        won before the kernel starts."""
+        need, won, moves = [0] * n, [], {}
         for v in verts[s]:
             if eve[v]:
                 for w in succ[v]:
                     s2 = s | vm[w]
                     if s2 != s and rows[s2][w] == 2:
-                        eve_moves[(v, si)] = w
+                        moves[v] = w
                         won.append(v)
                         break
                 else:
@@ -357,18 +329,25 @@ def _solve_sweep(game: Game) -> SolveResult:
                         break
                 if not need[v]:
                     won.append(v)
-        via, level_ops = _attract(pred, need, won)
+        via, ops = _attract(pred, need, won)
+        moves.update((u, w) for u, w in via.items() if eve[u])
+        return won, moves, ops
+
+    ops = 0
+    for s in reversed(idx):
+        won, _, level_ops = level(s)
         ops += level_ops
-        eve_moves.update(((u, si), w) for u, w in via.items() if eve[u])
+        row = rows[s]
         for v in won:
             row[v] = 2
-    # Adam's first escape from each losing Adam configuration.
-    adam_moves = {
-        (v, si): next(w for w in succ[v] if rows[s | vm[w]][w] != 2)
-        for s, si in idx.items()
-        for v in verts[s]
-        if not eve[v] and rows[s][v] != 2
-    }
+    # Moves on lookup: Eve's re-solves her level once, when first read;
+    # Adam's is his first escape from a losing configuration.
+    eve_at = cache(lambda s: level(s)[1])
+    eve_moves = (lambda v, s: eve[v] and s != full and rows[s][v] == 2, lambda v, s: eve_at(s)[v])
+    adam_moves = (
+        lambda v, s: not eve[v] and rows[s][v] == 1,
+        lambda v, s: next(w for w in succ[v] if rows[s | vm[w]][w] != 2),
+    )
     counts = {"configs": sum(map(len, verts.values())), "product_edges": n_edges, "ops": ops}
     eve_region = frozenset(v for v in range(n) if rows[vm[v]][v] == 2)
     return _fpt_result(game, t0, "sweep", eve_region, idx or {full: 0}, eve_moves, adam_moves, counts)
@@ -376,21 +355,24 @@ def _solve_sweep(game: Game) -> SolveResult:
 
 def _fpt_result(
     game: Game, t0: float, route: str, eve_region: frozenset[int], idx: dict[int, int],
-    eve_moves: Mapping, adam_moves: Mapping, counts: dict[str, int],
+    eve_moves: tuple, adam_moves: tuple, counts: dict[str, int],
 ) -> SolveResult:
     """Both routes' strategies and stats.  `idx` numbers the memory both
     players share: the non-full masks that occur, ascending, or one idle
-    state when none does."""
-    vm = game.objective.mask
-    adam_region = frozenset(range(game.arena.n)) - eve_region
+    state when none does.  Each player's moves come as the (held, find)
+    pair of a `_LazyMoves` over that memory."""
+    n, vm = game.arena.n, game.objective.mask
+    adam_region = frozenset(range(n)) - eve_region
+    masks = list(idx)
 
-    def update(s: int, u: int, w: int, _m=list(idx), _i=idx) -> int:
+    def update(s: int, u: int, w: int, _m=masks, _i=idx) -> int:
         t = _i.get(_m[s] | vm[w])
         return s if t is None else t
 
-    def strategy(player: Owner, region: frozenset[int], moves: Mapping) -> FiniteMemoryStrategy:
+    def strategy(player: Owner, region: frozenset[int], moves: tuple) -> FiniteMemoryStrategy:
         initial = {v: idx.get(vm[v], 0) for v in sorted(region)}
-        return FiniteMemoryStrategy(player, MemoryStructure(len(idx), initial, update), moves)
+        memory = MemoryStructure(len(idx), initial, update)
+        return FiniteMemoryStrategy(player, memory, _LazyMoves(n, *moves, masks))
 
     return SolveResult(
         method="fpt",

@@ -45,6 +45,31 @@ def random_game(
     )
 
 
+# Every vertex of mask 0 meets the sweep's jump fold: (e, 0) wins only by
+# its jump to g, (a, 0) has a losing jump to h, every move of (b, 0) jumps
+# to a win, and (c, 0) wins in-level through b.
+FOLD_TEXT = """\
+genreach 1
+colors 2
+vertex e eve
+vertex a adam
+vertex b adam
+vertex c eve
+vertex g adam 1 2
+vertex h adam 1
+edge e e
+edge e g
+edge a e
+edge a h
+edge b g
+edge c a
+edge c b
+edge g g
+edge h h
+init e
+"""
+
+
 def padded_hub(n: int, k: int, colors: int | None = None) -> Game:
     """Eve's hub h moves to k spokes, spoke i carrying color i and moving
     back to h, so plays reach all 2^k masks; the n - k - 1 uncolored pads

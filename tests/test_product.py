@@ -19,7 +19,14 @@ from genreach import (
     verify_strategy,
 )
 from genreach.product import _MAX_SLOTS, _bits, _dense_antichains, _solve_dense, _solve_sweep
-from helpers import antichain_table, explicit_product, minimax_region, padded_hub, random_game
+from helpers import (
+    FOLD_TEXT,
+    antichain_table,
+    explicit_product,
+    minimax_region,
+    padded_hub,
+    random_game,
+)
 
 E, A = Owner.EVE, Owner.ADAM
 
@@ -300,29 +307,19 @@ def test_solve_fpt_allocates_only_reached_levels():
     assert peak < 1 << 20
 
 
-# Every vertex of mask 0 meets the sweep's jump fold: (e, 0) wins only by
-# its jump to g, (a, 0) has a losing jump to h, every move of (b, 0) jumps
-# to a win, and (c, 0) wins in-level through b.
-FOLD_TEXT = """\
-genreach 1
-colors 2
-vertex e eve
-vertex a adam
-vertex b adam
-vertex c eve
-vertex g adam 1 2
-vertex h adam 1
-edge e e
-edge e g
-edge a e
-edge a h
-edge b g
-edge c a
-edge c b
-edge g g
-edge h h
-init e
-"""
+def test_sweep_holds_no_move_per_configuration():
+    # 40,582 configurations over 511 masks of 100 vertices: the rows and
+    # the level lists, not a move per configuration.
+    game = random_game(1, n=100, k=9, density=0.04, color_size=(2, 6))
+    tracemalloc.start()
+    try:
+        result = _solve_sweep(game)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.stats["configs"] == 40_582
+    assert len(result.eve_region) == 48
+    assert peak < 1.5 * (1 << 20)
 
 
 def small_games() -> list[Game]:

@@ -16,6 +16,7 @@ from genreach import (
     gen_random,
     identity_memory,
     load_strategy,
+    parse_game,
     solve_fpt,
     solve_oneplayer_size2,
     solve_opponent_player,
@@ -24,7 +25,8 @@ from genreach import (
     strategy_to_json,
     verify_strategy,
 )
-from helpers import random_game
+from genreach.product import _solve_sweep
+from helpers import FOLD_TEXT, random_game
 
 E, A = Owner.EVE, Owner.ADAM
 
@@ -231,17 +233,48 @@ def test_solve_fpt_strategy_files_are_pinned(request, case):
         game = gen_random(params)
     else:
         game = request.getfixturevalue(case)
-    solved = solve_fpt(game)
+    assert _strategy_digest(game, solve_fpt(game)) == STRATEGY_FILE_DIGESTS[case]
+
+
+def _strategy_digest(game, solved) -> str:
     digest = hashlib.sha256()
     for strategy in (solved.eve_strategy, solved.adam_strategy):
         digest.update(dump_strategy(game.arena, strategy).encode())
-    assert digest.hexdigest() == STRATEGY_FILE_DIGESTS[case]
+    return digest.hexdigest()
 
 
-@pytest.mark.parametrize("case", ["demo", "fig5"])
-def test_solve_fpt_moves_answer_every_lookup_alike(request, case):
-    game = request.getfixturevalue(case)
-    solved = solve_fpt(game)
+# The same digests for `_solve_sweep`, whatever route `solve_fpt` takes.
+SWEEP_STRATEGY_FILE_DIGESTS = {
+    "fold": "9237aaf5d7b557c5791e7d3a8121d1dab16dac74220b7496ddb795a2868f8487",
+    # Exactly at the route limit, so `solve_fpt` takes it dense; Eve wins none.
+    "random-k18-n16": "ca30c8ddd0461001c113ed7e965d1698eda37310a4966772ab1dc2c70b3eb2f1",
+    # Eve wins 48 of the 100 vertices.
+    "random-k9-n100": "4309ba91d9cc6b606b3ae314a8ea878e9f27e3c1cec9c38bd9d4a1f36031e571",
+}
+SWEEP_GAMES = {
+    "fold": lambda: parse_game(FOLD_TEXT),
+    "random-k18-n16": lambda: random_game(3, n=16, k=18, density=0.2, color_size=(1, 3)),
+    "random-k9-n100": lambda: random_game(1, n=100, k=9, density=0.04, color_size=(2, 6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_STRATEGY_FILE_DIGESTS))
+def test_sweep_strategy_files_are_pinned(case):
+    game = SWEEP_GAMES[case]()
+    assert _strategy_digest(game, _solve_sweep(game)) == SWEEP_STRATEGY_FILE_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "solver, case",
+    [
+        pytest.param(solver, case, id=prefix + case)
+        for prefix, solver in (("", solve_fpt), ("sweep-", _solve_sweep))
+        for case in ("demo", "fig5", "fold")
+    ],
+)
+def test_solve_fpt_moves_answer_every_lookup_alike(request, solver, case):
+    game = parse_game(FOLD_TEXT) if case == "fold" else request.getfixturevalue(case)
+    solved = solver(game)
     n, states = game.arena.n, solved.stats["eve_states"]
     for strategy in (solved.eve_strategy, solved.adam_strategy):
         moves = strategy.moves

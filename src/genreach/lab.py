@@ -346,6 +346,12 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
     this enumerates exactly the candidates, in exactly the order, that
     restarting the expansion from init at every decision point would.
 
+    A configuration is the int `(v * states + state) << k | mask`, and a
+    decision cell is an int too.  The move cell of (v, state) is
+    `~(v * states + state)`, so it is negative.  An update cell is
+    `state << k | colors` in COLOR_OBS and `(state * n + v) * n + w` in
+    FULL.  `_machine_from` gets the cells decoded back to tuples.
+
     A closed Eve candidate loses iff its rows hold a cycle.  Truncating to
     a frame's marks keeps the rows below its row mark and the positions
     they name, so the cycle that refuted the last closed candidate stands
@@ -354,17 +360,32 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
 
     Update cells are only consulted below the full mask: once every color
     is seen the machine's further behavior is irrelevant.  The caller
-    answers an init that already carries every color.
+    answers an init that already carries every color.  The expansions are
+    counted in a local and written back to `counter[0]` on every exit.
     """
     arena = game.arena
     succ = arena.succ
+    n = arena.n
     mask_of = game.objective.mask
     full = game.objective.full_mask
     k = game.k
     eve = player is Owner.EVE
     color_obs = machine_class == COLOR_OBS
     choice = [o is player and len(ws) > 1 for o, ws in zip(arena.owner, succ)]
-    assignment: dict[tuple, int] = {}
+    assignment: dict[int, int] = {}
+
+    def machine():
+        """The candidate, its cells decoded to `_machine_from`'s tuples."""
+        cells = {}
+        for cell, value in assignment.items():
+            if cell < 0:
+                cells[("m", *divmod(~cell, states))] = value
+            elif color_obs:
+                cells[("u", cell >> k, cell & full)] = value
+            else:
+                rest, w = divmod(cell, n)
+                cells[("u", *divmod(rest, n), w)] = value
+        return _machine_from(game, player, states, machine_class, cells)
 
     v0 = game.init
     cfg0 = (v0 * states) << k | mask_of[v0]
@@ -372,26 +393,32 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
     index = {cfg0: 0}
     rows: list[list[int]] = []
     # Frames: [cell, value count, value, maxused before, len(rows), len(order)].
-    stack: list[list] = []
+    stack: list[list[int]] = []
     maxused = 0
     refuted = 0
+    expansions = counter[0]
     cycle_hi = -1  # -1 while no refuting cycle stands
 
     while True:
         verdict = _OK
         # Expand until a cell is undefined, the candidate fails, or the
-        # expansion closes.  A row is committed whole or not at all.
+        # expansion closes.  A row counts as expanded only once whole; the
+        # configurations it queued before an undefined cell do not depend
+        # on that cell, so they stay queued and its next expansion finds
+        # them at the same positions.
         while len(rows) < len(order):
-            counter[0] += 1
-            if counter[0] > budget:
+            expansions += 1
+            if expansions > budget:
+                counter[0] = expansions
                 raise BudgetExceededError(
                     f"memory search exceeded its budget of {budget} expansions"
                 )
             cfg = order[len(rows)]
             mask = cfg & full
-            v, state = divmod(cfg >> k, states)
+            vs = cfg >> k
+            v, state = divmod(vs, states)
             if choice[v]:
-                need = ("m", v, state)
+                need = ~vs
                 pick = assignment.get(need)
                 if pick is None:
                     verdict = _NEED
@@ -399,7 +426,7 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
                 targets = (succ[v][pick],)
             else:
                 targets = succ[v]
-            row = []
+            ids = []
             for w in targets:
                 colors = mask_of[w]
                 mask2 = mask | colors
@@ -411,20 +438,18 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
                 if color_obs and not colors:
                     state2 = state
                 else:
-                    need = ("u", state, colors) if color_obs else ("u", state, v, w)
+                    need = state << k | colors if color_obs else (state * n + v) * n + w
                     state2 = assignment.get(need)
                     if state2 is None:
                         verdict = _NEED
                         break
-                row.append((w * states + state2) << k | mask2)
+                cfg2 = (w * states + state2) << k | mask2
+                j = index.get(cfg2)
+                if j is None:
+                    j = index[cfg2] = len(order)
+                    order.append(cfg2)
+                ids.append(j)
             else:
-                ids = []
-                for cfg2 in row:
-                    j = index.get(cfg2)
-                    if j is None:
-                        j = index[cfg2] = len(order)
-                        order.append(cfg2)
-                    ids.append(j)
                 rows.append(ids)
                 continue
             break
@@ -435,20 +460,17 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
                 verdict = _FAIL
 
         if verdict == _NEED:
-            if need[0] == "m":
-                count = len(succ[need[1]])
-            else:
-                count = min(maxused + 1, states - 1) + 1
+            # `v` is the vertex whose expansion needed the cell.
+            count = len(succ[v]) if need < 0 else min(maxused + 1, states - 1) + 1
             stack.append([need, count, 0, maxused, len(rows), len(order)])
             assignment[need] = 0
             continue
         if verdict == _OK:
-            return _machine_from(game, player, states, machine_class, assignment)
+            counter[0] = expansions
+            return machine()
         refuted += 1
         if on_refuted is not None and eve:
-            on_refuted(
-                _machine_from(game, player, states, machine_class, assignment)
-            )
+            on_refuted(machine())
         while stack:
             frame = stack[-1]
             cell, count, value, maxused, rows_mark, order_mark = frame
@@ -456,7 +478,7 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
             if value < count:
                 frame[2] = value
                 assignment[cell] = value
-                if cell[0] == "u":
+                if cell >= 0:
                     maxused = max(maxused, value)
                 if rows_mark <= cycle_hi:
                     cycle_hi = -1
@@ -468,6 +490,7 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
             del assignment[cell]
             stack.pop()
         else:
+            counter[0] = expansions
             return refuted
 
 

@@ -379,6 +379,8 @@ FLOWER2_B3_FULL = (
         ("picker3", A, 2, COLOR_OBS, None, 208, 1_119, None),
         ("fig42", E, 3, FULL_CLASS, 3, 595, 28_366, FIG42_B3_FULL),
         ("flower2", E, 3, FULL_CLASS, 3, 5220, 480_882, FLOWER2_B3_FULL),
+        ("flower2", A, 2, FULL_CLASS, None, 290, 1_034, None),
+        ("fig5", A, 2, COLOR_OBS, None, 1_862, 7_519, None),
     ],
 )
 def test_min_memory_enumeration_is_pinned(
@@ -420,6 +422,44 @@ def test_min_memory_budget(flower2):
         min_memory_search(flower2, E, 2, budget=0)
 
 
+@pytest.mark.parametrize(
+    "fixture, player, machine_class, expansions",
+    [("picker3", A, COLOR_OBS, 1_119), ("flower2", E, FULL_CLASS, 19_729)],
+)
+def test_min_memory_budget_is_exact_across_state_counts(
+    request, fixture, player, machine_class, expansions
+):
+    # Both searches run one and then two states, so the budget is checked
+    # against the expansions of every state count together.
+    game = request.getfixturevalue(fixture)
+    with pytest.raises(BudgetExceededError):
+        min_memory_search(game, player, 2, machine_class, budget=expansions - 1)
+    result = min_memory_search(game, player, 2, machine_class, budget=expansions)
+    assert result.expansions == expansions
+
+
+@pytest.mark.parametrize("machine_class", [COLOR_OBS, FULL_CLASS])
+def test_min_memory_search_allocates_nothing_per_vertex_and_state(machine_class):
+    # Adam's a -> b -> b completes both colors at the first expansion of
+    # every state count; 100,000 unreachable vertices make any table over
+    # vertices times states, or times masks, show in the peak.
+    from genreach import Arena, Game, Objective
+
+    n = 100_002
+    edges = [(0, 1)] + [(v, v) for v in range(1, n)]
+    arena = Arena.from_edges([f"v{v}" for v in range(n)], [A] * n, edges)
+    game = Game(arena, Objective.from_sets(n, [[0], [1]]), init=0)
+    tracemalloc.start()
+    try:
+        result = min_memory_search(game, A, 50, machine_class)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.strategy is None
+    assert result.refuted == result.expansions == 50
+    assert peak < 4 << 20
+
+
 def test_min_memory_on_refuted_hook(flower2):
     seen = []
     result = min_memory_search(
@@ -440,6 +480,8 @@ def test_min_memory_on_refuted_hook(flower2):
         ("flower2", E, 2, COLOR_OBS),
         ("fig42", E, 3, COLOR_OBS),
         ("fig42", E, 3, FULL_CLASS),
+        ("flower2", A, 2, FULL_CLASS),
+        ("fig5", A, 2, COLOR_OBS),
     ],
 )
 def test_min_memory_matches_restarting_reference(

@@ -19,7 +19,6 @@ from .errors import (
 from .fileformat import export_dot, parse_game, serialize_game
 from .generate import (
     GenParams,
-    canonical_flower_eve,
     gen_fig4,
     gen_fig5,
     gen_flower,
@@ -30,14 +29,10 @@ from .generate import (
 from .lab import (
     COLOR_OBS,
     FULL_CLASS,
-    FlowerRefutation,
     MinMemResult,
-    SimOutcome,
     VerifyResult,
-    flower_adversary,
     min_memory_search,
     minimax_oracle,
-    simulate,
     verify_strategy,
 )
 from .model import (

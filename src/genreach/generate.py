@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import UnsupportedInputError
 from .fileformat import MAX_COLORS
 from .model import Arena, Game, Objective, Owner
-from .strategies import FiniteMemoryStrategy, MemoryStructure
 
 FLOWER = "flower"
 PICKER = "picker"
@@ -80,29 +79,6 @@ def gen_flower(k: int) -> Game:
                 color_sets[j].add(b)
     arena = Arena.from_edges(names, owners, edges)
     return Game(arena, Objective.from_sets(arena.n, color_sets), init=0)
-
-
-def canonical_flower_eve(k: int) -> FiniteMemoryStrategy:
-    """The flower strategy over visited-petal subsets, full set pruned.
-
-    State S is the set of petals already answered with their color
-    vertex; the first visit of petal i takes c{i} and records it, the
-    second takes b{i} and wins.  2^k - 1 states, from the heart.
-    """
-    if k < 1:
-        raise UnsupportedInputError("the flower needs at least one petal")
-    states = full = (1 << k) - 1
-    table: dict[tuple[int, int, int], int] = {}
-    moves: dict[tuple[int, int], int] = {}
-    for state in range(states):
-        for i in range(k):
-            v, c, b = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
-            moves[(v, state)] = b if state >> i & 1 else c
-            marked = state | 1 << i
-            if marked not in (state, full):
-                table[(state, v, c)] = marked
-    memory = MemoryStructure.from_table(states, {0: 0}, table)
-    return FiniteMemoryStrategy(Owner.EVE, memory, moves)
 
 
 def gen_picker(k: int) -> Game:

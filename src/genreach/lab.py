@@ -1,9 +1,9 @@
-"""Strategy analysis: simulation, verification, oracles and searches.
+"""Strategy analysis: verification, oracles and searches.
 
-Everything here works on the joint configuration space of a game and one
-or two finite memory machines.  Since machines and games are finite, the
-infinite play two strategies induce is decided exactly: it either reaches
-the full color mask or repeats a configuration first.
+Everything here works on the configuration space of a game, alone or
+joined with one finite memory machine.  Since machines and games are
+finite, every play is decided exactly: it either reaches the full color
+mask or repeats a configuration first.
 """
 
 from __future__ import annotations
@@ -17,50 +17,6 @@ from .strategies import FiniteMemoryStrategy, MemoryStructure
 
 FULL_CLASS = "full"
 COLOR_OBS = "color-obs"
-
-
-@dataclass(frozen=True)
-class SimOutcome:
-    """Eve wins when `play` completes every color; Adam wins when the
-    configuration repeats first, and `play` then ends with that cycle."""
-
-    winner: Owner
-    play: Play
-
-
-def simulate(
-    game: Game, sigma: FiniteMemoryStrategy, tau: FiniteMemoryStrategy
-) -> SimOutcome:
-    """Winner of the unique play the two machines produce from init.
-
-    Eve wins the moment the visited mask is full; Adam wins when the joint
-    configuration (vertex, both memory states, mask) repeats first.
-    """
-    if game.init is None:
-        raise UnsupportedInputError("simulation needs a game with an init vertex")
-    if sigma.player is not Owner.EVE or tau.player is not Owner.ADAM:
-        raise UnsupportedInputError("simulate takes an Eve strategy then an Adam one")
-    arena = game.arena
-    v0 = game.init
-    start = (sigma.memory.initial_state(v0), tau.memory.initial_state(v0))
-
-    def moves(v, pair):
-        if arena.is_eve(v):
-            return (sigma.move(arena, v, pair[0]),)
-        return (tau.move(arena, v, pair[1]),)
-
-    def step(pair, v, w):
-        return sigma.memory.update(pair[0], v, w), tau.memory.update(pair[1], v, w)
-
-    walk = _explore(game, [(v0, start)], moves, step)
-    _, rows, _, full_id = walk
-    if full_id >= 0:
-        winner, end = Owner.EVE, full_id
-    else:
-        # Both moves are fixed, so the walk is one path whose last row
-        # points back at the configuration that repeats.
-        winner, end = Owner.ADAM, rows[-1][0]
-    return SimOutcome(winner, _lasso(game, walk, end))
 
 
 @dataclass(frozen=True)
@@ -312,11 +268,13 @@ def min_memory_search(
             found = _machine_from(game, player, 1, machine_class, {})
             return MinMemResult(player, machine_class, bound, found, 1, 0, 0)
         return MinMemResult(player, machine_class, bound, None, None, bound, 0)
+    arena = game.arena
+    choice = [o is player and len(ws) > 1 for o, ws in zip(arena.owner, arena.succ)]
     counter = [0]
     refuted = 0
     for states in range(1, bound + 1):
         found = _search_at(
-            game, player, states, machine_class, budget, counter, on_refuted
+            game, player, states, machine_class, choice, budget, counter, on_refuted
         )
         if isinstance(found, FiniteMemoryStrategy):
             check = verify_strategy(game, found, [game.init])
@@ -330,9 +288,14 @@ def min_memory_search(
     )
 
 
-def _search_at(game, player, states, machine_class, budget, counter, on_refuted):
+def _search_at(
+    game, player, states, machine_class, choice, budget, counter, on_refuted
+):
     """Exhaust machines with exactly `states` available states; returns a
     winning FiniteMemoryStrategy or the number of refuted leaves.
+    `choice[v]` says whether the machine picks the move at `v`; the caller
+    builds it once for every state count, so a state count costs nothing
+    per vertex of the arena.
 
     One breadth-first expansion of the candidate against the free opponent
     from init is kept across all decision points: `order` lists the
@@ -371,7 +334,6 @@ def _search_at(game, player, states, machine_class, budget, counter, on_refuted)
     k = game.k
     eve = player is Owner.EVE
     color_obs = machine_class == COLOR_OBS
-    choice = [o is player and len(ws) > 1 for o, ws in zip(arena.owner, succ)]
     assignment: dict[int, int] = {}
 
     def machine():
@@ -534,7 +496,7 @@ def _machine_from(game, player, states, machine_class, assignment):
     initial = {game.init: 0}
     # A move cell the search never fixed gets the first successor, the
     # value its enumeration tries first; callers such as the flower
-    # adversary ask for a move in every state.
+    # adversary in `tests/helpers.py` ask for a move in every state.
     moves = {
         (v, s): arena.succ[v][assignment.get(("m", v, s), 0)]
         for v in range(arena.n)
@@ -560,74 +522,3 @@ def _machine_from(game, player, states, machine_class, assignment):
         }
         memory = MemoryStructure.from_table(states, initial, table)
     return FiniteMemoryStrategy(player, memory, moves)
-
-
-@dataclass(frozen=True)
-class FlowerRefutation:
-    """Proof that an Eve machine loses the flower game: a strict color
-    subset `x` no stopping set equals, the petal sequence Adam plays, and
-    the losing play itself."""
-
-    k: int
-    x: int
-    stopping_sets: tuple[int, ...]
-    adam: FiniteMemoryStrategy
-    petals: tuple[int, ...]
-    outcome: SimOutcome
-
-
-def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutation:
-    """Beat any sub-threshold Eve machine on the k-petal flower game.
-
-    Each memory state m has a stopping set: the petals where Eve, asked
-    from state m, settles into the all-but-that-color loop.  With fewer
-    than 2^k - 1 states some strict subset x of colors is nobody's
-    stopping set.  Adam repeatedly plays the smallest petal where x and
-    the current stopping set disagree: if Eve stops there the missing
-    petal's color is never seen, and if she never stops the play only
-    ever collects colors inside x.  Either way a color is missed.
-    """
-    from .generate import gen_flower
-
-    game = gen_flower(k)
-    arena = game.arena
-    threshold = (1 << k) - 1
-    if eve_machine.memory.states >= threshold:
-        raise UnsupportedInputError(
-            f"{eve_machine.memory.states} states defeat the purpose: the"
-            f" adversary covers machines below {threshold}"
-        )
-    heart = 0
-    petal = [1 + 3 * i for i in range(k)]
-    back = [3 + 3 * i for i in range(k)]
-
-    memory = eve_machine.memory
-    stopping = []
-    for m in range(memory.states):
-        s = 0
-        for i in range(k):
-            after = memory.update(m, heart, petal[i])
-            if eve_machine.move(arena, petal[i], after) == back[i]:
-                s |= 1 << i
-        stopping.append(s)
-    stop_set = set(stopping)
-    x = next((s for s in range(threshold) if s not in stop_set), None)
-    assert x is not None, (
-        "every strict subset is a stopping set, impossible below"
-        f" {threshold} states"
-    )
-
-    adam_moves = {}
-    for m in range(memory.states):
-        diff = x ^ stopping[m]
-        adam_moves[(heart, m)] = petal[(diff & -diff).bit_length() - 1]
-    adam = FiniteMemoryStrategy(Owner.ADAM, memory, adam_moves)
-
-    outcome = simulate(game, eve_machine, adam)
-    if outcome.winner is not Owner.ADAM:
-        raise AssertionError("the adversary construction must win; this is a bug")
-    vertices = outcome.play.vertices
-    petals = tuple(
-        vertices[i + 1] for i in range(len(vertices) - 1) if vertices[i] == heart
-    )
-    return FlowerRefutation(k, x, tuple(stopping), adam, petals, outcome)

@@ -1,8 +1,9 @@
-"""Small builders shared by the test modules."""
+"""Builders, oracles and the flower lab shared by the test modules."""
 
 import dataclasses
 import random
 from collections import deque
+from dataclasses import dataclass
 
 from typing import Iterable
 
@@ -18,10 +19,11 @@ from genreach import (
     Owner,
     Play,
     UnsupportedInputError,
+    gen_flower,
     generate,
     minimax_oracle,
 )
-from genreach.lab import COLOR_OBS, _machine_from
+from genreach.lab import COLOR_OBS, _explore, _lasso, _machine_from
 
 
 def random_game(
@@ -187,6 +189,25 @@ def antichain_table(
     return rows
 
 
+def random_qdimacs(rng: random.Random) -> str:
+    """QDIMACS text of a random formula: 1 to 12 variables in quantifier
+    blocks of 1 to 3, and 1 to 8 clauses of 1 to 3 literals."""
+    num_vars = rng.randrange(1, 13)
+    clauses = rng.randrange(1, 9)
+    lines = [f"p cnf {num_vars} {clauses}"]
+    var = 1
+    while var <= num_vars:
+        block = min(num_vars, var + rng.randrange(0, 3))
+        block_vars = " ".join(str(v) for v in range(var, block + 1))
+        lines.append(f"{rng.choice('ae')} {block_vars} 0")
+        var = block + 1
+    for _ in range(clauses):
+        width = rng.randrange(1, 4)
+        lits = [rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1) for _ in range(width)]
+        lines.append(" ".join(str(lit) for lit in lits) + " 0")
+    return "\n".join(lines) + "\n"
+
+
 def random_machine(
     game: Game, player: Owner, states: int, rng: random.Random
 ) -> FiniteMemoryStrategy:
@@ -346,6 +367,147 @@ def machine_tables(game, machine) -> tuple[dict, dict]:
         for w in arena.succ[u]
     }
     return dict(machine.moves), updates
+
+
+# The flower lab: the k-petal flower's optimal Eve machine, a simulator of
+# two machines, and the adversary that beats every Eve machine with fewer
+# than 2^k - 1 states, the paper's lower bound that criterion 06 checks.
+
+
+def canonical_flower_eve(k: int) -> FiniteMemoryStrategy:
+    """The flower strategy over visited-petal subsets, full set pruned.
+
+    State S is the set of petals already answered with their color
+    vertex; the first visit of petal i takes c{i} and records it, the
+    second takes b{i} and wins.  2^k - 1 states, from the heart.
+    """
+    if k < 1:
+        raise UnsupportedInputError("the flower needs at least one petal")
+    states = full = (1 << k) - 1
+    table: dict[tuple[int, int, int], int] = {}
+    moves: dict[tuple[int, int], int] = {}
+    for state in range(states):
+        for i in range(k):
+            v, c, b = 1 + 3 * i, 2 + 3 * i, 3 + 3 * i
+            moves[(v, state)] = b if state >> i & 1 else c
+            marked = state | 1 << i
+            if marked not in (state, full):
+                table[(state, v, c)] = marked
+    memory = MemoryStructure.from_table(states, {0: 0}, table)
+    return FiniteMemoryStrategy(Owner.EVE, memory, moves)
+
+
+@dataclass(frozen=True)
+class SimOutcome:
+    """Eve wins when `play` completes every color; Adam wins when the
+    configuration repeats first, and `play` then ends with that cycle."""
+
+    winner: Owner
+    play: Play
+
+
+def simulate(
+    game: Game, sigma: FiniteMemoryStrategy, tau: FiniteMemoryStrategy
+) -> SimOutcome:
+    """Winner of the unique play the two machines produce from init.
+
+    Eve wins the moment the visited mask is full; Adam wins when the joint
+    configuration (vertex, both memory states, mask) repeats first.
+    """
+    if game.init is None:
+        raise UnsupportedInputError("simulation needs a game with an init vertex")
+    if sigma.player is not Owner.EVE or tau.player is not Owner.ADAM:
+        raise UnsupportedInputError("simulate takes an Eve strategy then an Adam one")
+    arena = game.arena
+    v0 = game.init
+    start = (sigma.memory.initial_state(v0), tau.memory.initial_state(v0))
+
+    def moves(v, pair):
+        if arena.is_eve(v):
+            return (sigma.move(arena, v, pair[0]),)
+        return (tau.move(arena, v, pair[1]),)
+
+    def step(pair, v, w):
+        return sigma.memory.update(pair[0], v, w), tau.memory.update(pair[1], v, w)
+
+    walk = _explore(game, [(v0, start)], moves, step)
+    _, rows, _, full_id = walk
+    if full_id >= 0:
+        winner, end = Owner.EVE, full_id
+    else:
+        # Both moves are fixed, so the walk is one path whose last row
+        # points back at the configuration that repeats.
+        winner, end = Owner.ADAM, rows[-1][0]
+    return SimOutcome(winner, _lasso(game, walk, end))
+
+
+@dataclass(frozen=True)
+class FlowerRefutation:
+    """Proof that an Eve machine loses the flower game: a strict color
+    subset `x` no stopping set equals, the petal sequence Adam plays, and
+    the losing play itself."""
+
+    k: int
+    x: int
+    stopping_sets: tuple[int, ...]
+    adam: FiniteMemoryStrategy
+    petals: tuple[int, ...]
+    outcome: SimOutcome
+
+
+def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutation:
+    """Beat any sub-threshold Eve machine on the k-petal flower game.
+
+    Each memory state m has a stopping set: the petals where Eve, asked
+    from state m, settles into the all-but-that-color loop.  With fewer
+    than 2^k - 1 states some strict subset x of colors is nobody's
+    stopping set.  Adam repeatedly plays the smallest petal where x and
+    the current stopping set disagree: if Eve stops there the missing
+    petal's color is never seen, and if she never stops the play only
+    ever collects colors inside x.  Either way a color is missed.
+    """
+    game = gen_flower(k)
+    arena = game.arena
+    threshold = (1 << k) - 1
+    if eve_machine.memory.states >= threshold:
+        raise UnsupportedInputError(
+            f"{eve_machine.memory.states} states defeat the purpose: the"
+            f" adversary covers machines below {threshold}"
+        )
+    heart = 0
+    petal = [1 + 3 * i for i in range(k)]
+    back = [3 + 3 * i for i in range(k)]
+
+    memory = eve_machine.memory
+    stopping = []
+    for m in range(memory.states):
+        s = 0
+        for i in range(k):
+            after = memory.update(m, heart, petal[i])
+            if eve_machine.move(arena, petal[i], after) == back[i]:
+                s |= 1 << i
+        stopping.append(s)
+    stop_set = set(stopping)
+    x = next((s for s in range(threshold) if s not in stop_set), None)
+    assert x is not None, (
+        "every strict subset is a stopping set, impossible below"
+        f" {threshold} states"
+    )
+
+    adam_moves = {}
+    for m in range(memory.states):
+        diff = x ^ stopping[m]
+        adam_moves[(heart, m)] = petal[(diff & -diff).bit_length() - 1]
+    adam = FiniteMemoryStrategy(Owner.ADAM, memory, adam_moves)
+
+    outcome = simulate(game, eve_machine, adam)
+    if outcome.winner is not Owner.ADAM:
+        raise AssertionError("the adversary construction must win; this is a bug")
+    vertices = outcome.play.vertices
+    petals = tuple(
+        vertices[i + 1] for i in range(len(vertices) - 1) if vertices[i] == heart
+    )
+    return FlowerRefutation(k, x, tuple(stopping), adam, petals, outcome)
 
 
 _EDITS = ("drop", "duplicate", "swap-lines", "swap-tokens", "insert-integer")

@@ -24,7 +24,6 @@ from genreach import (
     TwoSatFormula,
     compress_adam,
     eval_qbf_bruteforce,
-    flower_adversary,
     generate,
     min_memory_search,
     minimax_oracle,
@@ -40,7 +39,7 @@ from genreach import (
 )
 
 from conftest import DEMO_TEXT, QBF1_TEXT
-from helpers import random_game, random_machine
+from helpers import flower_adversary, random_game, random_machine, random_qdimacs
 
 E, A = Owner.EVE, Owner.ADAM
 
@@ -164,23 +163,6 @@ def test_criterion_02_fpt_engine_agrees_with_minimax_oracle():
         res = solve_fpt(game)
         fpt_winner = E if game.init in res.eve_region else A
         assert fpt_winner is minimax_oracle(game), seed
-
-
-def random_qdimacs(rng: random.Random) -> str:
-    num_vars = rng.randrange(1, 13)
-    clauses = rng.randrange(1, 9)
-    lines = [f"p cnf {num_vars} {clauses}"]
-    var = 1
-    while var <= num_vars:
-        block = min(num_vars, var + rng.randrange(0, 3))
-        block_vars = " ".join(str(v) for v in range(var, block + 1))
-        lines.append(f"{rng.choice('ae')} {block_vars} 0")
-        var = block + 1
-    for _ in range(clauses):
-        width = rng.randrange(1, 4)
-        lits = [rng.choice((-1, 1)) * rng.randrange(1, num_vars + 1) for _ in range(width)]
-        lines.append(" ".join(str(lit) for lit in lits) + " 0")
-    return "\n".join(lines) + "\n"
 
 
 def test_criterion_03_qbf_game_route_matches_brute_force():

@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "COLOR_OBS",
     "FULL_CLASS",
     "FiniteMemoryStrategy",
-    "FlowerRefutation",
     "Game",
     "GameParseError",
     "GenParams",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = [
     "Owner",
     "Play",
     "QBFFormula",
-    "SimOutcome",
     "SolveResult",
     "StrategyPartialError",
     "TwoSatFormula",
@@ -38,12 +36,10 @@ PUBLIC_NAMES = [
     "VerifyResult",
     "attractor",
     "avoid_moves",
-    "canonical_flower_eve",
     "compress_adam",
     "dump_strategy",
     "eval_qbf_bruteforce",
     "export_dot",
-    "flower_adversary",
     "gen_fig4",
     "gen_fig5",
     "gen_flower",
@@ -59,7 +55,6 @@ PUBLIC_NAMES = [
     "parse_qdimacs",
     "qbf_to_game",
     "serialize_game",
-    "simulate",
     "solve_fpt",
     "solve_oneplayer_size2",
     "solve_opponent_player",
@@ -108,7 +103,7 @@ def public_names():
 
 def test_public_names():
     assert public_names() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 53
 
 
 def test_defaulted_parameters_of_public_functions():

@@ -6,11 +6,12 @@ from genreach import (
     GenParams,
     Owner,
     UnsupportedInputError,
-    canonical_flower_eve,
     generate,
     validate_arena,
     verify_strategy,
 )
+
+from helpers import canonical_flower_eve
 
 E, A = Owner.EVE, Owner.ADAM
 

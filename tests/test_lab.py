@@ -16,24 +16,24 @@ from genreach import (
     MemoryStructure,
     Owner,
     UnsupportedInputError,
-    canonical_flower_eve,
     compress_adam,
-    flower_adversary,
     identity_memory,
     min_memory_search,
     minimax_oracle,
     parse_game,
-    simulate,
     solve_fpt,
     verify_strategy,
 )
 from genreach.lab import COLOR_OBS, FULL_CLASS, _find_cycle
 from helpers import (
+    canonical_flower_eve,
     check_play,
+    flower_adversary,
     machine_tables,
     random_game,
     random_machine,
     reference_min_memory_search,
+    simulate,
 )
 
 E, A = Owner.EVE, Owner.ADAM
@@ -458,6 +458,13 @@ def test_min_memory_search_allocates_nothing_per_vertex_and_state(machine_class)
     assert result.strategy is None
     assert result.refuted == result.expansions == 50
     assert peak < 4 << 20
+    # Nor any work per vertex and state count: 1,000 counts take
+    # milliseconds, where a pass over the vertices per count takes seconds.
+    start = time.perf_counter()
+    result = min_memory_search(game, A, 1000, machine_class)
+    elapsed = time.perf_counter() - start
+    assert result.refuted == result.expansions == 1000
+    assert elapsed < 1.0
 
 
 def test_min_memory_on_refuted_hook(flower2):

@@ -1,6 +1,7 @@
 """Subset memory, the dense and sweep solvers, and the antichain compression."""
 
 import math
+import random
 import re
 import tracemalloc
 
@@ -15,6 +16,8 @@ from genreach import (
     UnsupportedInputError,
     compress_adam,
     parse_game,
+    parse_qdimacs,
+    qbf_to_game,
     solve_fpt,
     verify_strategy,
 )
@@ -26,6 +29,7 @@ from helpers import (
     minimax_region,
     padded_hub,
     random_game,
+    random_qdimacs,
 )
 
 E, A = Owner.EVE, Owner.ADAM
@@ -371,6 +375,11 @@ def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44
     # One relaxation each: a from e (never won), c from b.
     assert sweep.stats["ops"] == 2
     games = [fold, demo, flower2, flower3, picker3, fig42, fig44, fig5, *small_games()]
+    # The reduction games of criterion 03's random formulas.
+    games += [
+        qbf_to_game(parse_qdimacs(random_qdimacs(random.Random(23_000 + seed))))
+        for seed in range(300)
+    ]
     for game in games:
         dense, sweep = routes_agree(game)
         assert (0, -1) not in dense.eve_strategy.moves and (0, -1) not in dense.adam_strategy.moves

@@ -24,8 +24,7 @@ per-vertex antichains of masks (at most C(k, floor(k/2)) states).
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cache, partial, reduce
 from heapq import heappop, heappush
 from operator import or_
@@ -37,6 +36,7 @@ from .strategies import (
     FiniteMemoryStrategy,
     MemoryStructure,
     SolveResult,
+    _LazyMoves,
 )
 
 # The dense kernel's limit on n * 2^k configurations: above it
@@ -125,38 +125,6 @@ def _first_won(won: Sequence[Sequence[tuple[int, int]]], v: int, s: int) -> int:
         if got >> s & 1:
             return w
     raise AssertionError(f"no won move at ({v}, {s:#b})")
-
-
-@dataclass(frozen=True, eq=False)
-class _LazyMoves(Mapping):
-    """Moves computed on lookup.  `masks[state]` is a memory state's
-    mask, and (v, state) holds the move `find(v, s)` when `held(v, s)`,
-    for v below n and s that mask."""
-
-    n: int
-    held: Callable[[int, int], bool]
-    find: Callable[[int, int], int]
-    masks: Sequence[int]
-
-    def get(self, key: tuple[int, int], default=None):
-        v, state = key
-        if 0 <= v < self.n and 0 <= state < len(self.masks):
-            s = self.masks[state]
-            if self.held(v, s):
-                return self.find(v, s)
-        return default
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        w = self.get(key)
-        if w is None:
-            raise KeyError(key)
-        return w
-
-    def __iter__(self):
-        return ((v, i) for v in range(self.n) for i, s in enumerate(self.masks) if self.held(v, s))
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def solve_fpt(game: Game) -> SolveResult:

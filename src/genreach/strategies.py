@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .errors import StrategyPartialError, UnsupportedInputError
 from .model import Arena, Owner
@@ -86,6 +86,39 @@ class FiniteMemoryStrategy:
         raise StrategyPartialError(
             f"no move for vertex {arena.names[v]!r} in memory state {state}"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class _LazyMoves(Mapping):
+    """Moves computed on lookup.  `masks[state]` is what a memory state
+    stands for (its visited mask in `solve_fpt`, the state itself in
+    `min_memory_search`), and (v, state) holds the move `find(v, s)` when
+    `held(v, s)`, for v below n and s that value."""
+
+    n: int
+    held: Callable[[int, int], bool]
+    find: Callable[[int, int], int]
+    masks: Sequence[int]
+
+    def get(self, key: tuple[int, int], default=None):
+        v, state = key
+        if 0 <= v < self.n and 0 <= state < len(self.masks):
+            s = self.masks[state]
+            if self.held(v, s):
+                return self.find(v, s)
+        return default
+
+    def __getitem__(self, key: tuple[int, int]) -> int:
+        w = self.get(key)
+        if w is None:
+            raise KeyError(key)
+        return w
+
+    def __iter__(self):
+        return ((v, i) for v in range(self.n) for i, s in enumerate(self.masks) if self.held(v, s))
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def strategy_to_json(arena: Arena, strategy: FiniteMemoryStrategy) -> dict:

@@ -260,8 +260,8 @@ def _reference_search_at(game, player, states, machine_class, counter, on_refute
             game, player, states, machine_class, assignment, counter
         )
         if verdict == "need":
-            if cell[0] == "m":
-                values = list(range(len(succ[cell[1]])))
+            if cell < 0:
+                values = list(range(len(succ[~cell // states])))
             else:
                 values = list(range(min(maxused + 1, states - 1) + 1))
             stack.append([cell, values, 0, maxused])
@@ -279,7 +279,7 @@ def _reference_search_at(game, player, states, machine_class, counter, on_refute
                 value = frame[1][frame[2]]
                 assignment[frame[0]] = value
                 maxused = frame[3]
-                if frame[0][0] == "u":
+                if frame[0] >= 0:
                     maxused = max(maxused, value)
                 break
             del assignment[frame[0]]
@@ -292,9 +292,10 @@ def _reference_search_at(game, player, states, machine_class, counter, on_refute
 def _reference_explore(game, player, states, machine_class, assignment, counter):
     """Breadth-first expansion of the candidate against the free opponent,
     from init: ("need", cell) at the first undefined cell, else "fail" or
-    "ok" for a fully defined candidate."""
+    "ok" for a fully defined candidate.  Cells are the ints of
+    `lab._search_at`."""
     arena = game.arena
-    succ, owner = arena.succ, arena.owner
+    succ, owner, n = arena.succ, arena.owner, arena.n
     mask_of = game.objective.mask
     full = game.objective.full_mask
     k = game.k
@@ -312,7 +313,7 @@ def _reference_explore(game, player, states, machine_class, assignment, counter)
         mask = cfg & full if k else 0
         v, state = divmod(cfg >> k, states)
         if owner[v] is player and len(succ[v]) > 1:
-            cell = ("m", v, state)
+            cell = ~(v * states + state)
             pick = assignment.get(cell)
             if pick is None:
                 return "need", cell
@@ -329,7 +330,7 @@ def _reference_explore(game, player, states, machine_class, assignment, counter)
             if color_obs and not mask_of[w]:
                 state2 = state
             else:
-                cell = ("u", state, mask_of[w]) if color_obs else ("u", state, v, w)
+                cell = state << k | mask_of[w] if color_obs else (state * n + v) * n + w
                 state2 = assignment.get(cell)
                 if state2 is None:
                     return "need", cell

@@ -359,6 +359,22 @@ FIG42_B3_FULL = (
         (2, 1, 2, 2, 2, 2, 2, 2, 2, 2),
     ],
 )
+FIG42_B3_COLOR_OBS = (
+    {(0, 0): 1, (0, 1): 4, (0, 2): 4, (4, 0): 5, (4, 1): 6, (4, 2): 5},
+    [
+        (0, 0, 1, 2, 0, 0, 1, 2, 1, 2),
+        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+        (2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
+    ],
+)
+FLOWER2_B3_COLOR_OBS = (
+    {(1, 0): 2, (1, 1): 3, (1, 2): 2, (4, 0): 5, (4, 1): 5, (4, 2): 6},
+    [
+        (0, 0, 1, 2, 0, 2, 2, 1, 0, 1),
+        (1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+        (2, 2, 2, 2, 2, 2, 2, 2, 2, 2),
+    ],
+)
 FLOWER2_B3_FULL = (
     {(1, 0): 2, (1, 1): 3, (1, 2): 2, (4, 0): 5, (4, 1): 6, (4, 2): 5},
     [
@@ -374,8 +390,8 @@ FLOWER2_B3_FULL = (
     [
         ("flower2", E, 2, FULL_CLASS, None, 5220, 19_729, None),
         ("fig42", E, 2, FULL_CLASS, None, 595, 2_092, None),
-        ("flower2", E, 3, COLOR_OBS, 3, 58, 2_418, None),
-        ("fig42", E, 3, COLOR_OBS, 3, 28, 949, None),
+        ("flower2", E, 3, COLOR_OBS, 3, 58, 2_418, FLOWER2_B3_COLOR_OBS),
+        ("fig42", E, 3, COLOR_OBS, 3, 28, 949, FIG42_B3_COLOR_OBS),
         ("picker3", A, 2, COLOR_OBS, None, 208, 1_119, None),
         ("fig42", E, 3, FULL_CLASS, 3, 595, 28_366, FIG42_B3_FULL),
         ("flower2", E, 3, FULL_CLASS, 3, 5220, 480_882, FLOWER2_B3_FULL),
@@ -464,6 +480,40 @@ def test_min_memory_search_allocates_nothing_per_vertex_and_state(machine_class)
     result = min_memory_search(game, A, 1000, machine_class)
     elapsed = time.perf_counter() - start
     assert result.refuted == result.expansions == 1000
+    assert elapsed < 1.0
+
+
+def test_min_memory_refuted_machines_cost_nothing_per_vertex_and_state(flower2):
+    # flower2 plus 10,000 unreachable Eve vertices, each a choice between
+    # a self-loop and the next.  A machine that held a move for every such
+    # vertex and state would cost seconds over the 390 losers the hook
+    # receives; the hook keeps none, so only building them costs.
+    from genreach import Arena, Game, Objective
+
+    arena, pad = flower2.arena, 10_000
+    n = arena.n + pad
+    edges = list(arena.edges)
+    for v in range(arena.n, n):
+        edges += [(v, v), (v, v + 1 if v + 1 < n else arena.n)]
+    padded = Game(
+        Arena.from_edges(
+            arena.names + tuple(f"p{i}" for i in range(pad)),
+            arena.owner + (E,) * pad,
+            edges,
+        ),
+        Objective.from_sets(n, flower2.objective.color_sets),
+        init=flower2.init,
+    )
+    calls = 0
+
+    def count(machine):
+        nonlocal calls
+        calls += 1
+
+    start = time.perf_counter()
+    result = min_memory_search(padded, E, 3, COLOR_OBS, on_refuted=count)
+    elapsed = time.perf_counter() - start
+    assert (result.states, result.refuted, calls) == (3, 58, 390)
     assert elapsed < 1.0
 
 

@@ -201,11 +201,13 @@ class MinMemResult:
     search tree eliminated at the state counts that have no winner: every
     count up to `bound` when `strategy` is None, else the counts below
     `states`; the losers tried at `states` itself before the winner are
-    not counted.  `expansions` counts the configuration expansions
-    actually done at every state count, which is also the unit of the
-    budget.  The search resumes its expansion at each decision point
-    instead of restarting it from init, so for the same enumeration this
-    count is lower than a restarting search's."""
+    not counted.  `expansions` counts the configuration expansions of the
+    enumeration at every state count, which is also the unit of the
+    budget; Adam candidates sure to fail in the same row as the last one
+    are counted with their one expansion each without being redone.  The
+    search resumes its expansion at each decision point instead of
+    restarting it from init, so for the same enumeration this count is
+    lower than a restarting search's."""
 
     player: Owner
     machine_class: str
@@ -302,26 +304,38 @@ def _search_at(
     One breadth-first expansion of the candidate against the free opponent
     from init is kept across all decision points: `order` lists the
     configurations in discovery order, `index` maps each to its position,
-    and `rows[i]` holds the successor positions of `order[i]`, so the next
-    configuration to expand is `order[len(rows)]`.  Each frame records
-    `len(rows)` and `len(order)` from when its cell was first needed;
+    and the next configuration to expand is `order[done]`.  Each frame
+    records `done` and `len(order)` from when its cell was first needed;
     assigning the cell resumes the expansion there, and moving the frame to
     its next value first truncates the expansion back to those marks.
     Every cell read before a frame's cell belongs to a shallower frame, so
     this enumerates exactly the candidates, in exactly the order, that
     restarting the expansion from init at every decision point would.
 
-    A configuration is the int `(v * states + state) << k | mask`, and a
-    decision cell is an int too.  The move cell of (v, state) is
-    `~(v * states + state)`, so it is negative.  An update cell is
-    `state << k | colors` in COLOR_OBS and `(state * n + v) * n + w` in
-    FULL.  `_machine_from` reads these cells as they are.
+    A configuration is the int `(v << sb | state) << k | mask`, where `sb`
+    bits hold a state, and a decision cell is an int too.  The move cell
+    of (v, state) is `~(v * states + state)`, so it is negative.  An
+    update cell is `state << k | colors` in COLOR_OBS and
+    `(state * n + v) * n + w` in FULL.  `_machine_from` reads these cells
+    as they are.
 
-    A closed Eve candidate loses iff its rows hold a cycle.  Truncating to
-    a frame's marks keeps the rows below its row mark and the positions
-    they name, so the cycle that refuted the last closed candidate stands
-    until a truncation reaches its highest position, `cycle_hi`; until
-    then each close fails without another cycle search.
+    A closed Eve candidate loses iff its configurations hold a cycle.
+    Masks only grow along an edge, so a cycle keeps one mask, and `rows[i]`
+    holds only the successor positions of `order[i]` with its mask.
+    Truncating to a frame's marks keeps the rows below its row mark and the
+    positions they name, so a cycle stands until a truncation reaches its
+    highest position, `cycle_hi`; until then each close fails without a
+    cycle search.  While none stands, each appended row is checked for a
+    self-loop or a 2-cycle, which sets `cycle_hi` at once.  Adam keeps no
+    rows.
+
+    An Adam candidate fails at a full-mask target, before that target
+    reads a cell.  When it fails in the row that needed the deepest
+    frame's update cell, every value of the cell not yet tried fails there
+    too after one expansion of that row, since the row reads the same
+    cells whatever the value; those values are counted as refuted and
+    expanded without being tried.  Move cells are left out, since a new
+    pick changes the row's targets.
 
     Update cells are only consulted below the full mask: once every color
     is seen the machine's further behavior is irrelevant.  The caller
@@ -333,18 +347,25 @@ def _search_at(
     mask_of = game.objective.mask
     full = game.objective.full_mask
     k = game.k
+    sb = (states - 1).bit_length()
+    top = k + sb  # the shift of v in a configuration
+    state_bits = (1 << sb) - 1
     eve = player is Owner.EVE
     color_obs = machine_class == COLOR_OBS
+    over_budget = f"memory search exceeded its budget of {budget} expansions"
     assignment: dict[int, int] = {}
     v0 = game.init
-    cfg0 = (v0 * states) << k | mask_of[v0]
+    cfg0 = v0 << top | mask_of[v0]
     order = [cfg0]
     index = {cfg0: 0}
     rows: list[list[int]] = []
-    # Frames: [cell, value count, value, maxused before, len(rows), len(order)].
+    # Each vertex's targets as (w, colors, w << top), built on first use.
+    arcs: dict[int, tuple] = {}
+    # Frames: [cell, value count, value, maxused before, done, len(order)].
     stack: list[list[int]] = []
     maxused = 0
     refuted = 0
+    done = 0  # configurations expanded
     cycle_hi = -1  # -1 while no refuting cycle stands
 
     while True:
@@ -354,28 +375,28 @@ def _search_at(
         # configurations it queued before an undefined cell do not depend
         # on that cell, so they stay queued and its next expansion finds
         # them at the same positions.
-        while len(rows) < len(order):
+        while done < len(order):
             expansions += 1
             if expansions > budget:
-                raise BudgetExceededError(
-                    f"memory search exceeded its budget of {budget} expansions"
-                )
-            cfg = order[len(rows)]
+                raise BudgetExceededError(over_budget)
+            cfg = order[done]
             mask = cfg & full
-            vs = cfg >> k
-            v, state = divmod(vs, states)
+            state = cfg >> k & state_bits
+            v = cfg >> top
+            out = arcs.get(v)
+            if out is None:
+                out = arcs[v] = tuple((w, mask_of[w], w << top) for w in succ[v])
             if choice[v]:
-                need = ~vs
+                need = ~(v * states + state)
                 pick = assignment.get(need)
                 if pick is None:
                     verdict = _NEED
                     break
-                targets = (succ[v][pick],)
-            else:
-                targets = succ[v]
+                out = (out[pick],)
+            same = mask if eve else -1  # the mask of the successors kept
+            base = state << k if color_obs else (state * n + v) * n
             ids = []
-            for w in targets:
-                colors = mask_of[w]
+            for w, colors, high in out:
                 mask2 = mask | colors
                 if mask2 == full:
                     if not eve:
@@ -385,19 +406,27 @@ def _search_at(
                 if color_obs and not colors:
                     state2 = state
                 else:
-                    need = state << k | colors if color_obs else (state * n + v) * n + w
+                    need = base | colors if color_obs else base + w
                     state2 = assignment.get(need)
                     if state2 is None:
                         verdict = _NEED
                         break
-                cfg2 = (w * states + state2) << k | mask2
+                cfg2 = high | state2 << k | mask2
                 j = index.get(cfg2)
                 if j is None:
                     j = index[cfg2] = len(order)
                     order.append(cfg2)
-                ids.append(j)
+                if mask2 == same:
+                    ids.append(j)
             else:
-                rows.append(ids)
+                if eve:
+                    rows.append(ids)
+                    if cycle_hi < 0:
+                        for j in ids:
+                            if j <= done and done in rows[j]:
+                                cycle_hi = done
+                                break
+                done += 1
                 continue
             break
         if verdict == _OK and eve:
@@ -409,7 +438,7 @@ def _search_at(
         if verdict == _NEED:
             # `v` is the vertex whose expansion needed the cell.
             count = len(succ[v]) if need < 0 else min(maxused + 1, states - 1) + 1
-            stack.append([need, count, 0, maxused, len(rows), len(order)])
+            stack.append([need, count, 0, maxused, done, len(order)])
             assignment[need] = 0
             continue
         if verdict == _OK:
@@ -418,6 +447,16 @@ def _search_at(
         refuted += 1
         if on_refuted is not None and eve:
             on_refuted(_machine_from(game, player, states, machine_class, assignment))
+        if not eve and stack and stack[-1][4] == done and stack[-1][0] >= 0:
+            # The deepest frame's update cell was needed in the row that
+            # failed: its untried values fail there too, one expansion each.
+            cell, count, value = stack.pop()[:3]
+            del assignment[cell]
+            skipped = count - value - 1
+            refuted += skipped
+            expansions += skipped
+            if expansions > budget:
+                raise BudgetExceededError(over_budget)
         while stack:
             frame = stack[-1]
             cell, count, value, maxused, rows_mark, order_mark = frame
@@ -429,6 +468,7 @@ def _search_at(
                     maxused = max(maxused, value)
                 if rows_mark <= cycle_hi:
                     cycle_hi = -1
+                done = rows_mark
                 del rows[rows_mark:]
                 for cfg in order[order_mark:]:
                     del index[cfg]

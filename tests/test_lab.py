@@ -440,13 +440,19 @@ def test_min_memory_budget(flower2):
 
 @pytest.mark.parametrize(
     "fixture, player, machine_class, expansions",
-    [("picker3", A, COLOR_OBS, 1_119), ("flower2", E, FULL_CLASS, 19_729)],
+    [
+        ("picker3", A, COLOR_OBS, 1_119),
+        ("flower2", E, FULL_CLASS, 19_729),
+        ("fig5", A, COLOR_OBS, 7_519),
+    ],
 )
 def test_min_memory_budget_is_exact_across_state_counts(
     request, fixture, player, machine_class, expansions
 ):
-    # Both searches run one and then two states, so the budget is checked
-    # against the expansions of every state count together.
+    # Each search runs one and then two states, so the budget is checked
+    # against the expansions of every state count together.  fig5 counts
+    # 364 of its expansions without redoing them, so its budget is also
+    # checked across those.
     game = request.getfixturevalue(fixture)
     with pytest.raises(BudgetExceededError):
         min_memory_search(game, player, 2, machine_class, budget=expansions - 1)
@@ -481,6 +487,26 @@ def test_min_memory_search_allocates_nothing_per_vertex_and_state(machine_class)
     elapsed = time.perf_counter() - start
     assert result.refuted == result.expansions == 1000
     assert elapsed < 1.0
+
+
+def test_min_memory_search_seldom_searches_for_cycles(flower2, monkeypatch):
+    # A self-loop or a 2-cycle is spotted as its row is added, so fewer
+    # closes find no cycle standing and need a search; a search that
+    # looked for cycles only at closes made 36,125 searches here.
+    from genreach import lab
+
+    calls = 0
+    find_cycle = lab._find_cycle
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return find_cycle(rows)
+
+    monkeypatch.setattr(lab, "_find_cycle", counted)
+    result = min_memory_search(flower2, E, 3, FULL_CLASS)
+    assert (result.states, result.refuted) == (3, 5220)
+    assert calls < 12_000
 
 
 def test_min_memory_refuted_machines_cost_nothing_per_vertex_and_state(flower2):
@@ -538,6 +564,7 @@ def test_min_memory_on_refuted_hook(flower2):
         ("fig42", E, 3, COLOR_OBS),
         ("fig42", E, 3, FULL_CLASS),
         ("flower2", A, 2, FULL_CLASS),
+        ("flower2", A, 3, FULL_CLASS),
         ("fig5", A, 2, COLOR_OBS),
     ],
 )
@@ -569,6 +596,52 @@ def test_min_memory_matches_restarting_reference(
             game, ref_machine
         )
     assert result.expansions <= ref_expansions
+
+
+def test_min_memory_matches_restarting_reference_on_random_games():
+    # 200 small random games, both players, both classes, bounds 1 to 3:
+    # the same counts, machines and Eve losers as the restarting search,
+    # and a budget one short of the expansions runs out.  The few searches
+    # over 20,000 expansions are left to the pinned cases above.
+    compared = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        game = random_game(seed, n=rng.randint(3, 8), k=rng.randint(1, 3))
+        player = (E, A)[seed % 2]
+        machine_class = (COLOR_OBS, FULL_CLASS)[seed // 2 % 2]
+        bound = 1 + seed // 4 % 3
+        losers, ref_losers = [], []
+        try:
+            result = min_memory_search(
+                game, player, bound, machine_class, budget=20_000,
+                on_refuted=losers.append,
+            )
+        except BudgetExceededError:
+            continue
+        ref_machine, ref_states, ref_refuted, ref_expansions = (
+            reference_min_memory_search(
+                game, player, bound, machine_class, on_refuted=ref_losers.append
+            )
+        )
+        assert (result.states, result.refuted) == (ref_states, ref_refuted), seed
+        assert result.expansions <= ref_expansions, seed
+        assert [machine_tables(game, m) for m in losers] == [
+            machine_tables(game, m) for m in ref_losers
+        ], seed
+        if ref_machine is None:
+            assert result.strategy is None, seed
+        else:
+            assert machine_tables(game, result.strategy) == machine_tables(
+                game, ref_machine
+            ), seed
+        if result.expansions:
+            with pytest.raises(BudgetExceededError):
+                min_memory_search(
+                    game, player, bound, machine_class,
+                    budget=result.expansions - 1,
+                )
+        compared += 1
+    assert compared >= 190
 
 
 def test_flower_adversary_beats_memoryless_eve(flower2):

@@ -4,7 +4,9 @@ The fixed families are the ones the test suites and the search tools
 lean on: the petal flower (Eve needs nearly every visited-subset as
 memory), the three-stage picker (Adam must replay Eve's picks), the
 flower-plus-chain arena (Eve reverses Adam's petal answers), and the
-fixed 14-vertex arena where Adam tracks the missing color.
+fixed 14-vertex arena where Adam tracks the missing color.  A family
+game of more than `MAX_COLORS` vertices and color members in all is
+refused before it is built, as a random one of that many draws is.
 """
 
 from __future__ import annotations
@@ -54,6 +56,14 @@ def generate(params: GenParams) -> Game:
     raise ValueError(f"unknown family '{params.family}'")
 
 
+def _refuse_above_limit(size: int) -> None:
+    """Refuse a family game of `size` vertices and color members."""
+    if size > MAX_COLORS:
+        raise UnsupportedInputError(
+            f"{size} vertices and color members exceed the limit {MAX_COLORS}"
+        )
+
+
 def gen_flower(k: int) -> Game:
     """Petal flower: Adam's heart picks a petal, Eve answers.
 
@@ -64,6 +74,7 @@ def gen_flower(k: int) -> Game:
     """
     if k < 1:
         raise UnsupportedInputError("the flower needs at least one petal")
+    _refuse_above_limit(1 + 3 * k + k * k)
     names = ["h"]
     owners = [Owner.ADAM]
     edges = []
@@ -92,6 +103,7 @@ def gen_picker(k: int) -> Game:
     if k < 3 or k % 2 == 0:
         raise UnsupportedInputError("the picker needs an odd color count of at least 3")
     p = (k - 1) // 2
+    _refuse_above_limit(3 * p * (k + 1) + 1 + 3 * p * k)
     names: list[str] = []
     owners: list[Owner] = []
     edges: list[tuple[int, int]] = []
@@ -129,6 +141,7 @@ def gen_fig4(k: int) -> Game:
     """
     if k < 2 or k % 2 == 1:
         raise UnsupportedInputError("the two-part arena needs an even color count of at least 2")
+    _refuse_above_limit(1 + 3 * k + 2 * k)
     p = k // 2
     names = ["h"] + [f"p{i}" for i in range(1, p + 1)]
     names += [f"a{j}" for j in range(1, k + 1)]

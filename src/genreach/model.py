@@ -14,6 +14,11 @@ from functools import cached_property
 from itertools import compress
 from typing import Iterable, Sequence
 
+from .errors import UnsupportedInputError
+
+# The most bits all of a game's color masks may take together.
+MAX_MASK_BITS = 1 << 30
+
 
 class Owner(Enum):
     """Which player chooses the successor at a vertex."""
@@ -108,7 +113,9 @@ class Objective:
 
     `mask[v]` is the bitmask of colors that vertex v carries.  It is derived
     from `color_sets` once, on construction, which is also the one place a
-    member is checked to be a vertex.
+    member is checked to be a vertex.  Each mask is as wide as its vertex's
+    highest color, and masks of more than `MAX_MASK_BITS` bits in all are
+    refused before any is built.
     """
 
     n: int
@@ -116,8 +123,17 @@ class Objective:
     mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mask = [0] * self.n
         sets = self.color_sets
+        if self.n * len(sets) > MAX_MASK_BITS:
+            top: dict[int, int] = {}
+            for i, members in enumerate(sets):
+                top.update(dict.fromkeys(members, i + 1))
+            bits = sum(top.values())
+            if bits > MAX_MASK_BITS:
+                raise UnsupportedInputError(
+                    f"color masks of {bits} bits exceed the limit {MAX_MASK_BITS}"
+                )
+        mask = [0] * self.n
         for i in compress(range(len(sets)), sets):  # skips the empty sets
             for v in sets[i]:
                 if not 0 <= v < self.n:

@@ -92,8 +92,8 @@ class FiniteMemoryStrategy:
 class _LazyMoves(Mapping):
     """Moves computed on lookup.  `masks[state]` is what a memory state
     stands for (its visited mask in `solve_fpt`, the state itself in
-    `min_memory_search`), and (v, state) holds the move `find(v, s)` when
-    `held(v, s)`, for v below n and s that value."""
+    `min_memory_search` and `solve_singleton`), and (v, state) holds the
+    move `find(v, s)` when `held(v, s)`, for v below n and s that value."""
 
     n: int
     held: Callable[[int, int], bool]

@@ -22,6 +22,7 @@ from .strategies import (
     FiniteMemoryStrategy,
     MemoryStructure,
     SolveResult,
+    _LazyMoves,
     identity_memory,
 )
 
@@ -29,10 +30,15 @@ from .strategies import (
 def solve_singleton(game: Game) -> SolveResult:
     """Solve a game in which every color set is a single vertex.
 
-    Eve wins exactly on the intersection of the target attractors when
-    the targets are pairwise attractor-ordered, using k memory states
-    that chase the targets in order.  A single incomparable pair hands
-    Adam the whole arena with a 2-state avoidance strategy.
+    A target t inside the attractor of u has Attr(t) within Attr(u), so
+    comparable targets sorted by attractor size form a chain, and a
+    target outside its successor's attractor is incomparable with it.
+    If the sorted targets chain, Eve wins exactly on the first one's
+    attractor, with k memory states that chase the targets in that
+    order; one sort and one attractor per distinct target decide it.
+    Otherwise the first incomparable pair in color order, found in
+    O(t * k) for t distinct targets, hands Adam the whole arena with a
+    2-state avoidance strategy.
     """
     arena = game.arena
     objective = game.objective
@@ -53,29 +59,21 @@ def solve_singleton(game: Game) -> SolveResult:
 
     targets = [min(members) for members in objective.color_sets]
     attr = {t: attractor(arena, [t]) for t in set(targets)}
-    for i in range(k):
-        for j in range(i + 1, k):
-            vi, vj = targets[i], targets[j]
-            if vi not in attr[vj].attractor and vj not in attr[vi].attractor:
-                return _singleton_adam(game, attr, targets, i, j)
-
-    # Visit order: most dominant target first (Eve can force visits of
-    # the most targets from it), so each target lies in the attractor of
-    # its successor.
-    def dominance(v: int) -> int:
-        return sum(v in r.attractor for r in attr.values())
-
-    order = sorted(range(k), key=lambda i: (-dominance(targets[i]), i))
+    order = sorted(range(k), key=lambda i: (len(attr[targets[i]].attractor), i))
     chain = [targets[i] for i in order]
-    for a, b in zip(chain, chain[1:]):
-        assert a in attr[b].attractor, "dominance sort must refine the attractor order"
+    if any(a not in attr[b].attractor for a, b in zip(chain, chain[1:])):
+        # The first color of the first incomparable pair is the first
+        # color of its target.
+        i, j = next(
+            (i, j)
+            for i in (targets.index(t) for t in dict.fromkeys(targets))
+            for j in range(i + 1, k)
+            if targets[i] not in attr[targets[j]].attractor
+            and targets[j] not in attr[targets[i]].attractor
+        )
+        return _singleton_adam(game, attr, targets, i, j)
 
-    region = everyone
-    for t in targets:
-        region &= attr[t].attractor
-    assert region == attr[chain[0]].attractor, (
-        "the first target's attractor must be the intersection"
-    )
+    region = attr[chain[0]].attractor
 
     def advance(state: int, w: int) -> int:
         nxt = state
@@ -83,20 +81,15 @@ def solve_singleton(game: Game) -> SolveResult:
             nxt += 1
         return min(nxt, k - 1)
 
-    update: dict[tuple[int, int, int], int] = {}
-    moves: dict[tuple[int, int], int] = {}
-    for state in range(k):
-        w = chain[state]
-        nxt = advance(state, w)
-        if nxt != state:
-            for u in arena._pred[w]:
-                update[(state, u, w)] = nxt
-        for u, step_to in attr[w].moves.items():
-            moves[(u, state)] = step_to
-    initial = {v: advance(0, v) if v == chain[0] else 0 for v in sorted(region)}
-    eve = FiniteMemoryStrategy(
-        Owner.EVE, MemoryStructure.from_table(k, initial, update), moves
+    initial = {v: advance(0, v) for v in sorted(region)}
+    memory = MemoryStructure(k, initial, lambda s, u, w: advance(s, w))
+    moves = _LazyMoves(
+        n,
+        lambda v, s: v in attr[chain[s]].moves,
+        lambda v, s: attr[chain[s]].moves[v],
+        range(k),
     )
+    eve = FiniteMemoryStrategy(Owner.EVE, memory, moves)
 
     adam_moves = {
         (u, 0): w for u, w in avoid_moves(arena, attr[chain[0]]).items()
@@ -279,10 +272,7 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     incomparable = len(static)
     var = 1
     for members in objective.color_sets:
-        if len(members) == 1:
-            static.append((var, var))
-        else:
-            static.append((var, var + 1))
+        static.append((var, var + len(members) - 1))
         var += len(members)
 
     decided: dict[tuple[int, ...], TwoSatResult] = {}
@@ -322,6 +312,9 @@ def _size2_witness(
 ) -> tuple[int, ...]:
     """Chain one chosen vertex per color into a play visiting them all.
 
+    The formula makes the chosen stops a chain that init reaches, and
+    in a chain a stop inside the next one's attractor has the smaller
+    attractor, so the stops follow init in order of attractor size.
     Each leg follows the next stop's attractor moves; every vertex is
     Eve's, so the attractor is won breadth-first and each leg is a
     shortest path.
@@ -331,22 +324,10 @@ def _size2_witness(
     for p, (color, v) in enumerate(occ):
         if assignment[p] and color not in chosen:
             chosen[color] = v
-    stops = dict.fromkeys([game.init, *chosen.values()])
-    # Descending dominance chains the stops, since equal counts force
-    # mutual reachability; ties go to the init vertex.
-    order = sorted(
-        stops,
-        key=lambda v: (
-            -sum(v in r.attractor for r in attr.values()),
-            0 if v == game.init else 1,
-            v,
-        ),
-    )
-    for a, b in zip(order, order[1:]):
-        assert a in attr[b].attractor, "dominance sort must refine reachability"
-    assert order[0] == game.init, "witness chain must start at the init vertex"
-    path = [order[0]]
-    for b in order[1:]:
+    stops = set(chosen.values()) - {game.init}
+    path = [game.init]
+    for b in sorted(stops, key=lambda v: (len(attr[v].attractor), v)):
+        assert path[-1] in attr[b].attractor, "the stops must form a chain from init"
         while path[-1] != b:
             path.append(attr[b].moves[path[-1]])
     play = trace_play(game, path)
@@ -355,4 +336,3 @@ def _size2_witness(
     )
     assert len(path) - 1 <= arena.n * game.objective.k
     return tuple(path)
-

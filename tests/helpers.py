@@ -26,6 +26,15 @@ from genreach import (
 from genreach.lab import COLOR_OBS, _explore, _lasso, _machine_from
 
 
+def diagonal_colors_text(n: int) -> str:
+    """Game text of an n-cycle whose vertex i carries color i + 1 of n, so
+    its color masks take n(n+1)/2 bits in all."""
+    lines = ["genreach 1", f"colors {n}"]
+    lines += [f"vertex v{i} eve {i + 1}" for i in range(n)]
+    lines += [f"edge v{i} v{(i + 1) % n}" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
 def random_game(
     seed: int,
     n: int = 8,

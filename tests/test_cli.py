@@ -26,7 +26,7 @@ from genreach import cli
 from genreach.cli import main
 from genreach.product import _MAX_SLOTS
 from conftest import DEMO_TEXT, QBF1_TEXT
-from helpers import padded_hub
+from helpers import diagonal_colors_text, padded_hub
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
 
@@ -540,6 +540,13 @@ def test_gen_fig5_takes_no_k(capsys):
         ("picker", 4, "the picker needs an odd color count of at least 3"),
         ("flower", 0, "the flower needs at least one petal"),
         ("fig4", 3, "the two-part arena needs an even color count of at least 2"),
+        # Each size is the first over the limit on vertices plus color
+        # members, refused before the game is built.
+        ("flower", 1023, "1049599 vertices and color members exceed the limit 1048576"),
+        ("picker", 593, "1054057 vertices and color members exceed the limit 1048576"),
+        ("fig4", 209716, "1048581 vertices and color members exceed the limit 1048576"),
+        # Under that limit, but its masks would take k(k+1) bits.
+        ("fig4", 100000, "color masks of 10000100000 bits exceed the limit 1073741824"),
     ],
 )
 def test_gen_bad_family_count(capsys, family, k, message):
@@ -549,6 +556,16 @@ def test_gen_bad_family_count(capsys, family, k, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_color_masks_over_the_limit_are_refused(capsys, tmp_path):
+    # A 2.8 MB file whose masks would take 2^31 bits: refused before they
+    # are built, as a game past a fixed limit.
+    path = tmp_path / "diagonal.game"
+    path.write_text(diagonal_colors_text(1 << 16))
+    message = "error: color masks of 2147516416 bits exceed the limit 1073741824\n"
+    assert run(capsys, "solve", path) == (3, "", message)
+    assert run(capsys, "verify", path, path) == (3, "", message)
 
 
 def test_gen_bad_parameter_value(capsys):

@@ -21,7 +21,7 @@ from genreach import (
 )
 from genreach.fileformat import MAX_COLORS
 from conftest import DEMO_TEXT
-from helpers import mutated, random_game
+from helpers import diagonal_colors_text, mutated, random_game
 
 
 def test_parse_demo(demo):
@@ -138,6 +138,12 @@ def test_declared_colors_cost_nothing_until_carried():
     assert game.objective.color_sets[6] == {0}
     assert game.objective.mask == (1 << 6,)
     assert peak < 8 << 20
+
+
+def test_color_masks_under_the_limit_parse():
+    # 2^15 vertices, vertex i carrying color i + 1: 2^29 mask bits in all.
+    game = parse_game(diagonal_colors_text(1 << 15))
+    assert game.objective.mask[-1] == 1 << ((1 << 15) - 1)
 
 
 def test_color_count_at_the_limit():

@@ -1,5 +1,7 @@
 """The built-in game families and the seeded random generator."""
 
+import tracemalloc
+
 import pytest
 
 from genreach import (
@@ -46,6 +48,20 @@ def test_flower_structure(flower2):
 def test_flower_needs_a_petal():
     with pytest.raises(UnsupportedInputError, match="at least one petal"):
         generate(GenParams("flower", k=0))
+
+
+def test_families_over_the_limit_are_refused_before_they_are_built():
+    # Each size is the first whose vertices plus color members pass 2^20;
+    # the counts are computed from k, so nothing of the game is allocated.
+    tracemalloc.start()
+    try:
+        for family, k in (("flower", 1023), ("picker", 593), ("fig4", 209716), ("flower", 10**9)):
+            with pytest.raises(UnsupportedInputError, match="color members exceed the limit 1048576"):
+                generate(GenParams(family, k=k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonical_flower_machine_sizes_and_wins():

@@ -1,6 +1,9 @@
 """Reachability order, the singleton solver, 2-SAT and the one-player solver."""
 
+import hashlib
 import itertools
+import json
+import time
 import warnings
 
 import pytest
@@ -20,6 +23,7 @@ from genreach import (
     solve_fpt,
     solve_oneplayer_size2,
     solve_singleton,
+    strategy_to_json,
     trace_play,
     two_sat_solve,
     verify_strategy,
@@ -387,3 +391,65 @@ def test_oneplayer2_agrees_at_benchmark_sizes():
                     play = trace_play(game, special.witness)
                     assert play.vertices[0] == game.init
                     assert play.masks[-1] == game.objective.full_mask
+
+
+def _subclass_record(game, result) -> tuple:
+    """Everything a subclass solver reports on one game: regions, stats,
+    witness, and each strategy's file and verdict on its region."""
+    record = [sorted(result.eve_region), sorted(result.adam_region), result.stats, result.witness]
+    for strategy, region in (
+        (result.eve_strategy, result.eve_region),
+        (result.adam_strategy, result.adam_region),
+    ):
+        if strategy is None:
+            record.append(None)
+            continue
+        document = json.dumps(strategy_to_json(game.arena, strategy), sort_keys=True)
+        record.append((document, verify_strategy(game, strategy, region).winning))
+    return tuple(record)
+
+
+def test_subclass_solver_outputs_are_pinned():
+    # sha256 of the records of 300 singleton games (targets repeat, since
+    # n may be below k) and 300 all-Eve games with color sets of size at
+    # most two, taken before the singleton solver sorted its targets by
+    # attractor size.
+    digests = []
+    for solve, eve_ratio, color_size in (
+        (solve_singleton, 0.5, (1, 1)),
+        (solve_oneplayer_size2, 1.0, (1, 2)),
+    ):
+        digest = hashlib.sha256()
+        for seed in range(300):
+            game = random_game(
+                seed, n=2 + seed % 29, k=seed % 9, density=0.1 + 0.1 * (seed % 4),
+                eve_ratio=eve_ratio, color_size=color_size,
+            )
+            digest.update(repr(_subclass_record(game, solve(game))).encode())
+        digests.append(digest.hexdigest())
+    assert digests == [
+        "c490f8e0a4233f2476d743f27a882d6fc10fd86ce4b8c773ae38030e0d680502",
+        "163564ac53445f2893c50d51a8d2e42e46621470c09586af9a841853e16bb228",
+    ]
+
+
+def test_solve_singleton_is_fast_on_many_colors_of_few_targets():
+    # 20,000 colors on one or three vertices: one sort decides these, where
+    # a scan over all color pairs took seconds.
+    k = 20000
+    loop = eve_game(["s"], [("s", "s")], [{"s"}] * k)
+    started = time.perf_counter()
+    result = solve_singleton(loop)
+    assert time.perf_counter() - started < 1
+    assert result.eve_region == frozenset({0})
+    assert len(result.stats["visit_order"]) == k
+    sinks = eve_game(
+        ["s", "p", "q"],
+        [("s", "p"), ("s", "q"), ("p", "p"), ("q", "q")],
+        [{"s"}] * (k - 2) + [{"p"}, {"q"}],
+        owners=[E, A, A],
+    )
+    started = time.perf_counter()
+    result = solve_singleton(sinks)
+    assert time.perf_counter() - started < 1
+    assert result.stats == {"total": False, "incomparable_colors": (k - 1, k)}

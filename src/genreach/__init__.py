@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .attractor import (
     AttractorResult,
     attractor,
-    avoid_moves,
     solve_opponent_player,
 )
 from .errors import (

@@ -5,7 +5,9 @@ token into the set.  `_attract` computes it backwards with per-vertex
 successor counters, touching every edge at most once; the level sweep of
 `product.solve_fpt` runs the same kernel once per mask.  Both read Eve's
 positional move off the kernel: at each Eve vertex won, the successor that
-won it, which was won one step closer to the targets.
+won it, which was won one step closer to the targets.  Adam's one move
+rule lives here too: `_escape` plays his first successor that Eve does not
+win, for every solver's Adam strategy.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ def _attract(pred: Sequence[Sequence[int]], need: list[int], won: list[int]) -> 
     return via, ops
 
 
+def _escape(succ: Sequence[Sequence[int]], L: Sequence[int], v: int, s: int) -> int:
+    """Adam's first successor out of a losing (v, s) that Eve does not win:
+    bit s of `L[w]` is set when Eve wins the configuration a move to w
+    reaches.  A positional caller passes a won flag per vertex and s = 0."""
+    for w in succ[v]:
+        if not L[w] >> s & 1:
+            return w
+    raise AssertionError(f"no escape from a losing ({v}, {s:#b})")
+
+
 def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
     need = list(arena._need)
     won = sorted(set(targets))
@@ -62,23 +74,6 @@ def attractor(arena: Arena, targets: Iterable[int]) -> AttractorResult:
     owner = arena.owner
     moves = {u: w for u, w in via.items() if owner[u] is Owner.EVE}
     return AttractorResult(frozenset(won), moves, ops)
-
-
-def avoid_moves(arena: Arena, result: AttractorResult) -> dict[int, int]:
-    """For each Adam vertex outside Eve's attractor, the lowest-index
-    successor that is also outside.  The complement is closed for Adam,
-    so one always exists."""
-    moves: dict[int, int] = {}
-    for v in range(arena.n):
-        if arena.owner[v] is not Owner.ADAM or v in result.attractor:
-            continue
-        for w in arena.succ[v]:
-            if w not in result.attractor:
-                moves[v] = w
-                break
-        else:
-            raise AssertionError("attractor complement must be closed")
-    return moves
 
 
 def solve_opponent_player(game: Game) -> SolveResult:

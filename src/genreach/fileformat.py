@@ -41,7 +41,7 @@ def parse_game(text: str) -> Game:
     names: list[str] = []
     index: dict[str, int] = {}
     owners: list[Owner] = []
-    carriers: dict[int, set[int]] = {}  # color -> the vertices carrying it
+    carriers: dict[int, list[int]] = {}  # color -> its carriers, ascending
     vertex_lines: list[int] = []
     edge_refs: list[tuple[str, str, int]] = []
     init_ref: tuple[str, int] | None = None
@@ -87,10 +87,10 @@ def parse_game(text: str) -> Game:
                 c = _parse_int(tok, lineno)
                 if not 1 <= c <= k:
                     raise GameParseError(f"color {c} out of range 1..{k}", lineno)
-                members = carriers.setdefault(c, set())
-                if v in members:
+                members = carriers.setdefault(c, [])
+                if members and members[-1] == v:
                     raise GameParseError(f"repeated color {c}", lineno)
-                members.add(v)
+                members.append(v)
             index[name] = v
             names.append(name)
             owners.append(_OWNERS[tokens[2]])
@@ -136,9 +136,10 @@ def parse_game(text: str) -> Game:
 
     # Colors no vertex carries share one empty set, and the list of k is
     # made by one repeat, so a declared count costs a slot per color and
-    # no Python step.
+    # no Python step.  Each carrier list is freed as its set is made.
     color_sets = [frozenset()] * k
-    for c, members in carriers.items():
+    while carriers:
+        c, members = carriers.popitem()
         color_sets[c - 1] = frozenset(members)
     objective = Objective(len(names), tuple(color_sets))
 

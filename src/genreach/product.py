@@ -29,7 +29,7 @@ from functools import cache, partial, reduce
 from heapq import heappop, heappush
 from operator import or_
 
-from .attractor import _attract
+from .attractor import _attract, _escape
 from .errors import UnsupportedInputError
 from .model import Game, Owner, _bits
 from .strategies import (
@@ -109,14 +109,6 @@ def _dense_win(game: Game, steps: list[list[tuple[int, int]]]) -> tuple[list[int
                 W[u] |= new
                 queue.append(u)
     return W, L, won
-
-
-def _escape(succ: Sequence[Sequence[int]], L: Sequence[int], v: int, s: int) -> int:
-    """Adam's first successor out of a losing (v, s) that Eve does not win."""
-    for w in succ[v]:
-        if not L[w] >> s & 1:
-            return w
-    raise AssertionError(f"no escape from a losing ({v}, {s:#b})")
 
 
 def _first_won(won: Sequence[Sequence[tuple[int, int]]], v: int, s: int) -> int:
@@ -380,14 +372,24 @@ def _dense_antichains(game: Game) -> tuple[list[tuple[int, ...]], list[int]]:
     return rows, L
 
 
+def _holding(row: Sequence[int], t: int) -> int | None:
+    """The index of the first mask of `row` that holds t, or None."""
+    for j, s in enumerate(row):
+        if t | s == s:
+            return j
+    return None
+
+
 def compress_adam(game: Game) -> FiniteMemoryStrategy:
     """Adam strategy over antichain indices instead of raw masks.
 
     State i at vertex v stands for the i-th maximal mask of Adam's region
     at v, an overapproximation of the true visited mask that his region
-    still contains.  Updates re-maximize after each edge; moves replay
-    the escape of the represented configuration.  State count is
-    max_v p(v), at most C(k, floor(k/2)).
+    still contains.  Updates re-maximize after each edge: the first
+    maximal mask at the target that holds the state's mask and the
+    target's colors; a state past its vertex's row stays.  Moves replay
+    the escape of the represented configuration.  Both are answered on
+    lookup.  State count is max_v p(v), at most C(k, floor(k/2)).
 
     Adam's region is downward closed only over the full product, so this
     runs the dense kernel of `solve_fpt` over every mask, and refuses a
@@ -395,7 +397,7 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     k > 22) before allocating any of them.
     """
     arena = game.arena
-    n = arena.n
+    n, succ = arena.n, arena.succ
     k = game.k
     if n << k > MAX_CONFIGS:
         raise UnsupportedInputError(
@@ -403,30 +405,22 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
         )
     mask = game.objective.mask
     rows, L = _dense_antichains(game)
+    adam = [o is Owner.ADAM for o in arena.owner]
 
-    update: dict[tuple[int, int, int], int] = {}
-    moves: dict[tuple[int, int], int] = {}
-    for u in range(n):
+    def update(i: int, u: int, w: int) -> int:
         row = rows[u]
-        for i, s in enumerate(row):
-            for w in arena.succ[u]:
-                t = s | mask[w]
-                for j, s2 in enumerate(rows[w]):
-                    if t | s2 == s2:
-                        if j != i:
-                            update[(i, u, w)] = j
-                        break
-            if arena.owner[u] is Owner.ADAM:
-                moves[(u, i)] = _escape(arena.succ, L, u, s)
+        j = _holding(rows[w], row[i] | mask[w]) if i < len(row) else None
+        return i if j is None else j
 
     # Adam's region is downward closed, so v lies in it exactly when a
     # maximal mask of its row holds colors(v).
-    initial: dict[int, int] = {}
-    for v in range(n):
-        for j, s2 in enumerate(rows[v]):
-            if mask[v] | s2 == s2:
-                initial[v] = j
-                break
+    starts = ((v, _holding(rows[v], mask[v])) for v in range(n))
+    initial = {v: j for v, j in starts if j is not None}
     states = max(1, max(map(len, rows), default=0))
-    memory = MemoryStructure.from_table(states, initial, update)
-    return FiniteMemoryStrategy(Owner.ADAM, memory, moves)
+    moves = _LazyMoves(
+        n,
+        lambda v, i: adam[v] and i < len(rows[v]),
+        lambda v, i: _escape(succ, L, v, rows[v][i]),
+        range(states),
+    )
+    return FiniteMemoryStrategy(Owner.ADAM, MemoryStructure(states, initial, update), moves)

@@ -1,9 +1,10 @@
 """Finite-memory strategies and the common solver result record.
 
 A strategy is a memory structure (deterministic automaton over edges) plus
-a move table indexed by (vertex, memory state).  Memory updates happen on
-every edge, including the opponent's; moves are only consulted at vertices
-the strategy's player owns.
+moves keyed by (vertex, memory state).  Every solver answers its moves on
+lookup through `_LazyMoves`; a strategy loaded from a file holds its moves
+as a dict.  Memory updates happen on every edge, including the opponent's;
+moves are only consulted at vertices the strategy's player owns.
 
 A memory structure maps each start vertex it claims to an initial state.
 Strategies whose memory tracks the colors seen so far need this: the start
@@ -91,8 +92,8 @@ class FiniteMemoryStrategy:
 @dataclass(frozen=True, eq=False)
 class _LazyMoves(Mapping):
     """Moves computed on lookup.  `masks[state]` is what a memory state
-    stands for (its visited mask in `solve_fpt`, the state itself in
-    `min_memory_search` and `solve_singleton`), and (v, state) holds the
+    stands for (its visited mask in `solve_fpt`, the state itself in every
+    other solver and in `min_memory_search`), and (v, state) holds the
     move `find(v, s)` when `held(v, s)`, for v below n and s that value."""
 
     n: int

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .attractor import AttractorResult, attractor, avoid_moves
+from .attractor import AttractorResult, _escape, attractor
 from .errors import GameParseError, UnsupportedInputError
 from .fileformat import _read_dimacs
 from .model import Game, Owner, trace_play
@@ -91,9 +91,13 @@ def solve_singleton(game: Game) -> SolveResult:
     )
     eve = FiniteMemoryStrategy(Owner.EVE, memory, moves)
 
-    adam_moves = {
-        (u, 0): w for u, w in avoid_moves(arena, attr[chain[0]]).items()
-    }
+    won = [v in region for v in range(n)]
+    adam_moves = _LazyMoves(
+        n,
+        lambda v, s: arena.owner[v] is Owner.ADAM and not won[v],
+        lambda v, s: _escape(arena.succ, won, v, 0),
+        range(1),
+    )
     adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(everyone - region), adam_moves)
     return SolveResult(
         "singleton", region, everyone - region,
@@ -120,20 +124,18 @@ def _singleton_adam(
     leaves for good.  It takes the first successor there.
     """
     arena = game.arena
-    n = arena.n
+    n, succ = arena.n, arena.succ
     vi, vj = targets[i], targets[j]
-    moves: dict[tuple[int, int], int] = {
-        (u, 0): arena.succ[u][0] for u in range(n) if arena.owner[u] is Owner.ADAM
-    }
-    for u, w in avoid_moves(arena, attr[vi]).items():
-        moves[(u, 0)] = w
-    for u, w in avoid_moves(arena, attr[vj]).items():
-        moves[(u, 1)] = w
-    update = {(0, u, vi): 1 for u in arena._pred[vi]}
-    initial = {v: 1 if v == vi else 0 for v in range(n)}
-    adam = FiniteMemoryStrategy(
-        Owner.ADAM, MemoryStructure.from_table(2, initial, update), moves
+    won = [[v in attr[t].attractor for v in range(n)] for t in (vi, vj)]
+    moves = _LazyMoves(
+        n,
+        lambda v, s: arena.owner[v] is Owner.ADAM and not (s and won[1][v]),
+        lambda v, s: succ[v][0] if not s and won[0][v] else _escape(succ, won[s], v, 0),
+        range(2),
     )
+    initial = {v: 1 if v == vi else 0 for v in range(n)}
+    memory = MemoryStructure(2, initial, lambda s, u, w: 1 if w == vi else s)
+    adam = FiniteMemoryStrategy(Owner.ADAM, memory, moves)
     return SolveResult(
         "singleton", frozenset(), frozenset(range(n)),
         adam_strategy=adam,

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "UnsupportedInputError",
     "VerifyResult",
     "attractor",
-    "avoid_moves",
     "compress_adam",
     "dump_strategy",
     "eval_qbf_bruteforce",
@@ -103,7 +102,7 @@ def public_names():
 
 def test_public_names():
     assert public_names() == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 52
 
 
 def test_defaulted_parameters_of_public_functions():

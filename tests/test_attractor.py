@@ -11,13 +11,13 @@ from genreach import (
     Owner,
     UnsupportedInputError,
     attractor,
-    avoid_moves,
     identity_memory,
     parse_game,
     solve_fpt,
     solve_opponent_player,
     verify_strategy,
 )
+from genreach.attractor import _escape
 from helpers import random_game
 
 E = Owner.EVE
@@ -96,24 +96,30 @@ def test_attractor_proper_subset(demo):
     assert attr.moves == {ix("c"): ix("a"), ix("b"): ix("a")}
 
 
-def test_avoid_moves_on_closed_complement(demo):
+def test_escape_on_closed_complement(demo):
     arena = demo.arena
     ix = arena.index_of
     attr = attractor(arena, [ix("a")])
+    won = [v in attr.attractor for v in range(arena.n)]
+    escapes = {
+        v: _escape(arena.succ, won, v, 0)
+        for v in range(arena.n)
+        if arena.owner[v] is Owner.ADAM and not won[v]
+    }
     # The complement is the sink d, owned by Adam, which loops in place.
-    assert avoid_moves(arena, attr) == {ix("d"): ix("d")}
+    assert escapes == {ix("d"): ix("d")}
 
 
-def test_avoid_moves_rejects_open_complement(demo):
+def test_escape_rejects_open_complement(demo):
     arena = demo.arena
     ix = arena.index_of
     attr = attractor(arena, [ix("d")])
-    # Eve's attractor here is everything; fake a result that pretends
+    # Eve's attractor here is everything; fake a region that pretends
     # Adam's a stayed outside even though all of a's successors lead in.
     assert attr.attractor == frozenset(range(4))
-    fake = attr.__class__(frozenset({ix("d"), ix("b"), ix("c")}), {}, 0)
-    with pytest.raises(AssertionError, match="must be closed"):
-        avoid_moves(arena, fake)
+    won = [v in {ix("d"), ix("b"), ix("c")} for v in range(arena.n)]
+    with pytest.raises(AssertionError, match="no escape"):
+        _escape(arena.succ, won, ix("a"), 0)
 
 
 def test_solve_opponent_player_rejects_eve_vertices(demo):

@@ -146,6 +146,21 @@ def test_color_masks_under_the_limit_parse():
     assert game.objective.mask[-1] == 1 << ((1 << 15) - 1)
 
 
+def test_refused_color_masks_parse_in_bounded_memory():
+    # The 2^16 diagonal file passes the mask limit, so `Objective` refuses
+    # it once parsed.  Parsing keeps one list per carried color and frees
+    # each as its frozenset is made: a set per color peaked at 69 MiB.
+    text = diagonal_colors_text(1 << 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedInputError, match="color masks of 2147516416 bits"):
+            parse_game(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 << 20
+
+
 def test_color_count_at_the_limit():
     text = f"genreach 1\ncolors {MAX_COLORS}\nvertex a eve {MAX_COLORS}\nedge a a\n"
     game = parse_game(text)

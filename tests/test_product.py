@@ -1,5 +1,7 @@
 """Subset memory, the dense and sweep solvers, and the antichain compression."""
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -11,14 +13,17 @@ from hypothesis import given, strategies as st
 from genreach import (
     Arena,
     Game,
+    GenParams,
     Objective,
     Owner,
     UnsupportedInputError,
     compress_adam,
+    generate,
     parse_game,
     parse_qdimacs,
     qbf_to_game,
     solve_fpt,
+    strategy_to_json,
     verify_strategy,
 )
 from genreach.product import _MAX_SLOTS, _bits, _dense_antichains, _solve_dense, _solve_sweep
@@ -287,6 +292,38 @@ def test_compress_adam_matches_explicit_product(fig5):
             for i, s in enumerate(rows[u])
         }
         assert dict(small.moves) == expected
+        # An update goes to the first maximal mask at w that holds the
+        # state's mask and colors(w), and stays where there is none.
+        mask = game.objective.mask
+        for u in range(arena.n):
+            for w in arena.succ[u]:
+                for i in range(small.memory.states):
+                    t = rows[u][i] | mask[w] if i < len(rows[u]) else None
+                    held = [j for j, s in enumerate(rows[w]) if t is not None and t | s == s]
+                    assert small.memory.update(i, u, w) == (held[0] if held else i)
+
+
+def test_compress_adam_outputs_are_pinned(fig5):
+    # sha256 over fig5, the largest certify game and the first 100 seeded
+    # random games that Adam wins somewhere: per game the strategy file,
+    # the state count, and the verdict and states used on Adam's region.
+    # Taken while `compress_adam` still filled its update and move tables.
+    games = [fig5]
+    games.append(generate(GenParams("random", k=8, n=500, density=4 / 500, color_size=(5, 25), seed=11)))
+    seed = 0
+    while len(games) < 102:
+        game = random_game(seed, n=3 + seed % 13, k=1 + seed % 5, density=0.15 + 0.1 * (seed % 4))
+        seed += 1
+        if solve_fpt(game).adam_region:
+            games.append(game)
+    digest = hashlib.sha256()
+    for game in games:
+        small = compress_adam(game)
+        verdict = verify_strategy(game, small, solve_fpt(game).adam_region)
+        document = json.dumps(strategy_to_json(game.arena, small), sort_keys=True)
+        record = (document, small.memory.states, verdict.winning, sorted(verdict.states_used))
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == "2a884213a447d302b8aeff011815db4c9ed7ec3e2acffa01fa2002a28a96af24"
 
 
 def test_solve_fpt_allocates_only_reached_levels():

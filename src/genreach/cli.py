@@ -184,6 +184,7 @@ def cmd_solve(args) -> int:
             "adam_region": _names(game, result.adam_region),
             "winner_from_init": winner,
             "stats": result.stats,
+            "phases": result.phases,
         }
         if result.method == "minimax":
             # Regions other than init are not decided by this method.

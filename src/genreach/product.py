@@ -7,13 +7,16 @@ those targets decides every vertex at once.  The product is never
 materialized.  `solve_fpt` takes the dense route (`_solve_dense`) when
 its n * 2^k configurations fit in `MAX_CONFIGS`: per vertex one int of
 2^k bits, bit s set when Eve wins (v, s).  An edge into w maps each mask
-s to s | colors(w), one shift step per color of w, so the attractor is a
-worklist fixpoint of ORs and ANDs over those ints.  Otherwise it takes
-the level sweep (`_solve_sweep`), which visits the masks a play reaches
-in ascending order and keeps one row of n bytes for each.  It refuses a
-game once its rows and masks would pass `_MAX_SLOTS` slots, each reached
-mask counting n for its row plus its own bytes.  Beyond those it holds
-one list slot per reached configuration and a few hundred bytes per mask.
+s to s | colors(w), one shift step per color of w and none for an
+uncolored w, so the attractor is a worklist fixpoint of ORs and ANDs over
+those ints, with no complemented int: a set difference is `(x | y) ^ y`.
+Otherwise it takes the level sweep (`_solve_sweep`), which visits the
+masks a play reaches in ascending order and keeps one row of n bytes for
+each; an uncolored successor stays in its row with no new mask.  It
+refuses a game once its rows and masks would pass `_MAX_SLOTS` slots,
+each reached mask counting n for its row plus its own bytes.  Beyond
+those it holds one list slot per reached configuration and a few hundred
+bytes per mask.
 Both routes find strategy moves on lookup; the sweep re-solves a level
 when Eve's moves there are first read.  `compress_adam` always runs the
 dense kernel.  Both players' strategies live on the non-full masks that
@@ -99,10 +102,13 @@ def _dense_win(game: Game, steps: list[list[tuple[int, int]]]) -> tuple[list[int
         L[w] = lw
         for u in pred[w]:
             # An Adam u ANDs L over succ[u], which holds w, so lw bounds it.
-            new = lw & ~W[u]
+            wu = W[u]
+            new = (lw | wu) ^ wu
             if new and not eve[u]:
                 for x in succ[u]:
                     new &= L[x]
+                    if not new:
+                        break
             if new:
                 if eve[u]:
                     won[u].append((new, w))
@@ -124,13 +130,15 @@ def solve_fpt(game: Game) -> SolveResult:
 
     The dense route serves games whose n * 2^k configurations fit in
     `MAX_CONFIGS`, the level sweep larger ones; `stats["route"]` names
-    the one taken.  Both give the same regions, other stats and Adam
-    moves, and Eve moves on the same (vertex, state) pairs.  Both
-    strategies share one memory, the non-full masks that occur: Eve's
-    replays the moves recorded as her configurations were won, Adam's
-    keeps the play outside the attractor.  Each starts only on its own
-    player's region.  k has no limit; the sweep refuses a game once n
-    plus the mask's bytes, summed over masks reached, exceeds `_MAX_SLOTS`.
+    the one taken, and `phases` times its phases: `kernel`, `reach` and
+    `stats` on the dense route, `discovery` and `sweep` on the sweep.
+    Both give the same regions, other stats and Adam moves, and Eve
+    moves on the same (vertex, state) pairs.  Both strategies share one
+    memory, the non-full masks that occur: Eve's replays the moves
+    recorded as her configurations were won, Adam's keeps the play
+    outside the attractor.  Each starts only on its own player's region.
+    k has no limit; the sweep refuses a game once n plus the mask's
+    bytes, summed over masks reached, exceeds `_MAX_SLOTS`.
     """
     dense = game.arena.n << game.k <= MAX_CONFIGS
     return _solve_dense(game) if dense else _solve_sweep(game)
@@ -147,6 +155,7 @@ def _solve_dense(game: Game) -> SolveResult:
     top = 1 << full
     _, steps = _color_steps(game)
     W, L, won = _dense_win(game, steps)
+    t1 = time.perf_counter()
     # The worklist order fixes the pop count, not R.  It stays LIFO: its
     # surplus pops fall mostly on criterion 10's smaller game (14.8 pops
     # per vertex at n=2000, 9.2 at n=4000), which holds that test's
@@ -154,23 +163,36 @@ def _solve_dense(game: Game) -> SolveResult:
     # every phase's time grows 2.1-2.4x when the game doubles, and the
     # ratio's median was 2.14-2.22, with up to 3 of 29 samples over the
     # 2.5 bound under interleaved best-of-five timing (2 vCPU, Python
-    # 3.11.7).  The full mask is absorbing: reached, never expanded.
+    # 3.11.7).  The full mask is absorbing: reached, never expanded, so a
+    # pop first keeps R[u]'s masks below it.  Then each successor w costs
+    # one OR and one compare, plus one shift step per color if w has any
+    # (1,565 of criterion 10's 2,000 vertices have none).  No step builds
+    # a complemented int: on 2^k bits `x & ~y` first makes a negative
+    # int, about twice the cost of the `(x | y) ^ y` used in its place
+    # throughout the dense code.  A pop costs 0.83-0.84 us on criterion
+    # 10's games (best of seven, 2 vCPU, Python 3.11.7).
     R = [1 << c for c in vm]
+    below = top - 1
     queue = list(range(n))
     while queue:
         u = queue.pop()
-        ru = R[u] & ~top
+        ru = R[u] & below
         for w in succ[u]:
-            S = ru  # _image(ru, steps[w]), inlined
-            for m, d in steps[w]:
-                hi = S & m
-                S = hi | (S ^ hi) << d
             r = R[w]
-            S |= r
+            st = steps[w]
+            if st:
+                S = ru  # _image(ru, st), inlined
+                for m, d in st:
+                    hi = S & m
+                    S = hi | (S ^ hi) << d
+                S |= r
+            else:
+                S = ru | r
             if S != r:
                 R[w] = S
                 queue.append(w)
-    Rp = [r & ~top for r in R]
+    Rp = [r & below for r in R]
+    t2 = time.perf_counter()
     # The sweep's relaxation count off the final sets: it relaxes an Eve
     # configuration once if she wins it with no winning jump, an Adam one
     # once per won in-level target.  sup[w] holds the masks with no jump
@@ -178,7 +200,7 @@ def _solve_dense(game: Game) -> SolveResult:
     # into w, stay[w] those won at w with no jump.
     sup_of = {c: _image((top << 1) - 1, st) for c, st in dict(zip(vm, steps)).items()}
     sup = [sup_of[c] for c in vm]
-    jump = [lw & ~s for lw, s in zip(L, sup)]
+    jump = [(lw | s) ^ s for lw, s in zip(L, sup)]
     stay = [s & ww for s, ww in zip(sup, W)]
     eve = [o is Owner.EVE for o in arena.owner]
     ops = 0
@@ -187,18 +209,22 @@ def _solve_dense(game: Game) -> SolveResult:
             jumps = 0
             for w in succ[u]:
                 jumps |= jump[w]
-            ops += (Rp[u] & W[u] & ~jumps).bit_count()
+            rw = Rp[u] & W[u]
+            ops += ((rw | jumps) ^ jumps).bit_count()
         else:
             ru = Rp[u]
             for w in succ[u]:
                 ops += (ru & stay[w]).bit_count()
     idx = {s: i for i, s in enumerate(_bits(reduce(or_, Rp)) or [full])}
     eve_moves = (lambda v, s: eve[v] and (Rp[v] & W[v]) >> s & 1, partial(_first_won, won))
-    adam_moves = (lambda v, s: not eve[v] and (Rp[v] & ~W[v]) >> s & 1, partial(_escape, succ, L))
+    adam_moves = (
+        lambda v, s: not eve[v] and Rp[v] >> s & 1 and not W[v] >> s & 1, partial(_escape, succ, L)
+    )
     edges = sum(r.bit_count() * len(succ[v]) for v, r in enumerate(Rp))
     counts = {"configs": sum(r.bit_count() for r in R), "product_edges": edges, "ops": ops}
+    phases = {"kernel": t1 - t0, "reach": t2 - t1, "stats": time.perf_counter() - t2}
     eve_region = frozenset(v for v in range(n) if W[v] >> vm[v] & 1)
-    return _fpt_result(game, t0, "dense", eve_region, idx, eve_moves, adam_moves, counts)
+    return _fpt_result(game, t0, "dense", eve_region, idx, eve_moves, adam_moves, counts, phases)
 
 
 def _solve_sweep(game: Game) -> SolveResult:
@@ -250,14 +276,21 @@ def _solve_sweep(game: Game) -> SolveResult:
                 rows[s][v] = 2
             break
         idx[s] = len(idx)
+        row = rows[s]
         i = 0
         while i < len(vs):
             v = vs[i]
             i += 1
             n_edges += len(succ[v])
             for w in succ[v]:
-                reach(s | vm[w], w)
+                c = vm[w]
+                if c:
+                    reach(s | c, w)
+                elif not row[w]:  # uncolored: reach(s, w) without the call
+                    row[w] = 1
+                    vs.append(w)
 
+    t1 = time.perf_counter()
     pred = arena._pred
     eve = [o is Owner.EVE for o in arena.owner]
 
@@ -272,8 +305,8 @@ def _solve_sweep(game: Game) -> SolveResult:
         for v in verts[s]:
             if eve[v]:
                 for w in succ[v]:
-                    s2 = s | vm[w]
-                    if s2 != s and rows[s2][w] == 2:
+                    c = vm[w]
+                    if c and (s2 := s | c) != s and rows[s2][w] == 2:
                         moves[v] = w
                         won.append(v)
                         break
@@ -281,8 +314,8 @@ def _solve_sweep(game: Game) -> SolveResult:
                     need[v] = 1
             else:
                 for w in succ[v]:
-                    s2 = s | vm[w]
-                    if s2 == s:
+                    c = vm[w]
+                    if not c or (s2 := s | c) == s:
                         need[v] += 1
                     elif rows[s2][w] != 2:
                         need[v] = -1
@@ -300,6 +333,7 @@ def _solve_sweep(game: Game) -> SolveResult:
         row = rows[s]
         for v in won:
             row[v] = 2
+    phases = {"discovery": t1 - t0, "sweep": time.perf_counter() - t1}
     # Moves on lookup: Eve's re-solves her level once, when first read;
     # Adam's is his first escape from a losing configuration.
     eve_at = cache(lambda s: level(s)[1])
@@ -310,12 +344,14 @@ def _solve_sweep(game: Game) -> SolveResult:
     )
     counts = {"configs": sum(map(len, verts.values())), "product_edges": n_edges, "ops": ops}
     eve_region = frozenset(v for v in range(n) if rows[vm[v]][v] == 2)
-    return _fpt_result(game, t0, "sweep", eve_region, idx or {full: 0}, eve_moves, adam_moves, counts)
+    return _fpt_result(
+        game, t0, "sweep", eve_region, idx or {full: 0}, eve_moves, adam_moves, counts, phases
+    )
 
 
 def _fpt_result(
     game: Game, t0: float, route: str, eve_region: frozenset[int], idx: dict[int, int],
-    eve_moves: tuple, adam_moves: tuple, counts: dict[str, int],
+    eve_moves: tuple, adam_moves: tuple, counts: dict[str, int], phases: dict[str, float],
 ) -> SolveResult:
     """Both routes' strategies and stats.  `idx` numbers the memory both
     players share: the non-full masks that occur, ascending, or one idle
@@ -347,6 +383,7 @@ def _fpt_result(
             "route": route,
             "seconds": time.perf_counter() - t0,
         },
+        phases=phases,
     )
 
 
@@ -361,23 +398,16 @@ def _dense_antichains(game: Game) -> tuple[list[tuple[int, ...]], list[int]]:
     ones = (1 << (1 << game.k)) - 1
     rows = []
     for v, won in enumerate(W):
-        lost = ones & ~won
+        lost = ones ^ won
         below = [(lost & m) >> (1 << i) for i, m in enumerate(M)]
         for i, down in enumerate(below):
-            t = (down & ~lost).bit_length() - 1
+            t = ((down | lost) ^ lost).bit_length() - 1
             assert t < 0, (
                 f"region holds (vertex {v}, mask {t | 1 << i:#b}) but not mask {t:#b}"
             )
-        rows.append(tuple(_bits(lost & ~reduce(or_, below, 0))))
+        covered = reduce(or_, below, 0)
+        rows.append(tuple(_bits((lost | covered) ^ covered)))
     return rows, L
-
-
-def _holding(row: Sequence[int], t: int) -> int | None:
-    """The index of the first mask of `row` that holds t, or None."""
-    for j, s in enumerate(row):
-        if t | s == s:
-            return j
-    return None
 
 
 def compress_adam(game: Game) -> FiniteMemoryStrategy:
@@ -407,14 +437,23 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     rows, L = _dense_antichains(game)
     adam = [o is Owner.ADAM for o in arena.owner]
 
+    @cache
+    def holding(w: int, t: int) -> int | None:
+        """The index of the first mask of w's row that holds t, or None,
+        kept per (w, t) once asked: a verifier asks again and again."""
+        for j, s in enumerate(rows[w]):
+            if t | s == s:
+                return j
+        return None
+
     def update(i: int, u: int, w: int) -> int:
         row = rows[u]
-        j = _holding(rows[w], row[i] | mask[w]) if i < len(row) else None
+        j = holding(w, row[i] | mask[w]) if i < len(row) else None
         return i if j is None else j
 
     # Adam's region is downward closed, so v lies in it exactly when a
     # maximal mask of its row holds colors(v).
-    starts = ((v, _holding(rows[v], mask[v])) for v in range(n))
+    starts = ((v, holding(v, mask[v])) for v in range(n))
     initial = {v: j for v, j in starts if j is not None}
     states = max(1, max(map(len, rows), default=0))
     moves = _LazyMoves(

@@ -262,7 +262,9 @@ class SolveResult:
     Regions always partition the vertex set.  Strategies may be None when
     the chosen method does not produce one for that player.  `witness` is
     a play prefix (vertex indices) demonstrating the answer when the
-    method yields one.  `stats` carries method-specific counters.
+    method yields one.  `stats` carries method-specific counters, and
+    `phases` the seconds of each phase of the solve, for a solver that
+    times them; results that differ only there compare equal.
     """
 
     method: str
@@ -272,6 +274,7 @@ class SolveResult:
     adam_strategy: FiniteMemoryStrategy | None = None
     witness: tuple[int, ...] | None = None
     stats: dict = field(default_factory=dict)
+    phases: dict = field(default_factory=dict, compare=False)
 
     def winner(self, v: int) -> Owner:
         return Owner.EVE if v in self.eve_region else Owner.ADAM

@@ -1,5 +1,6 @@
 """Subset memory, the dense and sweep solvers, and the antichain compression."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -427,3 +428,39 @@ def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44
 def test_dense_route_matches_sweep_on_mid_size_games():
     for game in mid_size_games():
         routes_agree(game)
+
+
+def test_dense_route_outputs_are_pinned():
+    # sha256 over `small_games()` and `mid_size_games()`: per game the
+    # dense route's regions, its stats but `seconds`, and both strategy
+    # files.  Eve's moves come from the order `_dense_win` wins her
+    # configurations in, so a change to that order fails here.
+    digest = hashlib.sha256()
+    for game in small_games() + mid_size_games():
+        result = _solve_dense(game)
+        stats = {key: v for key, v in result.stats.items() if key != "seconds"}
+        files = [
+            json.dumps(strategy_to_json(game.arena, s), sort_keys=True)
+            for s in (result.eve_strategy, result.adam_strategy)
+        ]
+        record = (sorted(result.eve_region), sorted(result.adam_region), sorted(stats.items()), files)
+        digest.update(repr(record).encode())
+    assert digest.hexdigest() == "b51dba47bc7fedacf6cefe49611c8884f186f3a5eb05ce4446f121466cd7908d"
+
+
+@pytest.mark.parametrize(
+    "solve, route, phases",
+    [
+        (_solve_dense, "dense", ["kernel", "reach", "stats"]),
+        (_solve_sweep, "sweep", ["discovery", "sweep"]),
+    ],
+)
+def test_solve_fpt_phases_add_up_to_at_most_its_seconds(solve, route, phases):
+    game = mid_size_games()[-1]
+    result = solve(game)
+    assert result.stats["route"] == route
+    assert list(result.phases) == phases
+    assert all(t >= 0 for t in result.phases.values())
+    assert sum(result.phases.values()) <= result.stats["seconds"]
+    # Phase times are not part of the result's value.
+    assert result == dataclasses.replace(result, phases={})

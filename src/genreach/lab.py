@@ -17,6 +17,11 @@ from .strategies import FiniteMemoryStrategy, MemoryStructure, _LazyMoves
 
 FULL_CLASS = "full"
 COLOR_OBS = "color-obs"
+# `_explore`'s limit on the configurations it holds, each charged one slot
+# plus its mask's bytes as the level sweep charges them.  At about 370
+# bytes a configuration it stops a walk near 390 MB; the largest walks of
+# the tests and of the certify benchmark hold 1,136 and 3,366 slots.
+_MAX_WALK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,8 @@ def verify_strategy(
     over configurations (vertex, memory state, visited mask).  An Eve
     strategy wins from its claimed vertices iff no cycle of that graph
     short of the full mask is reachable; an Adam strategy wins iff no
-    full-mask configuration is reachable.
+    full-mask configuration is reachable.  Raises `UnsupportedInputError`
+    once the walk would pass `_MAX_WALK` slots.
     """
     arena = game.arena
     memory = strategy.memory
@@ -83,6 +89,7 @@ def _explore(game, starts, moves, step):
     index = {cfg: i for i, cfg in enumerate(configs)}
     parent = [-1] * len(configs)
     rows: list[list[int]] = []
+    slots = sum(1 + cfg[2].bit_length() // 8 for cfg in configs)
     # The loop reaches the configurations it appends: they are the queue.
     for i, (v, state, mask) in enumerate(configs):
         row = []
@@ -91,6 +98,12 @@ def _explore(game, starts, moves, step):
                 cfg = (w, step(state, v, w), mask | mask_of[w])
                 j = index.get(cfg)
                 if j is None:
+                    slots += 1 + cfg[2].bit_length() // 8
+                    if slots > _MAX_WALK:
+                        raise UnsupportedInputError(
+                            f"strategy walk needs {slots} slots (one plus the mask's bytes per "
+                            f"configuration reached), above the limit of {_MAX_WALK}"
+                        )
                     j = index[cfg] = len(configs)
                     configs.append(cfg)
                     parent.append(i)

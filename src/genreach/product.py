@@ -10,6 +10,8 @@ its n * 2^k configurations fit in `MAX_CONFIGS`: per vertex one int of
 s to s | colors(w), one shift step per color of w and none for an
 uncolored w, so the attractor is a worklist fixpoint of ORs and ANDs over
 those ints, with no complemented int: a set difference is `(x | y) ^ y`.
+Each growth queues its vertex; a pop that finds the int its vertex's last
+expansion read is stale and costs one compare.
 Otherwise it takes the level sweep (`_solve_sweep`), which visits the
 masks a play reaches in ascending order and keeps one row of n bytes for
 each; an uncolored successor stays in its row with no new mask.  It
@@ -83,6 +85,13 @@ def _dense_win(game: Game, steps: list[list[tuple[int, int]]]) -> tuple[list[int
     over its successors, an Adam vertex ANDs it.  Returns W, the final L,
     and per Eve vertex the (masks, successor) pairs in the order won: a
     move recorded there lands on a configuration won earlier.
+
+    Each growth of W[w] queues w.  A pop that finds W[w] still the int
+    its last expansion read is stale: L[w] is unchanged, and each
+    predecessor was checked against it then, an Adam one against its other
+    successors' L as they stood (a later change to one of those came with
+    its own expansion).  It costs one compare and changes neither W nor
+    `won`: 1,194 of criterion 10's 3,649 pops, 2,324 of 6,939.
     """
     arena = game.arena
     n = arena.n
@@ -91,11 +100,15 @@ def _dense_win(game: Game, steps: list[list[tuple[int, int]]]) -> tuple[list[int
     eve = [o is Owner.EVE for o in arena.owner]
     W = [top] * n
     L = [0] * n  # sound: every vertex is queued, so its L gets computed
+    done = [0] * n  # W[w] at w's last expansion; W never holds 0
     won: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     queue = list(range(n))
     while queue:
         w = queue.pop()
         lw = W[w]
+        if lw is done[w]:  # stale: no growth since w was last expanded
+            continue
+        done[w] = lw
         for m, d in steps[w]:
             hi = lw & m
             lw = hi | hi >> d
@@ -156,27 +169,35 @@ def _solve_dense(game: Game) -> SolveResult:
     _, steps = _color_steps(game)
     W, L, won = _dense_win(game, steps)
     t1 = time.perf_counter()
-    # The worklist order fixes the pop count, not R.  It stays LIFO: its
-    # surplus pops fall mostly on criterion 10's smaller game (14.8 pops
-    # per vertex at n=2000, 9.2 at n=4000), which holds that test's
-    # doubled/base time ratio down.  With a FIFO closure, inlined or not,
-    # every phase's time grows 2.1-2.4x when the game doubles, and the
-    # ratio's median was 2.14-2.22, with up to 3 of 29 samples over the
-    # 2.5 bound under interleaved best-of-five timing (2 vCPU, Python
-    # 3.11.7).  The full mask is absorbing: reached, never expanded, so a
-    # pop first keeps R[u]'s masks below it.  Then each successor w costs
-    # one OR and one compare, plus one shift step per color if w has any
-    # (1,565 of criterion 10's 2,000 vertices have none).  No step builds
-    # a complemented int: on 2^k bits `x & ~y` first makes a negative
-    # int, about twice the cost of the `(x | y) ^ y` used in its place
-    # throughout the dense code.  A pop costs 0.83-0.84 us on criterion
-    # 10's games (best of seven, 2 vCPU, Python 3.11.7).
+    # The worklist order fixes the pop count, not R.  It stays LIFO, and
+    # each growth of R[w] pushes w: criterion 10's games pop 29,562 times
+    # at n=2000 and 36,887 at n=4000.  With a FIFO closure, inlined or
+    # not, every phase's time grew 2.1-2.4x when the game doubled, and
+    # that test's doubled/base ratio had up to 3 of 29 samples over its
+    # 2.5 bound.  The first pop of a vertex queued more than once expands
+    # its growth; `done[u]` keeps the R[u] that expansion read, and a later
+    # pop that finds R[u] still that int is stale, since R only grows, and
+    # costs one identity compare: 19,628 of the 29,562 pops and 23,022 of
+    # the 36,887.  The full mask is absorbing: reached, never expanded, so
+    # an expansion first keeps R[u]'s masks below it.  Then each successor
+    # w costs one OR and one compare, plus one shift step per color if w
+    # has any (1,565 of criterion 10's 2,000 vertices have none).  No step
+    # builds a complemented int: on 2^k bits `x & ~y` first makes a
+    # negative int, about twice the cost of the `(x | y) ^ y` used in its
+    # place throughout the dense code.  A pop costs 0.36-0.44 us on
+    # criterion 10's games (best of seven in each of three processes,
+    # 2 vCPU, Python 3.11.7).
     R = [1 << c for c in vm]
     below = top - 1
+    done = [0] * n  # R[u] at u's last expansion; R never holds 0
     queue = list(range(n))
     while queue:
         u = queue.pop()
-        ru = R[u] & below
+        ru = R[u]
+        if ru is done[u]:
+            continue
+        done[u] = ru
+        ru &= below
         for w in succ[u]:
             r = R[w]
             st = steps[w]

@@ -10,8 +10,9 @@ and times them with that checkout's own `timed_solve` (or, with
 --timing-from, with the `timed_solve` of the checkout named there, on both
 sides).  Samples alternate between the sides, parent first.  The script
 prints each side's median, quartiles, maximum and the count of samples
-over the test's 2.5 bound, then the same as one JSON line.  pytest does
-not collect this file.
+over the test's 2.5 bound, with the median seconds of the base and of
+the doubled game beside them, then the same as one JSON line.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 BOUND = 2.5
 
-# One sample: the ratio the test asserts on.  A `timed_solve` of one game
+# One sample: the two times whose ratio the test asserts on.  A `timed_solve` of one game
 # (best of two, each game in turn) and one of several games (interleaved)
 # are both accepted, so older checkouts can be sampled too.
 SAMPLE = """
@@ -44,21 +45,24 @@ if first.kind is inspect.Parameter.VAR_POSITIONAL:
 else:
     t_base, _ = timed(base)
     t_doubled, _ = timed(doubled)
-print(t_doubled / t_base)
+print(t_base, t_doubled)
 """
 
 
-def sample(checkout: Path, timing: Path) -> float:
+def sample(checkout: Path, timing: Path) -> tuple[float, float]:
+    """The base and the doubled game's seconds, from one fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(checkout / "src"), str(timing / "tests")])
     out = subprocess.run(
         [sys.executable, "-c", SAMPLE, str(timing / "tests" / "test_acceptance.py")],
         env=env, cwd=checkout, capture_output=True, text=True, check=True,
     ).stdout
-    return float(out.split()[-1])
+    base, doubled = out.split()[-2:]
+    return float(base), float(doubled)
 
 
-def summary(ratios: list[float]) -> dict:
+def summary(times: list[tuple[float, float]]) -> dict:
+    ratios = [doubled / base for base, doubled in times]
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
     return {
         "samples": len(ratios),
@@ -67,6 +71,8 @@ def summary(ratios: list[float]) -> dict:
         "q3": round(q3, 3),
         "max": round(max(ratios), 3),
         "over_2_5": sum(r > BOUND for r in ratios),
+        "base_median_s": round(statistics.median(base for base, _ in times), 4),
+        "doubled_median_s": round(statistics.median(doubled for _, doubled in times), 4),
     }
 
 
@@ -80,13 +86,14 @@ def main() -> int:
     if args.samples < 1:
         parser.error("--samples must be at least 1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    ratios: dict[str, list[float]] = {name: [] for name in sides}
+    times: dict[str, list[tuple[float, float]]] = {name: [] for name in sides}
     for i in range(args.samples):
         for name, checkout in sides.items():
             timing = args.timing.resolve() if args.timing else checkout
-            ratios[name].append(sample(checkout, timing))
-        print(f"{i + 1}/{args.samples}", *(f"{ratios[s][-1]:.3f}" for s in sides), flush=True)
-    report = {name: summary(r) for name, r in ratios.items()}
+            times[name].append(sample(checkout, timing))
+        ratios = (doubled / base for base, doubled in (times[s][-1] for s in sides))
+        print(f"{i + 1}/{args.samples}", *(f"{r:.3f}" for r in ratios), flush=True)
+    report = {name: summary(t) for name, t in times.items()}
     for name, row in report.items():
         print(name, *(f"{key} {value}" for key, value in row.items()))
     print(json.dumps(report))

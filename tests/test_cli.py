@@ -24,6 +24,7 @@ from genreach import (
 )
 from genreach import cli
 from genreach.cli import main
+from genreach.lab import _MAX_WALK
 from genreach.product import _MAX_SLOTS
 from conftest import DEMO_TEXT, QBF1_TEXT
 from helpers import diagonal_colors_text, padded_hub
@@ -654,6 +655,31 @@ def test_closed_stdout(demo_file, tmp_path, argv, code):
         assert proc.stderr == "error: [Errno 9] stdout is closed\n"
     else:
         assert "Traceback" not in proc.stderr and out.exists()
+
+
+def test_verify_walk_past_its_limit_exits_three(tmp_path):
+    # Adam's hub h and 20 coloured petals, h -> p_i -> h: a one-state Eve
+    # strategy claimed at h lets Adam roam all 2^20 masks, 11.5M
+    # configurations.  The walk stops at its slot limit, in about 120 MB,
+    # so the command exits 3 under a 384 MB address-space cap.
+    resource = pytest.importorskip("resource")
+    k = 20
+    lines = ["genreach 1", f"colors {k}", "vertex h adam"]
+    lines += [f"vertex p{i} adam {i}" for i in range(1, k + 1)]
+    lines += [f"edge {e}" for i in range(1, k + 1) for e in (f"h p{i}", f"p{i} h")]
+    game, strategy = tmp_path / "hub.game", tmp_path / "eve.json"
+    game.write_text("\n".join([*lines, "init h", ""]))
+    strategy.write_text(EVE_STRATEGY)
+    cap = 384 << 20
+    proc = _cli_subprocess(
+        "verify", game, strategy, "--region", "init", stdout=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error: strategy walk needs {_MAX_WALK + 2} slots (one plus the mask's bytes per "
+        f"configuration reached), above the limit of {_MAX_WALK}\n"
+    )
 
 
 def test_verify_region_all(capsys, tmp_path, demo_file):

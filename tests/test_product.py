@@ -7,6 +7,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,7 @@ from genreach import (
     strategy_to_json,
     verify_strategy,
 )
+from genreach import product
 from genreach.product import _MAX_SLOTS, _bits, _dense_antichains, _solve_dense, _solve_sweep
 from helpers import (
     FOLD_TEXT,
@@ -123,6 +125,47 @@ def test_solve_fpt_criterion_10_work_is_pinned(n, color_size, work):
         stats["configs"], stats["product_edges"], stats["ops"], stats["eve_states"],
         len(result.eve_region),
     ) == work
+
+
+def _counting_rows(rows, counts: Counter, key: str) -> tuple:
+    """`rows` as tuples that count each loop over them under `key`."""
+
+    class Row(tuple):
+        def __iter__(self):
+            counts[key] += 1
+            return tuple.__iter__(self)
+
+    return tuple(map(Row, rows))
+
+
+@pytest.mark.parametrize(
+    "n, color_size, expansions",
+    [(2000, (20, 100), (2_455, 9_934)), (4000, (40, 200), (4_615, 13_865))],
+)
+def test_dense_route_expands_a_set_once_per_growth(monkeypatch, n, color_size, expansions):
+    # Criterion 10's games, whose kernel pops 3,649 and 6,939 times and
+    # whose closure pops 29,562 and 36,887 times: a vertex popped with the
+    # set it held at its last expansion reads no row.  The kernel reads a
+    # predecessor row per expansion; the closure a successor row per
+    # expansion, after the kernel's Adam rows and before the stats pass's
+    # one read of every row.
+    game = random_game(11, n=n, k=10, density=4 / n, color_size=color_size)
+    counts: Counter = Counter()
+    arena = Arena(game.arena.names, game.arena.owner, _counting_rows(game.arena.succ, counts, "succ"))
+    arena.__dict__["_pred"] = _counting_rows(game.arena._pred, counts, "pred")
+    game = dataclasses.replace(game, arena=arena)
+    after_kernel = []
+    dense_win = product._dense_win
+
+    def counted_dense_win(*args):
+        out = dense_win(*args)
+        after_kernel.append(counts["succ"])
+        return out
+
+    monkeypatch.setattr(product, "_dense_win", counted_dense_win)
+    counts.clear()
+    _solve_dense(game)
+    assert (counts["pred"], counts["succ"] - after_kernel[0] - n) == expansions
 
 
 def test_solve_fpt_fixture_regions(picker3, fig44, fig5):

@@ -12,13 +12,14 @@ uncolored w, so the attractor is a worklist fixpoint of ORs and ANDs over
 those ints, with no complemented int: a set difference is `(x | y) ^ y`.
 Each growth queues its vertex; a pop that finds the int its vertex's last
 expansion read is stale and costs one compare.
-Otherwise it takes the level sweep (`_solve_sweep`), which visits the
-masks a play reaches in ascending order and keeps one row of n bytes for
-each; an uncolored successor stays in its row with no new mask.  It
-refuses a game once its rows and masks would pass `_MAX_SLOTS` slots,
-each reached mask counting n for its row plus its own bytes.  Beyond
-those it holds one list slot per reached configuration and a few hundred
-bytes per mask.
+Otherwise it takes the level sweep (`_solve_sweep`), two calls timed as
+its two phases: `_discover` visits the masks a play reaches in ascending
+order, one row of n bytes each, and the backward sweep solves them.  One
+in-level rule serves both: an edge stays in its level if it adds no color.
+Discovery refuses a game once its rows and masks would pass `_MAX_SLOTS`
+slots, each reached mask counting n for its row plus its own bytes;
+beyond those it holds one list slot per reached configuration and a few
+hundred bytes per mask.
 Both routes find strategy moves on lookup; the sweep re-solves a level
 when Eve's moves there are first read.  `compress_adam` always runs the
 dense kernel.  Both players' strategies live on the non-full masks that
@@ -32,7 +33,7 @@ import time
 from collections.abc import Sequence
 from functools import cache, partial, reduce
 from heapq import heappop, heappush
-from operator import or_
+from operator import and_, or_
 
 from .attractor import _attract, _escape
 from .errors import UnsupportedInputError
@@ -67,14 +68,6 @@ def _color_steps(game: Game) -> tuple[list[int], list[list[tuple[int, int]]]]:
     masks = game.objective.mask
     steps = {c: [(M[i], 1 << i) for i in _bits(c)] for c in set(masks)}
     return M, [steps[c] for c in masks]
-
-
-def _image(S: int, steps: list[tuple[int, int]]) -> int:
-    """{s | c : s in S} for the colors c of `steps`."""
-    for m, d in steps:
-        hi = S & m
-        S = hi | (S ^ hi) << d
-    return S
 
 
 def _dense_win(game: Game, steps: list[list[tuple[int, int]]]) -> tuple[list[int], list[int], list]:
@@ -202,7 +195,7 @@ def _solve_dense(game: Game) -> SolveResult:
             r = R[w]
             st = steps[w]
             if st:
-                S = ru  # _image(ru, st), inlined
+                S = ru  # {s | colors(w) : s in ru}, a step per color
                 for m, d in st:
                     hi = S & m
                     S = hi | (S ^ hi) << d
@@ -217,9 +210,10 @@ def _solve_dense(game: Game) -> SolveResult:
     # The sweep's relaxation count off the final sets: it relaxes an Eve
     # configuration once if she wins it with no winning jump, an Adam one
     # once per won in-level target.  sup[w] holds the masks with no jump
-    # into w, one image per color mask; jump[w] the masks won by a jump
-    # into w, stay[w] those won at w with no jump.
-    sup_of = {c: _image((top << 1) - 1, st) for c, st in dict(zip(vm, steps)).items()}
+    # into w, the AND of M[i] over its colors i; jump[w] the masks won by
+    # a jump into w, stay[w] those won at w with no jump.
+    ones = (top << 1) - 1
+    sup_of = {c: reduce(and_, (m for m, _ in st), ones) for c, st in dict(zip(vm, steps)).items()}
     sup = [sup_of[c] for c in vm]
     jump = [(lw | s) ^ s for lw, s in zip(L, sup)]
     stay = [s & ww for s, ww in zip(sup, W)]
@@ -248,20 +242,19 @@ def _solve_dense(game: Game) -> SolveResult:
     return _fpt_result(game, t0, "dense", eve_region, idx, eve_moves, adam_moves, counts, phases)
 
 
-def _solve_sweep(game: Game) -> SolveResult:
-    """`solve_fpt` by forward discovery of one level per reached mask,
-    in ascending order off one heap, then a sweep back over the levels.
-    A jump, an edge that adds colors, lands on a larger mask, so it lands
-    in a level already solved; a level's vertices carry only colors its
-    mask holds, so each level is one pass of `attractor`'s kernel,
-    `_attract`, over the base arena.  Each reached mask keeps one row of
-    n bytes: 1 once (v, s) is reached, 2 once it is won.
-    """
-    t0 = time.perf_counter()
-    arena = game.arena
-    n, succ = arena.n, arena.succ
-    vm = game.objective.mask
-    full = game.objective.full_mask
+def _discover(game: Game) -> tuple[dict[int, bytearray], dict[int, list[int]], dict[int, int], int]:
+    """The sweep's forward discovery: one level per reached mask, in
+    ascending order off one heap, until the full mask is popped.  An edge
+    into w stays in level s, which grows as it is read, when it adds no
+    color, `not c or s | c == s` for c = colors(w): the fold's in-level
+    rule.  Only the seeds (v, colors(v)) and the jumps, the edges that
+    add colors, go through `reach`, which charges each new mask n for its
+    row plus its own bytes and refuses the game past `_MAX_SLOTS`.
+    Returns the rows, 1 at each reached (v, s); each level's vertices in
+    the order reached; the non-full masks in the order popped, the memory
+    states; and the product edges out of them."""
+    n, succ = game.arena.n, game.arena.succ
+    vm, full = game.objective.mask, game.objective.full_mask
     rows: dict[int, bytearray] = {}
     verts: dict[int, list[int]] = {}
     heap: list[int] = []
@@ -286,33 +279,39 @@ def _solve_sweep(game: Game) -> SolveResult:
 
     for v in range(n):
         reach(vm[v], v)
-    # The non-full masks in the order popped, ascending: the memory states.
     idx: dict[int, int] = {}
     n_edges = 0
-    while heap:
-        s = heappop(heap)
-        vs = verts[s]
-        if s == full:  # the largest mask, absorbing: won outright
-            for v in vs:
-                rows[s][v] = 2
-            break
+    while heap and (s := heappop(heap)) != full:
         idx[s] = len(idx)
-        row = rows[s]
-        i = 0
-        while i < len(vs):
-            v = vs[i]
-            i += 1
+        row, vs = rows[s], verts[s]
+        for v in vs:
             n_edges += len(succ[v])
             for w in succ[v]:
                 c = vm[w]
-                if c:
+                if c and s | c != s:
                     reach(s | c, w)
-                elif not row[w]:  # uncolored: reach(s, w) without the call
+                elif not row[w]:  # in-level
                     row[w] = 1
                     vs.append(w)
+    return rows, verts, idx, n_edges
 
+
+def _solve_sweep(game: Game) -> SolveResult:
+    """`solve_fpt` in two phases: `_discover`, then a sweep back over its
+    levels.  A jump lands on a larger mask, so in a level already solved;
+    a level's vertices carry only colors its mask holds, so each level is
+    one pass of `attractor`'s kernel, `_attract`, over the base arena,
+    after the jumps are folded in by discovery's in-level rule.  A row
+    entry becomes 2 once (v, s) is won; the full level is won outright.
+    """
+    t0 = time.perf_counter()
+    rows, verts, idx, n_edges = _discover(game)
     t1 = time.perf_counter()
-    pred = arena._pred
+    arena = game.arena
+    n, succ, pred = arena.n, arena.succ, arena._pred
+    vm, full = game.objective.mask, game.objective.full_mask
+    for v in verts.get(full, ()):
+        rows[full][v] = 2
     eve = [o is Owner.EVE for o in arena.owner]
 
     def level(s: int) -> tuple[list[int], dict[int, int], int]:

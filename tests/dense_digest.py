@@ -1,16 +1,20 @@
-"""Hash the dense route's outputs on two checkouts.
+"""Hash the outputs of both `solve_fpt` routes on two checkouts.
 
     python3 tests/dense_digest.py PARENT CHANGE
 
 PARENT and CHANGE are genreach checkouts.  Each side gets one fresh
 process that imports that checkout's `src/`, `tests/` and
 `perfbench/workloads.py`, and hashes with sha256, per game: both regions,
-the stats but `seconds`, both strategy files, both start maps, every move
-of both strategies, and the file and moves of `compress_adam`'s strategy.
-The games are fig5, flower2, the certify workload's `CERTIFY_LARGEST`,
+the stats but `seconds`, both strategy files, both start maps and every
+move of both strategies.  The dense hash covers `solve_fpt`, which takes
+the dense route, and also the file and moves of `compress_adam`'s
+strategy, on fig5, flower2, the certify workload's `CERTIFY_LARGEST`,
 the solve-regions games of seeds 1 and 104729, and the 100 small random
-games of `tests/test_product.py`.  Every one of them takes the dense
-route.  The script prints one hash per side and exits 1 when they differ.
+games of `tests/test_product.py`.  The sweep hash covers `_solve_sweep`
+on fig5, flower2, the three first games of `SWEEP_GAMES` in
+`tests/test_strategies.py`, the QBF reduction `qbf-14-40` (built here,
+as that file builds it) and the same 100 random games.  The script
+prints both hashes per side and exits 1 when either differs.
 pytest does not collect this file.
 """
 
@@ -23,10 +27,13 @@ import sys
 from pathlib import Path
 
 DIGEST = """
-import hashlib, importlib.util, json, sys
+import hashlib, importlib.util, json, random, sys
 from pathlib import Path
 from genreach import GenParams, compress_adam, generate, gen_random, solve_fpt, strategy_to_json
+from genreach.product import _solve_sweep
+from genreach.qbf import QBFFormula, qbf_to_game
 from test_product import small_games
+from test_strategies import SWEEP_GAMES
 
 spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
 workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
@@ -38,12 +45,21 @@ class Untraced:
         return fn(*args)
 
 
-games = [generate(GenParams("fig5")), generate(GenParams("flower", k=2))]
-games.append(gen_random(workloads.CERTIFY_LARGEST))
+named = [generate(GenParams("fig5")), generate(GenParams("flower", k=2))]
+games = [*named, gen_random(workloads.CERTIFY_LARGEST)]
 for seed in (1, 104729):
     for item in workloads.build_solve_regions(seed, Path(".")).items:
         games.append(item.run(Untraced())[0])
 games += small_games()
+
+
+rng = random.Random(5)
+clauses = tuple(
+    tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 15), 3)) for _ in range(40)
+)
+qbf = qbf_to_game(QBFFormula(14, tuple(("ea"[i % 2], i + 1) for i in range(14)), clauses))
+sweep_games = [*named, *(SWEEP_GAMES[c]() for c in ("fold", "random-k18-n16", "random-k9-n100"))]
+sweep_games += [qbf, *small_games()]
 
 
 def strategy_record(arena, strategy):
@@ -51,24 +67,28 @@ def strategy_record(arena, strategy):
     return file, sorted(strategy.memory.initial.items()), sorted(strategy.moves.items())
 
 
+def result_record(game, result):
+    stats = sorted((key, v) for key, v in result.stats.items() if key != "seconds")
+    strategies = (result.eve_strategy, result.adam_strategy)
+    records = [strategy_record(game.arena, s) for s in strategies]
+    return sorted(result.eve_region), sorted(result.adam_region), stats, records
+
+
 digest = hashlib.sha256()
 for game in games:
     result = solve_fpt(game)
     assert result.stats["route"] == "dense", "a game took the sweep"
-    stats = sorted((key, v) for key, v in result.stats.items() if key != "seconds")
-    record = (
-        sorted(result.eve_region),
-        sorted(result.adam_region),
-        stats,
-        [strategy_record(game.arena, s) for s in (result.eve_strategy, result.adam_strategy)],
-        strategy_record(game.arena, compress_adam(game)),
-    )
+    record = (*result_record(game, result), strategy_record(game.arena, compress_adam(game)))
     digest.update(repr(record).encode())
 print(len(games), digest.hexdigest())
+digest = hashlib.sha256()
+for game in sweep_games:
+    digest.update(repr(result_record(game, _solve_sweep(game))).encode())
+print(len(sweep_games), digest.hexdigest())
 """
 
 
-def digest(checkout: Path) -> tuple[int, str]:
+def digest(checkout: Path) -> list[tuple[int, str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(checkout / "src"), str(checkout / "tests")])
     proc = subprocess.run(
@@ -77,8 +97,8 @@ def digest(checkout: Path) -> tuple[int, str]:
     )
     if proc.returncode:
         sys.exit(f"{checkout}: {proc.stderr}")
-    games, sha = proc.stdout.split()
-    return int(games), sha
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    return [(int(games), sha) for games, sha in lines]
 
 
 def main() -> int:
@@ -88,8 +108,9 @@ def main() -> int:
     args = parser.parse_args()
     hashes = {}
     for name in ("parent", "change"):
-        games, hashes[name] = digest(getattr(args, name).resolve())
-        print(name, games, "games", hashes[name], flush=True)
+        (games, dense), (sweep_games, sweep) = hashes[name] = digest(getattr(args, name).resolve())
+        print(name, games, "games", dense, flush=True)
+        print(name, "sweep", sweep_games, "games", sweep, flush=True)
     same = hashes["parent"] == hashes["change"]
     print("same" if same else "differ")
     return 0 if same else 1

@@ -29,7 +29,14 @@ from genreach import (
     verify_strategy,
 )
 from genreach import product
-from genreach.product import _MAX_SLOTS, _bits, _dense_antichains, _solve_dense, _solve_sweep
+from genreach.product import (
+    _MAX_SLOTS,
+    _bits,
+    _dense_antichains,
+    _discover,
+    _solve_dense,
+    _solve_sweep,
+)
 from helpers import (
     FOLD_TEXT,
     antichain_table,
@@ -242,6 +249,34 @@ def test_solve_fpt_refuses_past_the_sweep_limit(hub, slots):
         tracemalloc.stop()
     assert _MAX_SLOTS == 1 << 24
     assert peak < 24 << 20
+
+
+def test_discover_reaches_what_a_plain_walk_reaches():
+    # Forward discovery alone, against a breadth-first walk over the
+    # product from every (v, colors(v)) that does not expand full masks.
+    for game in [parse_game(FOLD_TEXT), *small_games()]:
+        rows, verts, idx, n_edges = _discover(game)
+        succ, full = game.arena.succ, game.objective.full_mask
+        seen = {(v, game.colors(v)) for v in range(game.arena.n)}
+        queue = list(seen)
+        for v, s in queue:
+            for w in succ[v] if s != full else ():
+                if (w, t := s | game.colors(w)) not in seen:
+                    seen.add((w, t))
+                    queue.append((w, t))
+        assert {(v, s) for s, row in rows.items() for v, r in enumerate(row) if r} == seen
+        stats = _solve_sweep(game).stats
+        assert sum(map(len, verts.values())) == stats["configs"]
+        assert n_edges == stats["product_edges"]
+        assert list(idx) == sorted(s for s in rows if s != full)
+        assert list(idx.values()) == list(range(len(idx)))
+    # It refuses on its own, before any backward work, at the same count.
+    message = (
+        "level sweep needs 16779133 slots (n plus the mask's bytes per mask reached), "
+        f"above the limit of {_MAX_SLOTS}"
+    )
+    with pytest.raises(UnsupportedInputError, match=f"^{re.escape(message)}$"):
+        _discover(padded_hub(2048, 14))
 
 
 def test_solve_fpt_agrees_with_explicit_product():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from genreach import (
     identity_memory,
     load_strategy,
     parse_game,
+    qbf_to_game,
     solve_fpt,
     solve_oneplayer_size2,
     solve_opponent_player,
@@ -26,6 +28,7 @@ from genreach import (
     verify_strategy,
 )
 from genreach.product import _solve_sweep
+from genreach.qbf import QBFFormula
 from helpers import FOLD_TEXT, random_game
 
 E, A = Owner.EVE, Owner.ADAM
@@ -250,11 +253,28 @@ SWEEP_STRATEGY_FILE_DIGESTS = {
     "random-k18-n16": "ca30c8ddd0461001c113ed7e965d1698eda37310a4966772ab1dc2c70b3eb2f1",
     # Eve wins 48 of the 100 vertices.
     "random-k9-n100": "4309ba91d9cc6b606b3ae314a8ea878e9f27e3c1cec9c38bd9d4a1f36031e571",
+    # 79,832 configurations; some non-jump successors carry colours.
+    "qbf-14-40": "e6d16bb4f00b831783b6583b72722e2e4067b473f261829be460aabf6d8a363a",
 }
+
+
+def qbf_3cnf(num_vars: int, num_clauses: int) -> QBFFormula:
+    """A 3-CNF over distinct variables per clause, signs from
+    `random.Random(5)`, under a prefix alternating from exists."""
+    rng = random.Random(5)
+    clauses = tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3))
+        for _ in range(num_clauses)
+    )
+    prefix = tuple(("ea"[i % 2], i + 1) for i in range(num_vars))
+    return QBFFormula(num_vars, prefix, clauses)
+
+
 SWEEP_GAMES = {
     "fold": lambda: parse_game(FOLD_TEXT),
     "random-k18-n16": lambda: random_game(3, n=16, k=18, density=0.2, color_size=(1, 3)),
     "random-k9-n100": lambda: random_game(1, n=100, k=9, density=0.04, color_size=(2, 6)),
+    "qbf-14-40": lambda: qbf_to_game(qbf_3cnf(14, 40)),
 }
 
 

@@ -5,9 +5,10 @@ token into the set.  `_attract` computes it backwards with per-vertex
 successor counters, touching every edge at most once; the level sweep of
 `product.solve_fpt` runs the same kernel once per mask.  Both read Eve's
 positional move off the kernel: at each Eve vertex won, the successor that
-won it, which was won one step closer to the targets.  Adam's one move
-rule lives here too: `_escape` plays his first successor that Eve does not
-win, for every solver's Adam strategy.
+won it, which was won one step closer to the targets.  Adam's move rule
+lives here too: `_escape` plays his first successor that Eve does not win.
+The dense route, `compress_adam` and `solve_singleton` call it; the level
+sweep applies the same rule inline to its rows.
 """
 
 from __future__ import annotations

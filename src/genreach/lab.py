@@ -537,14 +537,13 @@ def _machine_from(game, player, states, machine_class, cells):
     k = game.k
     cells = dict(cells)
 
-    def held(v: int, s: int) -> bool:
-        return owner[v] is player and len(succ[v]) > 1
-
     # A move cell the search never fixed gets the first successor, the
     # value its enumeration tries first; callers such as the flower
     # adversary in `tests/helpers.py` ask for a move in every state.
-    def find(v: int, s: int) -> int:
-        return succ[v][cells.get(~(v * states + s), 0)]
+    def move(v: int, s: int) -> int | None:
+        if owner[v] is player and len(succ[v]) > 1:
+            return succ[v][cells.get(~(v * states + s), 0)]
+        return None
 
     # A missing update cell means "stay".  No COLOR_OBS cell has empty
     # colors, so an uncolored target keeps the state.
@@ -559,4 +558,4 @@ def _machine_from(game, player, states, machine_class, cells):
             return cells.get((s * n + u) * n + w, s)
 
     memory = MemoryStructure(states, {game.init: 0}, update)
-    return FiniteMemoryStrategy(player, memory, _LazyMoves(n, held, find, range(states)))
+    return FiniteMemoryStrategy(player, memory, _LazyMoves(n, move, range(states)))

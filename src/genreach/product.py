@@ -30,8 +30,8 @@ per-vertex antichains of masks (at most C(k, floor(k/2)) states).
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
-from functools import cache, partial, reduce
+from collections.abc import Callable, Sequence
+from functools import cache, reduce
 from heapq import heappop, heappush
 from operator import and_, or_
 
@@ -231,15 +231,15 @@ def _solve_dense(game: Game) -> SolveResult:
             for w in succ[u]:
                 ops += (ru & stay[w]).bit_count()
     idx = {s: i for i, s in enumerate(_bits(reduce(or_, Rp)) or [full])}
-    eve_moves = (lambda v, s: eve[v] and (Rp[v] & W[v]) >> s & 1, partial(_first_won, won))
-    adam_moves = (
-        lambda v, s: not eve[v] and Rp[v] >> s & 1 and not W[v] >> s & 1, partial(_escape, succ, L)
+    eve_move = lambda v, s: _first_won(won, v, s) if eve[v] and (Rp[v] & W[v]) >> s & 1 else None
+    adam_move = lambda v, s: (
+        _escape(succ, L, v, s) if not eve[v] and Rp[v] >> s & 1 and not W[v] >> s & 1 else None
     )
     edges = sum(r.bit_count() * len(succ[v]) for v, r in enumerate(Rp))
     counts = {"configs": sum(r.bit_count() for r in R), "product_edges": edges, "ops": ops}
     phases = {"kernel": t1 - t0, "reach": t2 - t1, "stats": time.perf_counter() - t2}
     eve_region = frozenset(v for v in range(n) if W[v] >> vm[v] & 1)
-    return _fpt_result(game, t0, "dense", eve_region, idx, eve_moves, adam_moves, counts, phases)
+    return _fpt_result(game, t0, "dense", eve_region, idx, eve_move, adam_move, counts, phases)
 
 
 def _discover(game: Game) -> tuple[dict[int, bytearray], dict[int, list[int]], dict[int, int], int]:
@@ -355,28 +355,28 @@ def _solve_sweep(game: Game) -> SolveResult:
             row[v] = 2
     phases = {"discovery": t1 - t0, "sweep": time.perf_counter() - t1}
     # Moves on lookup: Eve's re-solves her level once, when first read;
-    # Adam's is his first escape from a losing configuration.
+    # Adam's applies `_escape`'s rule to the rows inline: his first
+    # successor whose configuration Eve does not win.
     eve_at = cache(lambda s: level(s)[1])
-    eve_moves = (lambda v, s: eve[v] and s != full and rows[s][v] == 2, lambda v, s: eve_at(s)[v])
-    adam_moves = (
-        lambda v, s: not eve[v] and rows[s][v] == 1,
-        lambda v, s: next(w for w in succ[v] if rows[s | vm[w]][w] != 2),
+    eve_move = lambda v, s: eve_at(s)[v] if eve[v] and s != full and rows[s][v] == 2 else None
+    adam_move = lambda v, s: None if eve[v] or rows[s][v] != 1 else next(
+        w for w in succ[v] if rows[s | vm[w]][w] != 2
     )
     counts = {"configs": sum(map(len, verts.values())), "product_edges": n_edges, "ops": ops}
     eve_region = frozenset(v for v in range(n) if rows[vm[v]][v] == 2)
     return _fpt_result(
-        game, t0, "sweep", eve_region, idx or {full: 0}, eve_moves, adam_moves, counts, phases
+        game, t0, "sweep", eve_region, idx or {full: 0}, eve_move, adam_move, counts, phases
     )
 
 
 def _fpt_result(
     game: Game, t0: float, route: str, eve_region: frozenset[int], idx: dict[int, int],
-    eve_moves: tuple, adam_moves: tuple, counts: dict[str, int], phases: dict[str, float],
+    eve_move: Callable, adam_move: Callable, counts: dict[str, int], phases: dict[str, float],
 ) -> SolveResult:
     """Both routes' strategies and stats.  `idx` numbers the memory both
     players share: the non-full masks that occur, ascending, or one idle
-    state when none does.  Each player's moves come as the (held, find)
-    pair of a `_LazyMoves` over that memory."""
+    state when none does.  Each player's moves come as one lookup, the
+    move at (v, mask s) or None, for a `_LazyMoves` over that memory."""
     n, vm = game.arena.n, game.objective.mask
     adam_region = frozenset(range(n)) - eve_region
     masks = list(idx)
@@ -385,17 +385,17 @@ def _fpt_result(
         t = _i.get(_m[s] | vm[w])
         return s if t is None else t
 
-    def strategy(player: Owner, region: frozenset[int], moves: tuple) -> FiniteMemoryStrategy:
+    def strategy(player: Owner, region: frozenset[int], move: Callable) -> FiniteMemoryStrategy:
         initial = {v: idx.get(vm[v], 0) for v in sorted(region)}
         memory = MemoryStructure(len(idx), initial, update)
-        return FiniteMemoryStrategy(player, memory, _LazyMoves(n, *moves, masks))
+        return FiniteMemoryStrategy(player, memory, _LazyMoves(n, move, masks))
 
     return SolveResult(
         method="fpt",
         eve_region=eve_region,
         adam_region=adam_region,
-        eve_strategy=strategy(Owner.EVE, eve_region, eve_moves),
-        adam_strategy=strategy(Owner.ADAM, adam_region, adam_moves),
+        eve_strategy=strategy(Owner.EVE, eve_region, eve_move),
+        adam_strategy=strategy(Owner.ADAM, adam_region, adam_move),
         stats={
             "k": game.k,
             **counts,
@@ -457,10 +457,8 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     rows, L = _dense_antichains(game)
     adam = [o is Owner.ADAM for o in arena.owner]
 
-    @cache
     def holding(w: int, t: int) -> int | None:
-        """The index of the first mask of w's row that holds t, or None,
-        kept per (w, t) once asked: a verifier asks again and again."""
+        """The index of the first mask of w's row that holds t, or None."""
         for j, s in enumerate(rows[w]):
             if t | s == s:
                 return j
@@ -478,8 +476,7 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     states = max(1, max(map(len, rows), default=0))
     moves = _LazyMoves(
         n,
-        lambda v, i: adam[v] and i < len(rows[v]),
-        lambda v, i: _escape(succ, L, v, rows[v][i]),
+        lambda v, i: _escape(succ, L, v, rows[v][i]) if adam[v] and i < len(rows[v]) else None,
         range(states),
     )
     return FiniteMemoryStrategy(Owner.ADAM, MemoryStructure(states, initial, update), moves)

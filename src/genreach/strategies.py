@@ -2,9 +2,11 @@
 
 A strategy is a memory structure (deterministic automaton over edges) plus
 moves keyed by (vertex, memory state).  Every solver answers its moves on
-lookup through `_LazyMoves`; a strategy loaded from a file holds its moves
-as a dict.  Memory updates happen on every edge, including the opponent's;
-moves are only consulted at vertices the strategy's player owns.
+lookup through `_LazyMoves`, from one function that gives the move or
+None.  A strategy loaded from a file holds its moves as a dict, and
+`strategy_from_json` checks each field of a row once, in the row's order.
+Memory updates happen on every edge, including the opponent's; moves are
+only consulted at vertices the strategy's player owns.
 
 A memory structure maps each start vertex it claims to an initial state.
 Strategies whose memory tracks the colors seen so far need this: the start
@@ -93,20 +95,19 @@ class FiniteMemoryStrategy:
 class _LazyMoves(Mapping):
     """Moves computed on lookup.  `masks[state]` is what a memory state
     stands for (its visited mask in `solve_fpt`, the state itself in every
-    other solver and in `min_memory_search`), and (v, state) holds the
-    move `find(v, s)` when `held(v, s)`, for v below n and s that value."""
+    other solver and in `min_memory_search`), and (v, state) holds
+    `move(v, s)`, for v below n and s that value, unless that is None."""
 
     n: int
-    held: Callable[[int, int], bool]
-    find: Callable[[int, int], int]
+    move: Callable[[int, int], int | None]
     masks: Sequence[int]
 
     def get(self, key: tuple[int, int], default=None):
         v, state = key
         if 0 <= v < self.n and 0 <= state < len(self.masks):
-            s = self.masks[state]
-            if self.held(v, s):
-                return self.find(v, s)
+            w = self.move(v, self.masks[state])
+            if w is not None:
+                return w
         return default
 
     def __getitem__(self, key: tuple[int, int]) -> int:
@@ -116,7 +117,8 @@ class _LazyMoves(Mapping):
         return w
 
     def __iter__(self):
-        return ((v, i) for v in range(self.n) for i, s in enumerate(self.masks) if self.held(v, s))
+        pairs = ((v, i, s) for v in range(self.n) for i, s in enumerate(self.masks))
+        return ((v, i) for v, i, s in pairs if self.move(v, s) is not None)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)
@@ -200,48 +202,24 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
         raise ValueError("per_vertex must map vertex names to states")
     initial = {arena.index_of(name): check_state(s) for name, s in per_vertex.items()}
 
-    # The loops resolve names by the arena's index and test states inline;
-    # `index_of` and `check_state` run only to raise.
-    index, owner, succ = arena._index, arena.owner, arena.succ
+    index_of, owner, succ = arena.index_of, arena.owner, arena.succ
     table: dict[tuple[int, int, int], int] = {}
     for entry in update_entries:
-        u = index.get(entry["from"])
-        if u is None:
-            arena.index_of(entry["from"])
-        w = index.get(entry["to"])
-        if w is None:
-            arena.index_of(entry["to"])
+        u, w = index_of(entry["from"]), index_of(entry["to"])
         if w not in succ[u]:
-            raise ValueError(
-                f"update on ({entry['from']}, {entry['to']}), which is not an edge"
-            )
+            raise ValueError(f"update on ({entry['from']}, {entry['to']}), which is not an edge")
         # next_state is checked before state: of two faults, it is named.
-        nxt = entry["next_state"]
-        if not (type(nxt) is int and 0 <= nxt < states):
-            check_state(nxt)
-        s = entry["state"]
-        if not (type(s) is int and 0 <= s < states):
-            check_state(s)
-        table[(s, u, w)] = nxt
+        nxt = check_state(entry["next_state"])
+        table[(check_state(entry["state"]), u, w)] = nxt
 
     moves: dict[tuple[int, int], int] = {}
     for entry in move_entries:
-        v = index.get(entry["vertex"])
-        if v is None:
-            arena.index_of(entry["vertex"])
-        w = index.get(entry["successor"])
-        if w is None:
-            arena.index_of(entry["successor"])
+        v, w = index_of(entry["vertex"]), index_of(entry["successor"])
         if owner[v] is not player:
             raise ValueError(f"move at {entry['vertex']!r}, which {player.value} does not own")
         if w not in succ[v]:
-            raise ValueError(
-                f"move ({entry['vertex']}, {entry['successor']}) is not an edge"
-            )
-        s = entry["state"]
-        if not (type(s) is int and 0 <= s < states):
-            check_state(s)
-        moves[(v, s)] = w
+            raise ValueError(f"move ({entry['vertex']}, {entry['successor']}) is not an edge")
+        moves[(v, check_state(entry["state"]))] = w
 
     memory = MemoryStructure.from_table(states, initial, table)
     return FiniteMemoryStrategy(player, memory, moves)

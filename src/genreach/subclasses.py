@@ -83,20 +83,13 @@ def solve_singleton(game: Game) -> SolveResult:
 
     initial = {v: advance(0, v) for v in sorted(region)}
     memory = MemoryStructure(k, initial, lambda s, u, w: advance(s, w))
-    moves = _LazyMoves(
-        n,
-        lambda v, s: v in attr[chain[s]].moves,
-        lambda v, s: attr[chain[s]].moves[v],
-        range(k),
-    )
+    moves = _LazyMoves(n, lambda v, s: attr[chain[s]].moves.get(v), range(k))
     eve = FiniteMemoryStrategy(Owner.EVE, memory, moves)
 
     won = [v in region for v in range(n)]
+    outside = [o is Owner.ADAM and not w for o, w in zip(arena.owner, won)]
     adam_moves = _LazyMoves(
-        n,
-        lambda v, s: arena.owner[v] is Owner.ADAM and not won[v],
-        lambda v, s: _escape(arena.succ, won, v, 0),
-        range(1),
+        n, lambda v, s: _escape(arena.succ, won, v, 0) if outside[v] else None, range(1)
     )
     adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(everyone - region), adam_moves)
     return SolveResult(
@@ -127,12 +120,13 @@ def _singleton_adam(
     n, succ = arena.n, arena.succ
     vi, vj = targets[i], targets[j]
     won = [[v in attr[t].attractor for v in range(n)] for t in (vi, vj)]
-    moves = _LazyMoves(
-        n,
-        lambda v, s: arena.owner[v] is Owner.ADAM and not (s and won[1][v]),
-        lambda v, s: succ[v][0] if not s and won[0][v] else _escape(succ, won[s], v, 0),
-        range(2),
-    )
+
+    def move(v: int, s: int) -> int | None:
+        if arena.owner[v] is Owner.EVE or s and won[1][v]:
+            return None
+        return succ[v][0] if not s and won[0][v] else _escape(succ, won[s], v, 0)
+
+    moves = _LazyMoves(n, move, range(2))
     initial = {v: 1 if v == vi else 0 for v in range(n)}
     memory = MemoryStructure(2, initial, lambda s, u, w: 1 if w == vi else s)
     adam = FiniteMemoryStrategy(Owner.ADAM, memory, moves)

@@ -1,4 +1,4 @@
-"""Hash the outputs of both `solve_fpt` routes on two checkouts.
+"""Hash the outputs of both `solve_fpt` routes and every lazy move table.
 
     python3 tests/dense_digest.py PARENT CHANGE
 
@@ -13,9 +13,15 @@ the solve-regions games of seeds 1 and 104729, and the 100 small random
 games of `tests/test_product.py`.  The sweep hash covers `_solve_sweep`
 on fig5, flower2, the three first games of `SWEEP_GAMES` in
 `tests/test_strategies.py`, the QBF reduction `qbf-14-40` (built here,
-as that file builds it) and the same 100 random games.  The script
-prints both hashes per side and exits 1 when either differs.
-pytest does not collect this file.
+as that file builds it) and the same 100 random games.  The lazy hash
+covers the file and `dict(strategy.moves)`, in iteration order, of
+strategies whose moves are answered on lookup: `compress_adam`'s on the
+dense games, both of `solve_singleton`'s on 100 seeded singleton games,
+and the machines `min_memory_search` finds on flower2 and fig4(2) (Eve,
+3 states, full class), picker3 (Adam, 3 states) and fig5 (Adam, 4
+states), the last two colour-observing.  The script prints the three
+hashes per side and exits 1 when any differs.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
@@ -29,7 +35,11 @@ from pathlib import Path
 DIGEST = """
 import hashlib, importlib.util, json, random, sys
 from pathlib import Path
-from genreach import GenParams, compress_adam, generate, gen_random, solve_fpt, strategy_to_json
+from genreach import (
+    COLOR_OBS, FULL_CLASS, GenParams, Owner, compress_adam, generate, gen_random,
+    min_memory_search, solve_fpt, solve_singleton, strategy_to_json,
+)
+from helpers import random_game
 from genreach.product import _solve_sweep
 from genreach.qbf import QBFFormula, qbf_to_game
 from test_product import small_games
@@ -74,17 +84,44 @@ def result_record(game, result):
     return sorted(result.eve_region), sorted(result.adam_region), stats, records
 
 
+# (arena, strategy) pairs for the lazy hash, which is printed last.
+lazy = []
 digest = hashlib.sha256()
 for game in games:
     result = solve_fpt(game)
     assert result.stats["route"] == "dense", "a game took the sweep"
-    record = (*result_record(game, result), strategy_record(game.arena, compress_adam(game)))
+    compressed = compress_adam(game)
+    record = (*result_record(game, result), strategy_record(game.arena, compressed))
     digest.update(repr(record).encode())
+    lazy.append((game.arena, compressed))
 print(len(games), digest.hexdigest())
 digest = hashlib.sha256()
 for game in sweep_games:
     digest.update(repr(result_record(game, _solve_sweep(game))).encode())
 print(len(sweep_games), digest.hexdigest())
+
+for seed in range(100):
+    game = random_game(
+        seed, n=2 + seed % 29, k=seed % 9, density=0.1 + 0.1 * (seed % 4), color_size=(1, 1)
+    )
+    result = solve_singleton(game)
+    lazy += [(game.arena, s) for s in (result.eve_strategy, result.adam_strategy) if s is not None]
+fig5, flower2 = named
+searches = [
+    (flower2, Owner.EVE, 3, FULL_CLASS),
+    (generate(GenParams("fig4", k=2)), Owner.EVE, 3, FULL_CLASS),
+    (generate(GenParams("picker", k=3)), Owner.ADAM, 3, COLOR_OBS),
+    (fig5, Owner.ADAM, 4, COLOR_OBS),
+]
+for game, player, bound, machine_class in searches:
+    found = min_memory_search(game, player, bound, machine_class, budget=200_000_000)
+    assert found.strategy is not None, "a search found no machine"
+    lazy.append((game.arena, found.strategy))
+digest = hashlib.sha256()
+for arena, strategy in lazy:
+    file = json.dumps(strategy_to_json(arena, strategy), sort_keys=True)
+    digest.update(repr((file, dict(strategy.moves))).encode())
+print(len(lazy), digest.hexdigest())
 """
 
 
@@ -108,9 +145,12 @@ def main() -> int:
     args = parser.parse_args()
     hashes = {}
     for name in ("parent", "change"):
-        (games, dense), (sweep_games, sweep) = hashes[name] = digest(getattr(args, name).resolve())
+        (games, dense), (sweep_games, sweep), (strategies, lazy) = hashes[name] = digest(
+            getattr(args, name).resolve()
+        )
         print(name, games, "games", dense, flush=True)
         print(name, "sweep", sweep_games, "games", sweep, flush=True)
+        print(name, "lazy", strategies, "strategies", lazy, flush=True)
     same = hashes["parent"] == hashes["change"]
     print("same" if same else "differ")
     return 0 if same else 1

@@ -7,16 +7,19 @@ import random
 import pytest
 
 from genreach import (
+    FULL_CLASS,
     FiniteMemoryStrategy,
     GenParams,
     MemoryStructure,
     Owner,
     SolveResult,
     StrategyPartialError,
+    compress_adam,
     dump_strategy,
     gen_random,
     identity_memory,
     load_strategy,
+    min_memory_search,
     parse_game,
     qbf_to_game,
     solve_fpt,
@@ -204,6 +207,11 @@ def test_from_json_rejects_bad_entries(demo):
         ("moves", dict(move, state=1.5), ValueError, "memory state 1.5 is not a JSON integer"),
         ("moves", dict(move, state=-1), ValueError, r"memory state -1 out of range 0\.\.2"),
         ("moves", dict(move, successor="zz"), KeyError, "no vertex named 'zz'"),
+        # Of two faults in one move, the first in the order vertex,
+        # successor, owner, edge, state is named.
+        ("moves", dict(move, vertex="zz", state=-1), KeyError, "no vertex named 'zz'"),
+        ("moves", dict(move, vertex="d", successor="c"), ValueError, "'d', which eve does not own"),
+        ("moves", dict(move, successor="c", state=-1), ValueError, r"move \(c, c\) is not an edge"),
     ]
     for key, entry, error, message in cases:
         with pytest.raises(error, match=message):
@@ -284,20 +292,87 @@ def test_sweep_strategy_files_are_pinned(case):
     assert _strategy_digest(game, _solve_sweep(game)) == SWEEP_STRATEGY_FILE_DIGESTS[case]
 
 
+# Eve's targets y then z chain; Adam escapes to t from a.
+SINGLETON_CHAIN_TEXT = """\
+genreach 1
+colors 2
+vertex s eve
+vertex a adam
+vertex y eve 1
+vertex z eve 2
+vertex t adam
+edge s a
+edge s y
+edge a y
+edge a t
+edge y z
+edge y t
+edge z z
+edge t t
+init s
+"""
+
+# Neither of the sinks p and q lies in the other's attractor: Adam wins.
+SINGLETON_INCOMPARABLE_TEXT = """\
+genreach 1
+colors 2
+vertex s eve
+vertex p adam 1
+vertex q adam 2
+edge s p
+edge s q
+edge p p
+edge q q
+init s
+"""
+
+LOOKUP_TEXTS = {
+    "fold": FOLD_TEXT,
+    "singleton-chain": SINGLETON_CHAIN_TEXT,
+    "singleton-incomparable": SINGLETON_INCOMPARABLE_TEXT,
+}
+
+
+def _both_strategies(solver):
+    def strategies(game):
+        solved = solver(game)
+        return solved.eve_strategy, solved.adam_strategy
+
+    return strategies
+
+
 @pytest.mark.parametrize(
-    "solver, case",
+    "strategies, case",
     [
-        pytest.param(solver, case, id=prefix + case)
-        for prefix, solver in (("", solve_fpt), ("sweep-", _solve_sweep))
-        for case in ("demo", "fig5", "fold")
+        *(
+            pytest.param(_both_strategies(solver), case, id=prefix + case)
+            for prefix, solver in (("", solve_fpt), ("sweep-", _solve_sweep))
+            for case in ("demo", "fig5", "fold")
+        ),
+        pytest.param(lambda game: (compress_adam(game),), "fig5", id="compress-adam-fig5"),
+        *(
+            pytest.param(_both_strategies(solve_singleton), case, id=case)
+            for case in ("singleton-chain", "singleton-incomparable")
+        ),
+        pytest.param(
+            lambda game: (min_memory_search(game, E, 3, FULL_CLASS).strategy,),
+            "fig42",
+            id="min-memory-fig42",
+        ),
     ],
 )
-def test_solve_fpt_moves_answer_every_lookup_alike(request, solver, case):
-    game = parse_game(FOLD_TEXT) if case == "fold" else request.getfixturevalue(case)
-    solved = solver(game)
-    n, states = game.arena.n, solved.stats["eve_states"]
-    for strategy in (solved.eve_strategy, solved.adam_strategy):
-        moves = strategy.moves
+def test_solve_fpt_moves_answer_every_lookup_alike(request, strategies, case):
+    """Every solver's lazy moves answer `get`, `[]`, `in`, iteration and
+    `len` alike, and hold nothing off their vertices and states."""
+    if case in LOOKUP_TEXTS:
+        game = parse_game(LOOKUP_TEXTS[case])
+    else:
+        game = request.getfixturevalue(case)
+    n = game.arena.n
+    for strategy in strategies(game):
+        if strategy is None:
+            continue
+        moves, states = strategy.moves, strategy.memory.states
         held = dict(moves)
         assert held and len(moves) == len(held) == len(list(moves))
         for key, w in held.items():

@@ -101,7 +101,7 @@ def solve_opponent_player(game: Game) -> SolveResult:
         region &= attr.attractor
         ops += attr.ops
         sizes.append(len(attr.attractor))
-    eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(region), {})
+    eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(region), lambda v, s: None)
     return SolveResult(
         method="opponent",
         eve_region=region,

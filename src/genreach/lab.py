@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceededError, UnsupportedInputError
 from .model import Game, Owner, Play, trace_play
-from .strategies import FiniteMemoryStrategy, MemoryStructure, _LazyMoves
+from .strategies import FiniteMemoryStrategy, MemoryStructure
 
 FULL_CLASS = "full"
 COLOR_OBS = "color-obs"
@@ -558,4 +558,4 @@ def _machine_from(game, player, states, machine_class, cells):
             return cells.get((s * n + u) * n + w, s)
 
     memory = MemoryStructure(states, {game.init: 0}, update)
-    return FiniteMemoryStrategy(player, memory, _LazyMoves(n, move, range(states)))
+    return FiniteMemoryStrategy(player, memory, move)

@@ -42,7 +42,6 @@ from .strategies import (
     FiniteMemoryStrategy,
     MemoryStructure,
     SolveResult,
-    _LazyMoves,
 )
 
 # The dense kernel's limit on n * 2^k configurations: above it
@@ -230,7 +229,7 @@ def _solve_dense(game: Game) -> SolveResult:
             ru = Rp[u]
             for w in succ[u]:
                 ops += (ru & stay[w]).bit_count()
-    idx = {s: i for i, s in enumerate(_bits(reduce(or_, Rp)) or [full])}
+    idx = {s: i for i, s in enumerate(_bits(reduce(or_, Rp)))}
     eve_move = lambda v, s: _first_won(won, v, s) if eve[v] and (Rp[v] & W[v]) >> s & 1 else None
     adam_move = lambda v, s: (
         _escape(succ, L, v, s) if not eve[v] and Rp[v] >> s & 1 and not W[v] >> s & 1 else None
@@ -364,21 +363,21 @@ def _solve_sweep(game: Game) -> SolveResult:
     )
     counts = {"configs": sum(map(len, verts.values())), "product_edges": n_edges, "ops": ops}
     eve_region = frozenset(v for v in range(n) if rows[vm[v]][v] == 2)
-    return _fpt_result(
-        game, t0, "sweep", eve_region, idx or {full: 0}, eve_move, adam_move, counts, phases
-    )
+    return _fpt_result(game, t0, "sweep", eve_region, idx, eve_move, adam_move, counts, phases)
 
 
 def _fpt_result(
     game: Game, t0: float, route: str, eve_region: frozenset[int], idx: dict[int, int],
     eve_move: Callable, adam_move: Callable, counts: dict[str, int], phases: dict[str, float],
 ) -> SolveResult:
-    """Both routes' strategies and stats.  `idx` numbers the memory both
-    players share: the non-full masks that occur, ascending, or one idle
-    state when none does.  Each player's moves come as one lookup, the
-    move at (v, mask s) or None, for a `_LazyMoves` over that memory."""
+    """Both routes' strategies and stats.  `idx` numbers the non-full
+    masks that occur, ascending; the memory both players share is those
+    masks, or one idle state, the full mask, when none occurs.  Each
+    player's moves come as one lookup, the move at (v, mask s) or None,
+    and each strategy asks it at its state's mask."""
     n, vm = game.arena.n, game.objective.mask
     adam_region = frozenset(range(n)) - eve_region
+    idx = idx or {game.objective.full_mask: 0}
     masks = list(idx)
 
     def update(s: int, u: int, w: int, _m=masks, _i=idx) -> int:
@@ -388,7 +387,7 @@ def _fpt_result(
     def strategy(player: Owner, region: frozenset[int], move: Callable) -> FiniteMemoryStrategy:
         initial = {v: idx.get(vm[v], 0) for v in sorted(region)}
         memory = MemoryStructure(len(idx), initial, update)
-        return FiniteMemoryStrategy(player, memory, _LazyMoves(n, move, masks))
+        return FiniteMemoryStrategy(player, memory, lambda v, i: move(v, masks[i]))
 
     return SolveResult(
         method="fpt",
@@ -438,8 +437,10 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     still contains.  Updates re-maximize after each edge: the first
     maximal mask at the target that holds the state's mask and the
     target's colors; a state past its vertex's row stays.  Moves replay
-    the escape of the represented configuration.  Both are answered on
-    lookup.  State count is max_v p(v), at most C(k, floor(k/2)).
+    the escape of the represented configuration, and give None past the
+    row.  The update and the moves are the strategy's two lookup
+    functions; neither is tabulated.  State count is max_v p(v), at
+    most C(k, floor(k/2)).
 
     Adam's region is downward closed only over the full product, so this
     runs the dense kernel of `solve_fpt` over every mask, and refuses a
@@ -474,9 +475,5 @@ def compress_adam(game: Game) -> FiniteMemoryStrategy:
     starts = ((v, holding(v, mask[v])) for v in range(n))
     initial = {v: j for v, j in starts if j is not None}
     states = max(1, max(map(len, rows), default=0))
-    moves = _LazyMoves(
-        n,
-        lambda v, i: _escape(succ, L, v, rows[v][i]) if adam[v] and i < len(rows[v]) else None,
-        range(states),
-    )
-    return FiniteMemoryStrategy(Owner.ADAM, MemoryStructure(states, initial, update), moves)
+    move = lambda v, i: _escape(succ, L, v, rows[v][i]) if adam[v] and i < len(rows[v]) else None
+    return FiniteMemoryStrategy(Owner.ADAM, MemoryStructure(states, initial, update), move)

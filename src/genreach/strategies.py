@@ -1,10 +1,10 @@
 """Finite-memory strategies and the common solver result record.
 
 A strategy is a memory structure (deterministic automaton over edges) plus
-moves keyed by (vertex, memory state).  Every solver answers its moves on
-lookup through `_LazyMoves`, from one function that gives the move or
-None.  A strategy loaded from a file holds its moves as a dict, and
-`strategy_from_json` checks each field of a row once, in the row's order.
+a move function of (vertex, memory state) that gives the move or None.
+Both the memory's `update` and the moves are functions: every solver
+answers them on lookup, and `strategy_from_json` builds both over the
+tables it reads, checking each field of a row once, in the row's order.
 Memory updates happen on every edge, including the opponent's; moves are
 only consulted at vertices the strategy's player owns.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 
 from .errors import StrategyPartialError, UnsupportedInputError
 from .model import Arena, Owner
@@ -42,17 +42,6 @@ class MemoryStructure:
                 f"no initial memory state for start vertex {v}"
             ) from None
 
-    @classmethod
-    def from_table(
-        cls,
-        states: int,
-        initial: Mapping[int, int],
-        table: Mapping[tuple[int, int, int], int],
-    ) -> "MemoryStructure":
-        """Explicit transition table; entries absent from it mean 'stay'."""
-        frozen = dict(table)
-        return cls(states, initial, lambda s, u, v: frozen.get((s, u, v), s))
-
 
 def identity_memory(starts: Iterable[int]) -> MemoryStructure:
     """The one-state memory of a positional strategy, from `starts`."""
@@ -63,8 +52,10 @@ def identity_memory(starts: Iterable[int]) -> MemoryStructure:
 class FiniteMemoryStrategy:
     """Moves for one player, driven by a finite memory over observed edges.
 
-    `move` plays the held move, else the only successor, and otherwise
-    raises: a strategy answers only where it has a move.  Solver
+    `moves(v, state)` gives the held move or None, and is asked only
+    for a state of the memory.  `move` plays the held move, else the
+    only successor, and otherwise raises: a strategy answers only where
+    it has a move, and never for a state outside the memory.  Solver
     strategies start only on their own player's winning region, where
     every position a play can reach holds one.  A held move that is not
     an edge of the arena raises `UnsupportedInputError`.
@@ -72,10 +63,14 @@ class FiniteMemoryStrategy:
 
     player: Owner
     memory: MemoryStructure
-    moves: Mapping[tuple[int, int], int]
+    moves: Callable[[int, int], int | None]
 
     def move(self, arena: Arena, v: int, state: int) -> int:
-        target = self.moves.get((v, state))
+        if not 0 <= state < self.memory.states:
+            raise StrategyPartialError(
+                f"memory state {state} out of range 0..{self.memory.states - 1}"
+            )
+        target = self.moves(v, state)
         if target is not None:
             if target not in arena.succ[v]:
                 raise UnsupportedInputError(
@@ -89,39 +84,6 @@ class FiniteMemoryStrategy:
         raise StrategyPartialError(
             f"no move for vertex {arena.names[v]!r} in memory state {state}"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class _LazyMoves(Mapping):
-    """Moves computed on lookup.  `masks[state]` is what a memory state
-    stands for (its visited mask in `solve_fpt`, the state itself in every
-    other solver and in `min_memory_search`), and (v, state) holds
-    `move(v, s)`, for v below n and s that value, unless that is None."""
-
-    n: int
-    move: Callable[[int, int], int | None]
-    masks: Sequence[int]
-
-    def get(self, key: tuple[int, int], default=None):
-        v, state = key
-        if 0 <= v < self.n and 0 <= state < len(self.masks):
-            w = self.move(v, self.masks[state])
-            if w is not None:
-                return w
-        return default
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        w = self.get(key)
-        if w is None:
-            raise KeyError(key)
-        return w
-
-    def __iter__(self):
-        pairs = ((v, i, s) for v in range(self.n) for i, s in enumerate(self.masks))
-        return ((v, i) for v, i, s in pairs if self.move(v, s) is not None)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 def strategy_to_json(arena: Arena, strategy: FiniteMemoryStrategy) -> dict:
@@ -221,8 +183,9 @@ def strategy_from_json(arena: Arena, data: dict) -> FiniteMemoryStrategy:
             raise ValueError(f"move ({entry['vertex']}, {entry['successor']}) is not an edge")
         moves[(v, check_state(entry["state"]))] = w
 
-    memory = MemoryStructure.from_table(states, initial, table)
-    return FiniteMemoryStrategy(player, memory, moves)
+    # An edge with no update row stays in its state.
+    memory = MemoryStructure(states, initial, lambda s, u, w: table.get((s, u, w), s))
+    return FiniteMemoryStrategy(player, memory, lambda v, s: moves.get((v, s)))
 
 
 def dump_strategy(arena: Arena, strategy: FiniteMemoryStrategy) -> str:

@@ -22,7 +22,6 @@ from .strategies import (
     FiniteMemoryStrategy,
     MemoryStructure,
     SolveResult,
-    _LazyMoves,
     identity_memory,
 )
 
@@ -51,7 +50,7 @@ def solve_singleton(game: Game) -> SolveResult:
     k = objective.k
     everyone = frozenset(range(n))
     if k == 0:
-        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(everyone), {})
+        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(everyone), lambda v, s: None)
         return SolveResult(
             "singleton", everyone, frozenset(), eve_strategy=eve,
             stats={"total": True, "visit_order": []},
@@ -83,14 +82,11 @@ def solve_singleton(game: Game) -> SolveResult:
 
     initial = {v: advance(0, v) for v in sorted(region)}
     memory = MemoryStructure(k, initial, lambda s, u, w: advance(s, w))
-    moves = _LazyMoves(n, lambda v, s: attr[chain[s]].moves.get(v), range(k))
-    eve = FiniteMemoryStrategy(Owner.EVE, memory, moves)
+    eve = FiniteMemoryStrategy(Owner.EVE, memory, lambda v, s: attr[chain[s]].moves.get(v))
 
     won = [v in region for v in range(n)]
     outside = [o is Owner.ADAM and not w for o, w in zip(arena.owner, won)]
-    adam_moves = _LazyMoves(
-        n, lambda v, s: _escape(arena.succ, won, v, 0) if outside[v] else None, range(1)
-    )
+    adam_moves = lambda v, s: _escape(arena.succ, won, v, 0) if outside[v] else None
     adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(everyone - region), adam_moves)
     return SolveResult(
         "singleton", region, everyone - region,
@@ -126,10 +122,9 @@ def _singleton_adam(
             return None
         return succ[v][0] if not s and won[0][v] else _escape(succ, won[s], v, 0)
 
-    moves = _LazyMoves(n, move, range(2))
     initial = {v: 1 if v == vi else 0 for v in range(n)}
     memory = MemoryStructure(2, initial, lambda s, u, w: 1 if w == vi else s)
-    adam = FiniteMemoryStrategy(Owner.ADAM, memory, moves)
+    adam = FiniteMemoryStrategy(Owner.ADAM, memory, move)
     return SolveResult(
         "singleton", frozenset(), frozenset(range(n)),
         adam_strategy=adam,
@@ -237,14 +232,14 @@ def solve_oneplayer_size2(game: Game) -> SolveResult:
     everyone = frozenset(range(n))
     if k == 0:
         witness = (game.init,) if game.init is not None else None
-        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(everyone), {})
+        eve = FiniteMemoryStrategy(Owner.EVE, identity_memory(everyone), lambda v, s: None)
         return SolveResult(
             "oneplayer2", everyone, frozenset(), eve_strategy=eve,
             witness=witness, stats={"variables": 0, "clauses": 0},
         )
     for i, members in enumerate(objective.color_sets):
         if not members:
-            adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(everyone), {})
+            adam = FiniteMemoryStrategy(Owner.ADAM, identity_memory(everyone), lambda v, s: None)
             return SolveResult(
                 "oneplayer2", frozenset(), everyone, adam_strategy=adam,
                 stats={"empty_color": i + 1},

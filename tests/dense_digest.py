@@ -14,13 +14,16 @@ games of `tests/test_product.py`.  The sweep hash covers `_solve_sweep`
 on fig5, flower2, the three first games of `SWEEP_GAMES` in
 `tests/test_strategies.py`, the QBF reduction `qbf-14-40` (built here,
 as that file builds it) and the same 100 random games.  The lazy hash
-covers the file and `dict(strategy.moves)`, in iteration order, of
-strategies whose moves are answered on lookup: `compress_adam`'s on the
+covers the file and the held moves, vertex-major, of strategies whose
+moves are answered on lookup: `compress_adam`'s on the
 dense games, both of `solve_singleton`'s on 100 seeded singleton games,
 and the machines `min_memory_search` finds on flower2 and fig4(2) (Eve,
 3 states, full class), picker3 (Adam, 3 states) and fig5 (Adam, 4
-states), the last two colour-observing.  The script prints the three
-hashes per side and exits 1 when any differs.  pytest does not collect
+states), the last two colour-observing.  Moves are read through one
+reader, `held`, that takes them as a function of (vertex, state) or as
+a Mapping keyed by that pair, the form before strategies held a
+function, so a checkout of either form hashes alike.  The script prints
+the three hashes per side and exits 1 when any differs.  pytest does not collect
 this file.
 """
 
@@ -34,6 +37,7 @@ from pathlib import Path
 
 DIGEST = """
 import hashlib, importlib.util, json, random, sys
+from collections.abc import Mapping
 from pathlib import Path
 from genreach import (
     COLOR_OBS, FULL_CLASS, GenParams, Owner, compress_adam, generate, gen_random,
@@ -72,9 +76,17 @@ sweep_games = [*named, *(SWEEP_GAMES[c]() for c in ("fold", "random-k18-n16", "r
 sweep_games += [qbf, *small_games()]
 
 
+def held(arena, strategy):
+    moves = strategy.moves
+    if isinstance(moves, Mapping):
+        moves = lambda v, s, table=moves: table.get((v, s))
+    pairs = ((v, s) for v in range(arena.n) for s in range(strategy.memory.states))
+    return {(v, s): w for v, s in pairs if (w := moves(v, s)) is not None}
+
+
 def strategy_record(arena, strategy):
     file = json.dumps(strategy_to_json(arena, strategy), sort_keys=True)
-    return file, sorted(strategy.memory.initial.items()), sorted(strategy.moves.items())
+    return file, sorted(strategy.memory.initial.items()), sorted(held(arena, strategy).items())
 
 
 def result_record(game, result):
@@ -120,7 +132,7 @@ for game, player, bound, machine_class in searches:
 digest = hashlib.sha256()
 for arena, strategy in lazy:
     file = json.dumps(strategy_to_json(arena, strategy), sort_keys=True)
-    digest.update(repr((file, dict(strategy.moves))).encode())
+    digest.update(repr((file, held(arena, strategy))).encode())
 print(len(lazy), digest.hexdigest())
 """
 

@@ -217,6 +217,27 @@ def random_qdimacs(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def table_memory(states, initial, table) -> MemoryStructure:
+    """The memory of an explicit update table keyed by (state, u, w);
+    an edge absent from it stays in its state."""
+    table = dict(table)
+    return MemoryStructure(states, initial, lambda s, u, w: table.get((s, u, w), s))
+
+
+def table_moves(table):
+    """The move function of an explicit table keyed by (vertex, state)."""
+    table = dict(table)
+    return lambda v, s: table.get((v, s))
+
+
+def held_moves(strategy: FiniteMemoryStrategy, n: int) -> dict[tuple[int, int], int]:
+    """Every move `strategy.moves` gives on vertices below n, keyed by
+    (vertex, state), vertex-major."""
+    moves, states = strategy.moves, strategy.memory.states
+    pairs = ((v, s, moves(v, s)) for v in range(n) for s in range(states))
+    return {(v, s): w for v, s, w in pairs if w is not None}
+
+
 def random_machine(
     game: Game, player: Owner, states: int, rng: random.Random
 ) -> FiniteMemoryStrategy:
@@ -236,9 +257,7 @@ def random_machine(
         for s in range(states)
     }
     initial = dict.fromkeys(range(arena.n), 0)
-    return FiniteMemoryStrategy(
-        player, MemoryStructure.from_table(states, initial, table), moves
-    )
+    return FiniteMemoryStrategy(player, table_memory(states, initial, table), table_moves(moves))
 
 
 def reference_min_memory_search(game, player, bound, machine_class, on_refuted=None):
@@ -376,7 +395,7 @@ def machine_tables(game, machine) -> tuple[dict, dict]:
         for u in range(arena.n)
         for w in arena.succ[u]
     }
-    return dict(machine.moves), updates
+    return held_moves(machine, arena.n), updates
 
 
 # The flower lab: the k-petal flower's optimal Eve machine, a simulator of
@@ -403,8 +422,7 @@ def canonical_flower_eve(k: int) -> FiniteMemoryStrategy:
             marked = state | 1 << i
             if marked not in (state, full):
                 table[(state, v, c)] = marked
-    memory = MemoryStructure.from_table(states, {0: 0}, table)
-    return FiniteMemoryStrategy(Owner.EVE, memory, moves)
+    return FiniteMemoryStrategy(Owner.EVE, table_memory(states, {0: 0}, table), table_moves(moves))
 
 
 @dataclass(frozen=True)
@@ -508,7 +526,7 @@ def flower_adversary(k: int, eve_machine: FiniteMemoryStrategy) -> FlowerRefutat
     for m in range(memory.states):
         diff = x ^ stopping[m]
         adam_moves[(heart, m)] = petal[(diff & -diff).bit_length() - 1]
-    adam = FiniteMemoryStrategy(Owner.ADAM, memory, adam_moves)
+    adam = FiniteMemoryStrategy(Owner.ADAM, memory, table_moves(adam_moves))
 
     outcome = simulate(game, eve_machine, adam)
     if outcome.winner is not Owner.ADAM:

@@ -18,7 +18,7 @@ from genreach import (
     verify_strategy,
 )
 from genreach.attractor import _escape
-from helpers import random_game
+from helpers import random_game, table_moves
 
 E = Owner.EVE
 
@@ -185,5 +185,5 @@ def test_attractor_moves_win_the_attractor(seed, picks):
         game, objective=Objective.from_sets(arena.n, [targets])
     )
     moves = {(u, 0): w for u, w in attr.moves.items()}
-    sigma = FiniteMemoryStrategy(E, identity_memory(attr.attractor), moves)
+    sigma = FiniteMemoryStrategy(E, identity_memory(attr.attractor), table_moves(moves))
     assert verify_strategy(reach, sigma, attr.attractor).winning

@@ -34,6 +34,7 @@ from helpers import (
     random_machine,
     reference_min_memory_search,
     simulate,
+    table_moves,
 )
 
 E, A = Owner.EVE, Owner.ADAM
@@ -50,7 +51,7 @@ def positional(player, game, moves=None):
         if arena.owner[v] is player
     }
     table.update(moves or {})
-    return FiniteMemoryStrategy(player, identity_memory(range(arena.n)), table)
+    return FiniteMemoryStrategy(player, identity_memory(range(arena.n)), table_moves(table))
 
 
 def test_simulate_eve_collects_all_colors(flower2):

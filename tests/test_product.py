@@ -18,6 +18,7 @@ from genreach import (
     GenParams,
     Objective,
     Owner,
+    StrategyPartialError,
     UnsupportedInputError,
     compress_adam,
     generate,
@@ -41,6 +42,7 @@ from helpers import (
     FOLD_TEXT,
     antichain_table,
     explicit_product,
+    held_moves,
     minimax_region,
     padded_hub,
     random_game,
@@ -213,8 +215,8 @@ def test_solve_fpt_has_no_color_cap(k):
     assert result.eve_region == frozenset({0})
     assert result.adam_strategy.memory.states == result.eve_strategy.memory.states == 3
     # Memory states number the masks {}, a's colors and b's colors.
-    assert dict(result.eve_strategy.moves) == {(0, 1): 1}
-    assert dict(result.adam_strategy.moves) == {(2, 0): 2, (2, 1): 2, (1, 2): 2, (2, 2): 2}
+    assert held_moves(result.eve_strategy, 3) == {(0, 1): 1}
+    assert held_moves(result.adam_strategy, 3) == {(2, 0): 2, (2, 1): 2, (1, 2): 2, (2, 2): 2}
     assert dict(result.eve_strategy.memory.initial) == {0: 1}
     assert dict(result.adam_strategy.memory.initial) == {1: 2, 2: 0}
     assert verify_strategy(game, result.eve_strategy, result.eve_region).winning
@@ -370,7 +372,7 @@ def test_compress_adam_matches_explicit_product(fig5):
             if arena.owner[u] is A
             for i, s in enumerate(rows[u])
         }
-        assert dict(small.moves) == expected
+        assert held_moves(small, arena.n) == expected
         # An update goes to the first maximal mask at w that holds the
         # state's mask and colors(w), and stays where there is none.
         mask = game.objective.mask
@@ -472,13 +474,15 @@ def routes_agree(game: Game):
     assert rest[0] == rest[1]
     for r in (dense, sweep):
         assert r.adam_strategy.memory.states == r.eve_strategy.memory.states == r.stats["eve_states"]
-    assert dict(dense.adam_strategy.moves) == dict(sweep.adam_strategy.moves)
+    n = game.arena.n
+    assert held_moves(dense.adam_strategy, n) == held_moves(sweep.adam_strategy, n)
     for player in ("eve_strategy", "adam_strategy"):
         initial = [dict(getattr(r, player).memory.initial) for r in (dense, sweep)]
         assert initial[0] == initial[1]
     # Eve may move elsewhere, but on the same (vertex, state) pairs.
-    assert set(dense.eve_strategy.moves) == set(sweep.eve_strategy.moves)
-    assert len(dense.eve_strategy.moves) == len(sweep.eve_strategy.moves)
+    eve_moves = [held_moves(r.eve_strategy, n) for r in (dense, sweep)]
+    assert set(eve_moves[0]) == set(eve_moves[1])
+    assert len(eve_moves[0]) == len(eve_moves[1])
     return dense, sweep
 
 
@@ -486,8 +490,8 @@ def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44
     fold = parse_game(FOLD_TEXT)
     sweep = _solve_sweep(fold)
     assert sweep.eve_region == frozenset({0, 2, 3, 4})
-    assert dict(sweep.eve_strategy.moves) == {(0, 0): 4, (3, 0): 2}
-    assert dict(sweep.adam_strategy.moves) == {(1, 0): 5, (5, 1): 5}
+    assert held_moves(sweep.eve_strategy, fold.arena.n) == {(0, 0): 4, (3, 0): 2}
+    assert held_moves(sweep.adam_strategy, fold.arena.n) == {(1, 0): 5, (5, 1): 5}
     # One relaxation each: a from e (never won), c from b.
     assert sweep.stats["ops"] == 2
     games = [fold, demo, flower2, flower3, picker3, fig42, fig44, fig5, *small_games()]
@@ -498,7 +502,10 @@ def test_dense_route_matches_sweep(demo, flower2, flower3, picker3, fig42, fig44
     ]
     for game in games:
         dense, sweep = routes_agree(game)
-        assert (0, -1) not in dense.eve_strategy.moves and (0, -1) not in dense.adam_strategy.moves
+        # State -1 must not wrap to the last mask.
+        for strategy in (dense.eve_strategy, dense.adam_strategy):
+            with pytest.raises(StrategyPartialError, match="out of range"):
+                strategy.move(game.arena, 0, -1)
         for result in (dense, sweep):
             assert verify_strategy(game, result.eve_strategy, result.eve_region).winning
 

@@ -32,7 +32,7 @@ from genreach import (
 )
 from genreach.product import _solve_sweep
 from genreach.qbf import QBFFormula
-from helpers import FOLD_TEXT, random_game
+from helpers import FOLD_TEXT, random_game, table_moves
 
 E, A = Owner.EVE, Owner.ADAM
 
@@ -44,11 +44,16 @@ def test_memory_structure_initial_forms():
         per_vertex.initial_state(1)
 
 
-def test_memory_from_table_defaults_to_stay():
-    mem = MemoryStructure.from_table(3, {0: 0}, {(0, 1, 2): 2})
-    assert mem.update(0, 1, 2) == 2
-    assert mem.update(0, 2, 1) == 0
-    assert mem.update(1, 1, 2) == 1
+def test_loaded_memory_stays_on_edges_without_update_row(demo):
+    ix = demo.arena.index_of
+    doc = {
+        "player": "eve", "states": 3, "initial": {"per_vertex": {"c": 0}},
+        "update": [{"state": 0, "from": "c", "to": "a", "next_state": 2}],
+    }
+    update = strategy_from_json(demo.arena, doc).memory.update
+    assert update(0, ix("c"), ix("a")) == 2
+    assert update(0, ix("c"), ix("b")) == 0
+    assert update(1, ix("c"), ix("a")) == 1
 
 
 def test_identity_memory():
@@ -60,7 +65,7 @@ def test_identity_memory():
 
 def test_move_fallback(demo):
     arena = demo.arena
-    strict = FiniteMemoryStrategy(E, identity_memory([demo.init]), {})
+    strict = FiniteMemoryStrategy(E, identity_memory([demo.init]), lambda v, s: None)
     with pytest.raises(StrategyPartialError, match="no move for vertex 'c'"):
         strict.move(arena, arena.index_of("c"), 0)
     # Single-successor vertices never need a table entry.
@@ -92,7 +97,7 @@ def test_json_round_trip_text_form(demo):
 
 def test_json_per_vertex_initial(demo):
     mem = MemoryStructure(2, {0: 0, 1: 1}, lambda s, u, v: s)
-    sigma = FiniteMemoryStrategy(E, mem, {})
+    sigma = FiniteMemoryStrategy(E, mem, lambda v, s: None)
     doc = strategy_to_json(demo.arena, sigma)
     assert doc["initial"] == {"per_vertex": {"c": 0, "a": 1}}
     loaded = strategy_from_json(demo.arena, doc)
@@ -103,7 +108,7 @@ def test_json_only_keeps_reachable_entries(demo):
     # A two-state memory that never leaves state 0 from c serializes
     # without any state-1 move rows.
     mem = MemoryStructure(2, {demo.init: 0}, lambda s, u, v: s)
-    sigma = FiniteMemoryStrategy(E, mem, {(0, 0): 1, (0, 1): 3})
+    sigma = FiniteMemoryStrategy(E, mem, table_moves({(0, 0): 1, (0, 1): 3}))
     doc = strategy_to_json(demo.arena, sigma)
     assert doc["moves"] and all(entry["state"] == 0 for entry in doc["moves"])
     assert doc["update"] == []
@@ -156,7 +161,7 @@ def test_solver_strategies_start_on_their_region_and_files_hold_no_guesses(
         for row in doc["moves"]:
             v = arena.index_of(row["vertex"])
             w = arena.index_of(row["successor"])
-            assert strategy.moves.get((v, row["state"])) == w or arena.succ[v] == (w,)
+            assert strategy.moves(v, row["state"]) == w or arena.succ[v] == (w,)
         loaded = strategy_from_json(arena, doc)
         assert verify_strategy(game, loaded, region).winning
 
@@ -326,10 +331,33 @@ edge q q
 init s
 """
 
+# Games whose solvers hand out strategies that hold no move: the
+# opponent solver's Eve strategy, the subclass solvers' at k = 0, and the
+# 2-SAT solver's Adam strategy when color 2 is empty.
+ADAM_ONLY_TEXT = """\
+genreach 1
+colors 1
+vertex a adam 1
+vertex b adam
+edge a a
+edge a b
+edge b a
+edge b b
+"""
+
+EVE_ONLY_EDGES = """\
+edge a a
+edge a b
+edge b a
+"""
+
 LOOKUP_TEXTS = {
     "fold": FOLD_TEXT,
     "singleton-chain": SINGLETON_CHAIN_TEXT,
     "singleton-incomparable": SINGLETON_INCOMPARABLE_TEXT,
+    "adam-only": ADAM_ONLY_TEXT,
+    "eve-only-k0": "genreach 1\ncolors 0\nvertex a eve\nvertex b eve\n" + EVE_ONLY_EDGES,
+    "eve-only-empty-color": "genreach 1\ncolors 2\nvertex a eve 1\nvertex b eve\n" + EVE_ONLY_EDGES,
 }
 
 
@@ -341,52 +369,74 @@ def _both_strategies(solver):
     return strategies
 
 
+def _loaded_eve(game):
+    arena = game.arena
+    return (load_strategy(arena, dump_strategy(arena, solve_fpt(game).eve_strategy)),)
+
+
 @pytest.mark.parametrize(
-    "strategies, case",
+    "strategies, case, held",
     [
         *(
-            pytest.param(_both_strategies(solver), case, id=prefix + case)
+            pytest.param(_both_strategies(solver), case, True, id=prefix + case)
             for prefix, solver in (("", solve_fpt), ("sweep-", _solve_sweep))
             for case in ("demo", "fig5", "fold")
         ),
-        pytest.param(lambda game: (compress_adam(game),), "fig5", id="compress-adam-fig5"),
+        pytest.param(lambda game: (compress_adam(game),), "fig5", True, id="compress-adam-fig5"),
         *(
-            pytest.param(_both_strategies(solve_singleton), case, id=case)
+            pytest.param(_both_strategies(solve_singleton), case, True, id=case)
             for case in ("singleton-chain", "singleton-incomparable")
         ),
         pytest.param(
             lambda game: (min_memory_search(game, E, 3, FULL_CLASS).strategy,),
             "fig42",
+            True,
             id="min-memory-fig42",
+        ),
+        pytest.param(_loaded_eve, "demo", True, id="loaded-demo"),
+        pytest.param(_both_strategies(solve_opponent_player), "adam-only", False, id="opponent"),
+        *(
+            pytest.param(_both_strategies(solver), case, False, id=f"{solver.__name__}-{case}")
+            for solver, case in (
+                (solve_singleton, "eve-only-k0"),
+                (solve_oneplayer_size2, "eve-only-k0"),
+                (solve_oneplayer_size2, "eve-only-empty-color"),
+            )
         ),
     ],
 )
-def test_solve_fpt_moves_answer_every_lookup_alike(request, strategies, case):
-    """Every solver's lazy moves answer `get`, `[]`, `in`, iteration and
-    `len` alike, and hold nothing off their vertices and states."""
+def test_move_functions_keep_one_contract(request, strategies, case, held):
+    """Every producer's move function gives, at each vertex and state of
+    the memory, None off its player's vertices and an edge or None on
+    them, as `move` plays it; `move` refuses a state outside the memory.
+    A strategy holds a move somewhere exactly when `held` says so."""
     if case in LOOKUP_TEXTS:
         game = parse_game(LOOKUP_TEXTS[case])
     else:
         game = request.getfixturevalue(case)
-    n = game.arena.n
+    arena = game.arena
     for strategy in strategies(game):
         if strategy is None:
             continue
         moves, states = strategy.moves, strategy.memory.states
-        held = dict(moves)
-        assert held and len(moves) == len(held) == len(list(moves))
-        for key, w in held.items():
-            assert moves[key] == moves.get(key) == moves.get(key, -1) == w
-            assert key in moves
-        # Out-of-range vertices and states, and pairs not held.
-        for v in range(-1, n + 1):
-            for s in range(-1, states + 1):
-                if (v, s) in held:
+        found = False
+        for v in range(arena.n):
+            for s in range(states):
+                w = moves(v, s)
+                if w is None:
+                    if len(arena.succ[v]) == 1:
+                        assert strategy.move(arena, v, s) == arena.succ[v][0]
+                    else:
+                        with pytest.raises(StrategyPartialError, match="no move"):
+                            strategy.move(arena, v, s)
                     continue
-                assert (v, s) not in moves
-                assert moves.get((v, s)) is None and moves.get((v, s), -1) == -1
-                with pytest.raises(KeyError):
-                    moves[(v, s)]
+                found = True
+                assert arena.owner[v] is strategy.player and w in arena.succ[v]
+                assert strategy.move(arena, v, s) == w
+            for s in (-1, states):
+                with pytest.raises(StrategyPartialError, match="out of range"):
+                    strategy.move(arena, v, s)
+        assert found is held
 
 
 def test_solve_result_winner(demo):
